@@ -8,6 +8,7 @@ is locale-independent and reconstructs the exact float64.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, replace
 
 from .errors import DataError
@@ -55,26 +56,37 @@ class MenConfig:
     center_class_means: bool = False
 
     def __post_init__(self):
+        problem = self._invalid()
+        if problem is not None:
+            raise DataError(problem, stage="config")
+
+    def _invalid(self) -> str | None:
+        """Why the hyperparameters are unusable, or None when they are fine."""
+        for name in ("alpha", "beta", "kappa", "lambda2", "lambda1", "eig_floor"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                return f"{name} must be finite, got {value}"
         if self.alpha < 0:
-            raise DataError(f"alpha must be >= 0, got {self.alpha}")
+            return f"alpha must be >= 0, got {self.alpha}"
         if self.beta <= 0:
-            raise DataError(f"beta must be > 0, got {self.beta}")
+            return f"beta must be > 0, got {self.beta}"
         if self.kappa < 0:
-            raise DataError(f"kappa must be >= 0, got {self.kappa}")
+            return f"kappa must be >= 0, got {self.kappa}"
         if self.lambda2 < 0:
-            raise DataError(f"lambda2 must be >= 0, got {self.lambda2}")
+            return f"lambda2 must be >= 0, got {self.lambda2}"
         if self.lambda1 is not None and self.lambda1 < 0:
-            raise DataError(f"lambda1 must be >= 0, got {self.lambda1}")
+            return f"lambda1 must be >= 0, got {self.lambda1}"
         if self.k1 < 0 or self.k2 < 0:
-            raise DataError(f"k1 and k2 must be >= 0, got k1={self.k1} k2={self.k2}")
+            return f"k1 and k2 must be >= 0, got k1={self.k1} k2={self.k2}"
         if self.d < 1:
-            raise DataError(f"d must be >= 1, got {self.d}")
+            return f"d must be >= 1, got {self.d}"
         if self.K < 1:
-            raise DataError(f"K must be >= 1, got {self.K}")
+            return f"K must be >= 1, got {self.K}"
         if self.pca_retain is not None and self.pca_retain < 0:
-            raise DataError(f"pca_retain must be >= 0 or auto, got {self.pca_retain}")
+            return f"pca_retain must be >= 0 or auto, got {self.pca_retain}"
         if self.eig_floor < 0:
-            raise DataError(f"eig_floor must be >= 0, got {self.eig_floor}")
+            return f"eig_floor must be >= 0, got {self.eig_floor}"
+        return None
 
     def with_overrides(self, **kwargs) -> "MenConfig":
         return replace(self, **kwargs)

@@ -1,12 +1,23 @@
-"""Least angle regression with the lasso modification.
+"""Least angle regression with the lasso modification, in covariance mode.
 
 Solves one augmented problem per projection column. Variables enter the
 active set by largest absolute correlation; coefficients advance along
 the equiangular direction until the next variable ties or an active
 coefficient crosses zero (which removes it, keeping the path a lasso
-solution path). The active-set Gram inverse is maintained incrementally:
-a Schur-complement bordering step on entry, a complementary-block
-downdate on removal, with full re-factorization as the fallback.
+solution path).
+
+The solver works on the covariance form of the problem (Efron, Hastie,
+Johnstone & Tibshirani 2004, Least Angle Regression, section 7): the
+Gram matrix G = xstar^T xstar and b = xstar^T ystar. Correlations are
+c = b - G[:, A] w_A, the equiangular projections a = G[:, A] delta, and
+an entering variable j reads G[A, j] and G[j, j], so no step touches the
+(n' + p) x p design. The elastic-net augmented design is the same for
+every projection column, so a fit forms G once and all d columns share
+it (AugmentedProblem.column); only b differs. The design is read once
+per breakpoint, for the objective from an exact residual over the active
+columns. The active-set Gram inverse is maintained incrementally: a
+Schur-complement bordering step on entry, a complementary-block downdate
+on removal, with inversion of G[A, A] as the fallback.
 
 The path is piecewise linear; a breakpoint is recorded at the end of
 every segment. Event kinds: "init" (all-zero start), "enter" (a variable
@@ -58,27 +69,30 @@ class Direction:
     delta:      signed per-unit coefficient increments over the active set
     omega:      magnitude vector (sign * delta), as in the update rule
                 W_active += rho * sign * omega
-    u:          unit equiangular vector in sample space
-    a:          projections xstar^T u over all variables
+    a:          G[:, A] delta, the projections xstar^T u of every variable
+                on the unit equiangular vector u = xstar[:, A] delta
     normalizer: common inner product of signed active columns with u
     """
 
     delta: np.ndarray
     omega: np.ndarray
-    u: np.ndarray
     a: np.ndarray
     normalizer: float
 
 
 @dataclass
 class LarsState:
-    """Mutable solver state for one column solve."""
+    """Mutable solver state for one column solve.
+
+    inactive is the boolean mask of the variables not in `active`.
+    """
 
     active: list[int]
     signs: list[float]
     coeffs: np.ndarray
     gram_inv: np.ndarray | None
     correlations: np.ndarray
+    inactive: np.ndarray
     loop: int = 0
     last_direction: Direction | None = None
 
@@ -117,21 +131,27 @@ def correlations(problem: AugmentedProblem, coeffs: np.ndarray) -> np.ndarray:
     """Current correlation vector xstar^T (ystar - xstar coeffs).
 
     This is the negative objective gradient up to a dropped constant
-    factor of two.
+    factor of two. The residual form is the reference the solver's
+    covariance-form correlations are checked against.
     """
     residual = problem.ystar - problem.xstar @ coeffs
     return problem.xstar.T @ residual
 
 
+def _gram_correlations(problem: AugmentedProblem, state: LarsState) -> np.ndarray:
+    """Correlations in covariance form, b - G[:, A] w_A."""
+    return problem.xty - state.coeffs[state.active] @ problem.gram[state.active]
+
+
 def initial_state(problem: AugmentedProblem) -> LarsState:
     p = problem.n_variables
-    coeffs = np.zeros(p)
     return LarsState(
         active=[],
         signs=[],
-        coeffs=coeffs,
+        coeffs=np.zeros(p),
         gram_inv=None,
-        correlations=correlations(problem, coeffs),
+        correlations=problem.xty.copy(),
+        inactive=np.ones(p, dtype=bool),
     )
 
 
@@ -179,9 +199,8 @@ def gram_downdate(gram_inv: np.ndarray, pos: int) -> np.ndarray:
 
 
 def _refactor_gram_inverse(problem: AugmentedProblem, active: list[int]) -> np.ndarray:
-    gram = problem.xstar[:, active].T @ problem.xstar[:, active]
     try:
-        return np.linalg.inv(gram)
+        return np.linalg.inv(problem.gram[np.ix_(active, active)])
     except np.linalg.LinAlgError as exc:
         raise NumericalError(
             "active-set Gram matrix is singular; set lambda2 > 0 so the ridge "
@@ -196,28 +215,22 @@ def extend_active(state: LarsState, problem: AugmentedProblem) -> int | None:
     Ties go to the smallest index. Returns None when every inactive
     correlation is zero (the path has nothing left to add).
     """
-    mask = np.ones(problem.n_variables, dtype=bool)
-    mask[state.active] = False
-    if not mask.any():
-        return None
-    candidates = np.flatnonzero(mask)
-    strengths = np.abs(state.correlations[candidates])
-    top = float(strengths.max())
+    strengths = np.where(state.inactive, np.abs(state.correlations), 0.0)
+    top = float(strengths.max(initial=0.0))
     if top <= 0.0:
         return None
     # correlations within 1e-12 (relative) of the maximum count as tied;
     # ties resolve to the smallest variable index
-    best = int(candidates[strengths >= top * (1.0 - 1e-12)][0])
-    xnew = problem.xstar[:, best]
+    best = int(np.flatnonzero(strengths >= top * (1.0 - 1e-12))[0])
+    gram = problem.gram
     try:
-        if state.active:
-            b = problem.xstar[:, state.active].T @ xnew
-        else:
-            b = np.zeros(0)
-        state.gram_inv = gram_update(state.gram_inv, b, float(xnew @ xnew))
+        state.gram_inv = gram_update(
+            state.gram_inv, gram[state.active, best], float(gram[best, best])
+        )
     except NumericalError:
         state.gram_inv = _refactor_gram_inverse(problem, state.active + [best])
     state.active.append(best)
+    state.inactive[best] = False
     state.signs.append(1.0 if state.correlations[best] > 0 else -1.0)
     return best
 
@@ -226,7 +239,7 @@ def direction(state: LarsState, problem: AugmentedProblem) -> Direction:
     """Equiangular direction for the current active set.
 
     Every signed active column has the same inner product (the
-    normalizer) with the returned unit vector u.
+    normalizer) with the unit vector u = xstar[:, A] delta.
     """
     if not state.active:
         raise NumericalError("direction requested with an empty active set")
@@ -240,24 +253,19 @@ def direction(state: LarsState, problem: AugmentedProblem) -> Direction:
         )
     normalizer = 1.0 / np.sqrt(quad)
     delta = normalizer * ginv_s
-    u = problem.xstar[:, state.active] @ delta
     result = Direction(
         delta=delta,
         omega=signs * delta,
-        u=u,
-        a=problem.xstar.T @ u,
+        a=delta @ problem.gram[state.active],  # G is symmetric: G[:, A] delta
         normalizer=normalizer,
     )
     state.last_direction = result
     return result
 
 
-def _positive_min(values, floor: float) -> float:
-    best = np.inf
-    for v in values:
-        if np.isfinite(v) and v > floor and v < best:
-            best = v
-    return best
+def _positive_min(values: np.ndarray, floor: float) -> float:
+    """Smallest finite value above floor; +inf when there is none."""
+    return float(np.min(values, where=np.isfinite(values) & (values > floor), initial=np.inf))
 
 
 def step_length(state: LarsState, problem: AugmentedProblem) -> float:
@@ -273,22 +281,13 @@ def step_length(state: LarsState, problem: AugmentedProblem) -> float:
     d = state.last_direction
     chat = state.c_hat
     full = chat / d.normalizer
-    mask = np.ones(problem.n_variables, dtype=bool)
-    mask[state.active] = False
-    if not mask.any():
-        return full
-    c = state.correlations[mask]
-    a = d.a[mask]
-    floor = STEP_FLOOR_REL * full
+    c = state.correlations[state.inactive]
+    a = d.a[state.inactive]
     with np.errstate(divide="ignore", invalid="ignore"):
-        cand_minus = (chat - c) / (d.normalizer - a)
-        cand_plus = (chat + c) / (d.normalizer + a)
-    rho = min(
-        _positive_min(cand_minus, floor),
-        _positive_min(cand_plus, floor),
-        full,
-    )
-    return float(rho)
+        candidates = np.concatenate(
+            ((chat - c) / (d.normalizer - a), (chat + c) / (d.normalizer + a))
+        )
+    return float(min(_positive_min(candidates, STEP_FLOOR_REL * full), full))
 
 
 def drop_length(state: LarsState) -> float:
@@ -302,7 +301,7 @@ def drop_length(state: LarsState) -> float:
     delta = state.last_direction.delta
     with np.errstate(divide="ignore", invalid="ignore"):
         cand = -w / delta
-    return float(_positive_min(cand, 0.0))
+    return _positive_min(cand, 0.0)
 
 
 def _drop_position(state: LarsState, rho2: float) -> int:
@@ -312,14 +311,16 @@ def _drop_position(state: LarsState, rho2: float) -> int:
     delta = state.last_direction.delta
     with np.errstate(divide="ignore", invalid="ignore"):
         cand = -w / delta
-    hits = [k for k in range(len(state.active)) if np.isfinite(cand[k]) and cand[k] == rho2]
-    if not hits:  # fall back to the closest candidate
-        hits = [int(np.nanargmin(np.abs(cand - rho2)))]
-    return min(hits, key=lambda k: state.active[k])
+    hits = np.flatnonzero(np.isfinite(cand) & (cand == rho2))
+    if not hits.size:  # fall back to the closest candidate
+        return int(np.nanargmin(np.abs(cand - rho2)))
+    return int(hits[np.argmin(np.asarray(state.active)[hits])])
 
 
-def _objective(problem: AugmentedProblem, coeffs: np.ndarray) -> float:
-    residual = problem.ystar - problem.xstar @ coeffs
+def _objective(problem: AugmentedProblem, state: LarsState) -> float:
+    """Squared residual norm, from the design's active columns (exact
+    rather than the cancellation-prone y'y - 2 b'w + w'Gw)."""
+    residual = problem.ystar - problem.xstar[:, state.active] @ state.coeffs[state.active]
     return float(residual @ residual)
 
 
@@ -338,7 +339,7 @@ def _record(
             coefficients=state.coeffs.copy(),
             c_hat=state.c_hat,
             l1_norm=float(np.abs(state.coeffs).sum()),
-            objective=_objective(problem, state.coeffs),
+            objective=_objective(problem, state),
             active=tuple(state.active),
         )
     )
@@ -374,6 +375,7 @@ def lars_step(
         state.coeffs[variable] = 0.0
         del state.active[pos]
         del state.signs[pos]
+        state.inactive[variable] = True
         try:
             state.gram_inv = gram_downdate(state.gram_inv, pos)
         except NumericalError:
@@ -383,7 +385,7 @@ def lars_step(
         event, variable = "enter", entered
     else:
         event, variable = "cont", -1
-    state.correlations = correlations(problem, state.coeffs)
+    state.correlations = _gram_correlations(problem, state)
     if path is not None:
         _record(path, state, problem, event, variable)
     return event, variable
@@ -394,6 +396,9 @@ def solve_column(
 ) -> tuple[np.ndarray, CoefficientPath]:
     """Run the path until K entry events have occurred or least squares is
     reached; returns the solved coefficients W* and the recorded path.
+
+    `problem` holds one target column. Its Gram matrix is formed on first
+    use, or shared when the problem came from AugmentedProblem.column.
 
     The result has at most K nonzeros (drop events reduce the count but
     never refund the entry budget).

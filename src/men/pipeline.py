@@ -2,9 +2,10 @@
 
 Stages: optional mean-centered PCA; one discriminative patch per sample
 accumulated into the alignment matrix; indicator targets from the
-weighted class-center PCA; a shared spectral factor; then one augmented
-LARS solve per projection column. Everything is deterministic (no RNG),
-so identical inputs give identical models.
+weighted class-center PCA; a spectral factor; one augmented design and
+Gram matrix shared by all columns; then one covariance-mode LARS solve
+per projection column. Everything is deterministic (no RNG), so
+identical inputs give identical models.
 """
 
 from __future__ import annotations
@@ -168,18 +169,22 @@ def fit(
         "indicator",
         lambda: build_indicator(work, cfg.d, center=cfg.center_class_means),
     )
-    factor = staged(
-        "transform", lambda: spectral_factor(build_a(align, cfg), cfg.eig_floor)
-    )
-    if work.p > factor.root.shape[0] and cfg.lambda2 < 1e-6:
+
+    def _transform():
+        factor = spectral_factor(build_a(align, cfg), cfg.eig_floor)
+        # all d target columns share one design; the factor is dropped
+        # here so it is not held through the column solves
+        return build_augmented(work.data, indicator.values, align, cfg, factor=factor)
+
+    shared = staged("transform", _transform)
+    if work.p > shared.n_effective and cfg.lambda2 < 1e-6:
         warnings.warn(
             "more variables than retained spectral rows with lambda2 < 1e-6; "
             "set lambda2 >= 1e-6 to keep active-set Gram matrices well conditioned",
             stacklevel=2,
         )
 
-    def _solve_one(t: int):
-        problem = build_augmented(work.data, indicator.values[:, t], align, cfg, factor=factor)
+    def _solve_one(problem):
         wstar, path = solve_column(problem, cfg.K)
         column = report_column(
             wstar, problem, double_shrinkage_correction=cfg.double_shrinkage_correction
@@ -187,10 +192,11 @@ def fit(
         return column, path
 
     def _solve_all():
+        problems = [shared.column(t) for t in range(cfg.d)]
         if threads > 1:
             with ThreadPoolExecutor(max_workers=threads) as pool:
-                return list(pool.map(_solve_one, range(cfg.d)))
-        return [_solve_one(t) for t in range(cfg.d)]
+                return list(pool.map(_solve_one, problems))
+        return [_solve_one(problem) for problem in problems]
 
     solved = staged("solve", _solve_all)
 

@@ -5,13 +5,16 @@ leaving a quadratic form in the projection column governed by a matrix A
 built from the alignment matrix. Factoring the symmetrized A through its
 eigendecomposition and appending ridge rows turns the objective into an
 ordinary penalized least-squares design (xstar, ystar) that the LARS
-engine consumes. Eigenvalues below a relative floor are clamped: the
-transformed response then lives in the retained subspace only.
+engine consumes. The design does not depend on the target, so all d
+projection columns share one design and one Gram matrix. Eigenvalues
+below a relative floor are clamped: the transformed response then lives
+in the retained subspace only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -50,15 +53,19 @@ class SpectralFactor:
 
 @dataclass
 class AugmentedProblem:
-    """Penalized least-squares design for one projection column.
+    """Penalized least-squares design for one or more projection columns.
 
     xstar:       (n' + p) x p design; bottom p rows are the scaled ridge block
-    ystar:       length n' + p response; bottom p entries are zero
+    ystar:       length n' + p response, or (n' + p) x d with one column per
+                 target; bottom p rows are zero
     lam:         implicit lasso weight lambda1/(1+lambda2) when lambda1 was
                  given; informational only (sparsity is governed by K)
     n_effective: n', the number of retained spectral rows
     scale:       sqrt(1+lambda2) relating the reported column W to the
                  solved coefficients (W* = scale * W)
+
+    The covariance form the solver works on, `gram` and `xty`, is formed
+    on first use and kept.
     """
 
     xstar: np.ndarray
@@ -70,6 +77,29 @@ class AugmentedProblem:
     @property
     def n_variables(self) -> int:
         return self.xstar.shape[1]
+
+    @cached_property
+    def gram(self) -> np.ndarray:
+        """G = xstar^T xstar (p x p), the same for every target column."""
+        return self.xstar.T @ self.xstar
+
+    @cached_property
+    def xty(self) -> np.ndarray:
+        """b = xstar^T ystar: length p, or p x d for several targets."""
+        return self.xstar.T @ self.ystar
+
+    def column(self, t: int) -> "AugmentedProblem":
+        """The one-column problem of target t, sharing this design and its Gram."""
+        problem = AugmentedProblem(
+            xstar=self.xstar,
+            ystar=np.ascontiguousarray(self.ystar[:, t]),
+            lam=self.lam,
+            n_effective=self.n_effective,
+            scale=self.scale,
+        )
+        problem.gram = self.gram
+        problem.xty = np.ascontiguousarray(self.xty[:, t])
+        return problem
 
 
 def eliminate_z(L: np.ndarray, cfg: MenConfig) -> np.ndarray:
@@ -123,6 +153,11 @@ def spectral_factor(A: np.ndarray, eig_floor: float) -> SpectralFactor:
             "no positive eigenvalues in the symmetrized quadratic-form matrix"
         )
     keep = eigvals >= eig_floor * top
+    if not keep.any():
+        raise NumericalError(
+            f"eig_floor={eig_floor!r} retains no eigenvalue (largest {top:.3e})",
+            stage="transform",
+        )
     kept = eigvals[keep]
     vecs = eigvecs[:, keep]
     sqrt_vals = np.sqrt(kept)
@@ -136,28 +171,35 @@ def spectral_factor(A: np.ndarray, eig_floor: float) -> SpectralFactor:
 
 def build_augmented(
     X: np.ndarray,
-    y_col: np.ndarray,
+    targets: np.ndarray,
     L: np.ndarray,
     cfg: MenConfig,
     *,
     factor: SpectralFactor | None = None,
 ) -> AugmentedProblem:
-    """Assemble the (n' + p) x p design and response for one target column.
+    """Assemble the (n' + p) x p design and its response.
 
     xstar = (1+lambda2)^{-1/2} [root X ; sqrt(lambda2) I]
     ystar = [response_transform y ; 0]
 
-    A precomputed spectral factor may be shared across columns.
+    `targets` is one length-n target column, or an n x d matrix whose
+    columns then share the one design (see AugmentedProblem.column). A
+    precomputed spectral factor may be passed in.
     """
     X = np.asarray(X, dtype=np.float64)
-    y_col = np.asarray(y_col, dtype=np.float64).reshape(-1)
+    targets = np.asarray(targets, dtype=np.float64)
     if factor is None:
         factor = spectral_factor(build_a(L, cfg), cfg.eig_floor)
     n_eff = factor.root.shape[0]
     p = X.shape[1]
     scale = float(np.sqrt(1.0 + cfg.lambda2))
-    xstar = np.vstack([factor.root @ X, np.sqrt(cfg.lambda2) * np.eye(p)]) / scale
-    ystar = np.concatenate([factor.response_transform @ y_col, np.zeros(p)])
+    # column-major, so reading the columns of an active set is contiguous
+    xstar = np.asfortranarray(
+        np.vstack([factor.root @ X, np.sqrt(cfg.lambda2) * np.eye(p)]) / scale
+    )
+    ystar = np.concatenate(
+        [factor.response_transform @ targets, np.zeros((p,) + targets.shape[1:])]
+    )
     lam = None if cfg.lambda1 is None else cfg.lambda1 / (1.0 + cfg.lambda2)
     return AugmentedProblem(
         xstar=xstar,

@@ -125,6 +125,30 @@ class TestFitCommand:
         assert "stage=solve" in capsys.readouterr().err
 
 
+    def test_empty_spectrum_exits_two(self, workspace, capsys):
+        tmp, data, config = workspace
+        config.write_text(CONFIG + "eig_floor=2.0\n")
+        rc = main([
+            "fit", "--data", str(data), "--config", str(config),
+            "--model", str(tmp / "m.men"),
+        ])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: stage=transform ")
+        assert not (tmp / "m.men").exists()
+
+    def test_nonfinite_config_exits_one(self, workspace, capsys):
+        tmp, data, config = workspace
+        config.write_text(CONFIG + "alpha=nan\n")
+        rc = main([
+            "fit", "--data", str(data), "--config", str(config),
+            "--model", str(tmp / "m.men"),
+        ])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: stage=config ")
+        assert "alpha must be finite" in err
+
+
 class TestProjectCommand:
     def test_matches_library(self, workspace):
         tmp, data, config = workspace

@@ -29,6 +29,15 @@ class TestValidation:
         with pytest.raises(DataError):
             MenConfig(**kwargs)
 
+    @pytest.mark.parametrize(
+        "name", ["alpha", "beta", "kappa", "lambda2", "lambda1", "eig_floor"]
+    )
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_rejects_nonfinite(self, name, value):
+        with pytest.raises(DataError, match=f"{name} must be finite") as info:
+            MenConfig(**{name: value})
+        assert info.value.stage == "config"
+
     def test_with_overrides(self):
         cfg = MenConfig().with_overrides(d=5, K=7)
         assert (cfg.d, cfg.K) == (5, 7)

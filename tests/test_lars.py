@@ -109,8 +109,9 @@ class TestDirection:
         state = initial_state(prob)
         extend_active(state, prob)
         d = direction(state, prob)
+        u = prob.xstar[:, state.active] @ d.delta
         assert d.normalizer == pytest.approx(1.0)
-        assert_allclose(d.u, state.signs[0] * x, atol=1e-12)
+        assert_allclose(u, state.signs[0] * x, atol=1e-12)
 
     def test_two_orthonormal_columns(self):
         prob = plain_problem(np.eye(2), [3.0, 3.0])
@@ -132,9 +133,10 @@ class TestDirection:
             assert entered is not None
             lars_step(state, prob)
         d = direction(state, prob)
-        assert np.linalg.norm(d.u) == pytest.approx(1.0, abs=1e-10)
+        u = prob.xstar[:, state.active] @ d.delta
+        assert np.linalg.norm(u) == pytest.approx(1.0, abs=1e-10)
         for pos, j in enumerate(state.active):
-            inner = float(prob.xstar[:, j] @ d.u)
+            inner = float(prob.xstar[:, j] @ u)
             assert inner == pytest.approx(state.signs[pos] * d.normalizer, abs=1e-10)
 
 
@@ -408,3 +410,88 @@ class TestSolveColumn:
                     <= 1e-8 * scale
                 )
         assert drops > 0 and conts > 0  # the stress actually hit those branches
+
+
+def pipeline_problem(d=3):
+    """Stage outputs of a small fit: data, targets, alignment, config, factor."""
+    from men.alignment import accumulate_alignment, build_patch
+    from men.config import MenConfig
+    from men.datasets import make_informative_classes
+    from men.indicator import build_indicator
+    from men.transform import build_a, spectral_factor
+
+    samples = make_informative_classes(12, 10, [0, 1, 2], n_classes=4, seed=21)
+    cfg = MenConfig(d=d, K=10, pca_retain=0)
+    patches = [build_patch(samples, i, cfg.k1, cfg.k2, cfg.kappa) for i in range(samples.n)]
+    align = accumulate_alignment(samples, patches)
+    targets = build_indicator(samples, d).values
+    factor = spectral_factor(build_a(align, cfg), cfg.eig_floor)
+    return samples, targets, align, cfg, factor
+
+
+class TestSharedGram:
+    def test_columns_share_design_and_gram(self):
+        from men.transform import build_augmented
+
+        samples, targets, align, cfg, factor = pipeline_problem()
+        shared = build_augmented(samples.data, targets, align, cfg, factor=factor)
+        assert shared.ystar.shape == (shared.xstar.shape[0], cfg.d)
+        for t in range(cfg.d):
+            column = shared.column(t)
+            assert column.xstar is shared.xstar
+            assert column.gram is shared.gram
+            single = build_augmented(samples.data, targets[:, t], align, cfg, factor=factor)
+            assert_allclose(column.ystar, single.ystar, rtol=1e-13, atol=1e-13)
+            assert_allclose(column.xty, single.xty, rtol=1e-12, atol=1e-12)
+
+    def test_breakpoints_against_residual_form(self):
+        # each column solved through the one shared Gram satisfies
+        # equicorrelation and dominance on the residual-form problem that
+        # build_augmented gives for that column alone
+        from men.pipeline import fit
+        from men.transform import build_augmented
+
+        samples, targets, align, cfg, factor = pipeline_problem()
+        shared = build_augmented(samples.data, targets, align, cfg, factor=factor)
+        model, _ = fit(samples, cfg)
+        for t in range(cfg.d):
+            w, path = solve_column(shared.column(t), cfg.K)
+            single = build_augmented(samples.data, targets[:, t], align, cfg, factor=factor)
+            assert check_breakpoints(single, path, rel_tol=1e-8) >= 2
+            assert np.array_equal(report_column(w, single), model.values[:, t])
+
+    def test_refactor_fallback_on_near_duplicate_columns(self, monkeypatch):
+        # column 3 repeats column 1 up to 1e-7 noise and lambda2 = 0, so the
+        # Schur pivot of the later of the two falls below PIVOT_MIN and the
+        # solver inverts G[A, A] instead
+        import men.lars as lars_module
+        from men.config import MenConfig
+        from men.transform import build_augmented
+
+        refactored = []
+        original = lars_module._refactor_gram_inverse
+
+        def counting(problem, active):
+            refactored.append(list(active))
+            return original(problem, active)
+
+        monkeypatch.setattr(lars_module, "_refactor_gram_inverse", counting)
+        rng = np.random.default_rng(0)
+        X = rng.normal(size=(20, 6))
+        X[:, 3] = X[:, 1] + 1e-7 * rng.normal(size=20)
+        y = X[:, 1] + X[:, 3] + 0.5 * X[:, 0] + 0.1 * rng.normal(size=20)
+        targets = np.column_stack([y, -y])
+        cfg = MenConfig(alpha=0.0, lambda2=0.0)
+        shared = build_augmented(X, targets, np.zeros((20, 20)), cfg)
+        for t in range(2):
+            refactored.clear()
+            w, path = solve_column(shared.column(t), 6)
+            assert refactored and {1, 3} <= set(refactored[0])
+            single = build_augmented(X, targets[:, t], np.zeros((20, 20)), cfg)
+            c0 = path.breakpoints[0].c_hat
+            for bp in path.breakpoints:
+                viol = kkt_violation(single.xstar, single.ystar, bp.coefficients, bp.c_hat)
+                assert viol <= 1e-7 * c0
+            assert np.all(np.isfinite(w)) and np.count_nonzero(w) <= 6
+            obj = [bp.objective for bp in path.breakpoints]
+            assert all(b - a <= 1e-12 for a, b in zip(obj, obj[1:]))

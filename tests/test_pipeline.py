@@ -7,7 +7,7 @@ from numpy.testing import assert_allclose
 from men.alignment import SampleSet
 from men.config import MenConfig
 from men.datasets import make_informative_classes
-from men.errors import DataError
+from men.errors import DataError, NumericalError
 from men.indicator import build_indicator
 from men.model_io import load_model, model_to_text, save_model
 from men.pipeline import fit, pca_preprocess, project
@@ -161,6 +161,13 @@ class TestFit:
             assert exc.stage == "indicator"
         else:
             pytest.fail("expected DataError")
+
+    def test_empty_spectrum_raises(self):
+        rng = np.random.default_rng(23)
+        s = labelled_gaussians(rng)
+        with pytest.raises(NumericalError, match="retains no eigenvalue") as info:
+            fit(s, MenConfig(d=1, K=2, pca_retain=0, eig_floor=2.0))
+        assert info.value.stage == "transform"
 
 
 class TestProject:

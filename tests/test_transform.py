@@ -133,6 +133,12 @@ class TestSpectralFactor:
         with pytest.raises(NumericalError, match="no positive"):
             spectral_factor(-np.eye(3), 1e-10)
 
+    @pytest.mark.parametrize("floor", [2.0, float("nan")])
+    def test_empty_spectrum_error(self, floor):
+        with pytest.raises(NumericalError, match="retains no eigenvalue") as info:
+            spectral_factor(np.diag([3.0, 2.0, 1.0]), floor)
+        assert info.value.stage == "transform"
+
 
 class TestBuildAugmented:
     def test_ridge_block_shape(self):
