@@ -15,7 +15,7 @@ from .indicator import IndicatorMatrix, build_indicator, class_centers, weighted
 from .lars import CoefficientPath, LarsState, solve_column
 from .model_io import load_model, model_to_text, save_model
 from .pipeline import FitReport, ProjectionMatrix, fit, pca_preprocess, project
-from .transform import AugmentedProblem, build_a, build_augmented, eliminate_z, spectral_factor
+from .transform import AugmentedProblem, build_a, build_augmented, spectral_factor
 
 __version__ = "0.1.0"
 
@@ -40,7 +40,6 @@ __all__ = [
     "build_indicator",
     "build_patch",
     "class_centers",
-    "eliminate_z",
     "evaluate",
     "export_bases",
     "export_paths",

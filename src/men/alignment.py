@@ -93,33 +93,17 @@ class Patch:
         return [self.center, *self.same_class, *self.diff_class]
 
 
-def _distances(samples: SampleSet, i: int, metric: str) -> np.ndarray:
-    diff = samples.data - samples.data[i]
-    if metric == "euclidean":
-        return np.sqrt((diff * diff).sum(axis=1))
-    if metric == "manhattan":
-        return np.abs(diff).sum(axis=1)
-    raise DataError(f"unknown metric: {metric!r} (use euclidean or manhattan)")
-
-
 def _nearest(candidates: np.ndarray, dist: np.ndarray, count: int) -> list[int]:
     # stable sort on distance keeps ascending-index order among ties
     order = candidates[np.argsort(dist[candidates], kind="stable")]
     return order[:count].tolist()
 
 
-def build_patch(
-    samples: SampleSet,
-    i: int,
-    k1: int,
-    k2: int,
-    kappa: float,
-    metric: str = "euclidean",
-) -> Patch:
+def build_patch(samples: SampleSet, i: int, k1: int, k2: int, kappa: float) -> Patch:
     """Select the k1 nearest same-label and k2 nearest other-label samples.
 
-    Ties are broken by ascending sample index. Raises DataError when a
-    group has fewer candidates than requested.
+    Distances are Euclidean; ties are broken by ascending sample index.
+    Raises DataError when a group has fewer candidates than requested.
     """
     if not 0 <= i < samples.n:
         raise DataError(f"sample index {i} out of range [0, {samples.n})")
@@ -136,7 +120,8 @@ def build_patch(
         raise DataError(
             f"only {diff.size} samples outside class {label}; k2={k2} requested"
         )
-    dist = _distances(samples, i, metric)
+    diff_rows = samples.data - samples.data[i]
+    dist = np.sqrt((diff_rows * diff_rows).sum(axis=1))
     return Patch(
         center=i,
         same_class=_nearest(same, dist, k1),

@@ -1,9 +1,11 @@
 """Command-line front end: fit, project, evaluate, export-bases, export-paths.
 
 A key=value config file ('#' comments) carries the hyperparameters; a
-few override flags (--d, --K, --seed) support sweeps. Exit codes: 0
-success, 1 user/data error, 2 internal numerical failure. Errors are a
-single machine-parsable line on stderr: ``error: stage=... reason=...``.
+few override flags support sweeps: --threads, --d and --K on the
+subcommands that fit (fit, evaluate, export-paths), --seed on evaluate.
+Exit codes: 0 success, 1 user/data/usage error, 2 internal numerical
+failure. Errors are a single machine-parsable line on stderr:
+``error: stage=... reason=...``.
 """
 
 from __future__ import annotations
@@ -30,30 +32,14 @@ from .pipeline import fit, project
 
 __all__ = ["main", "main_entry"]
 
-_EVAL_KEYS = ("seed", "repeats", "per_class_train", "dim_grid")
-
+# evaluation keys of the config file, with their defaults; every other key
+# belongs to MenConfig
 _EVAL_DEFAULTS = {
     "seed": "0",
     "repeats": "5",
     "per_class_train": "5",
     "dim_grid": "1,2",
 }
-
-_CONFIG_KEYS = (
-    "alpha",
-    "beta",
-    "kappa",
-    "lambda2",
-    "lambda1",
-    "k1",
-    "k2",
-    "d",
-    "K",
-    "pca_retain",
-    "eig_floor",
-    "double_shrinkage_correction",
-    "center_class_means",
-) + _EVAL_KEYS
 
 
 def _load_config_file(path: str | None) -> dict[str, str]:
@@ -62,25 +48,20 @@ def _load_config_file(path: str | None) -> dict[str, str]:
     config_path = Path(path)
     if not config_path.is_file():
         raise DataError(f"config file not found: {config_path}", stage="config")
-    mapping = parse_kv_lines(config_path.read_text(encoding="utf-8").splitlines())
-    for key in mapping:
-        if key not in _CONFIG_KEYS:
-            raise DataError(f"unknown config key: {key}", stage="config")
-    return mapping
+    try:
+        text = config_path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"config file is not UTF-8 text: {exc}", stage="config") from exc
+    return parse_kv_lines(text.splitlines())
 
 
 def _split_config(mapping: dict[str, str], args) -> tuple[MenConfig, dict[str, str]]:
     eval_map = dict(_EVAL_DEFAULTS)
-    model_map = {}
-    for key, value in mapping.items():
-        if key in _EVAL_KEYS:
-            eval_map[key] = value
-        else:
-            model_map[key] = value
-    cfg = config_from_mapping(model_map)
-    if getattr(args, "d", None) is not None:
+    eval_map.update((k, v) for k, v in mapping.items() if k in _EVAL_DEFAULTS)
+    cfg = config_from_mapping({k: v for k, v in mapping.items() if k not in _EVAL_DEFAULTS})
+    if args.d is not None:
         cfg = cfg.with_overrides(d=args.d)
-    if getattr(args, "K", None) is not None:
+    if args.K is not None:
         cfg = cfg.with_overrides(K=args.K)
     if getattr(args, "seed", None) is not None:
         eval_map["seed"] = str(args.seed)
@@ -208,8 +189,15 @@ def _cmd_export_paths(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports usage errors as a one-line DataError (exit 1), not argparse's exit 2."""
+
+    def error(self, message):
+        raise DataError(" ".join(message.splitlines()), stage="usage")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="men",
         description="Sparse discriminative dimensionality reduction "
         "(fit / project / evaluate / export-bases / export-paths)",
@@ -217,18 +205,17 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, *, config=False, data=False, model=False, out=False, out_required=False):
-        if config:
+        if config:  # only the subcommands that fit read a config, so only they override it
             p.add_argument("--config", help="key=value config file")
+            p.add_argument("--threads", type=int, default=1, help="worker threads (default 1)")
+            p.add_argument("--d", type=int, help="override projection dimension d")
+            p.add_argument("--K", type=int, help="override per-column entry budget K")
         if data:
             p.add_argument("--data", required=True, help="dataset path (csv, image dir, or manifest)")
         if model:
             p.add_argument("--model", required=True, help="model file path")
         if out:
             p.add_argument("--out", required=out_required, help="output path or directory")
-        p.add_argument("--threads", type=int, default=1, help="worker threads (default 1)")
-        p.add_argument("--d", type=int, help="override projection dimension d")
-        p.add_argument("--K", type=int, help="override per-column entry budget K")
-        p.add_argument("--seed", type=int, help="override evaluation seed")
 
     p_fit = sub.add_parser("fit", help="fit a model and write it with a report directory")
     common(p_fit, config=True, data=True, model=True, out=True)
@@ -240,6 +227,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_eval = sub.add_parser("evaluate", help="run the repeated split/fit/score protocol")
     common(p_eval, config=True, data=True, out=True, out_required=True)
+    p_eval.add_argument("--seed", type=int, help="override evaluation seed")
     p_eval.set_defaults(func=_cmd_evaluate)
 
     p_bases = sub.add_parser("export-bases", help="write projection columns as graymap images")
@@ -255,9 +243,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return args.func(args)
     except DataError as exc:
         print(f"error: stage={exc.stage or 'input'} reason={exc}", file=sys.stderr)

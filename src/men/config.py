@@ -149,28 +149,28 @@ def parse_kv_lines(lines) -> dict[str, str]:
         if not line:
             continue
         if "=" not in line:
-            raise DataError(f"line {lineno}: expected key=value, got {raw.strip()!r}")
+            raise DataError(
+                f"line {lineno}: expected key=value, got {raw.strip()!r}", stage="config"
+            )
         key, value = line.split("=", 1)
         out[key.strip()] = value.strip()
     return out
 
 
-def config_from_mapping(mapping: dict[str, str], *, reject_unknown: bool = True) -> MenConfig:
+def config_from_mapping(mapping: dict[str, str]) -> MenConfig:
     """Build a MenConfig from a string mapping, coercing per the key schema.
 
-    Keys absent from the mapping keep their defaults. Unknown keys raise
-    DataError naming the key (unless reject_unknown is False, in which
-    case they are ignored; the CLI uses that mode after extracting its
-    own evaluation keys).
+    Keys absent from the mapping keep their defaults. Unknown keys and
+    values that do not parse raise DataError (stage config) naming the key.
     """
     kwargs = {}
     for key, text in mapping.items():
         if key not in _SCHEMA:
-            if reject_unknown:
-                raise DataError(f"unknown config key: {key}")
-            continue
+            raise DataError(f"unknown config key: {key}", stage="config")
         try:
             kwargs[key] = _SCHEMA[key](text)
         except (ValueError, TypeError) as exc:
-            raise DataError(f"bad value for config key {key}: {text!r} ({exc})") from exc
+            raise DataError(
+                f"bad value for config key {key}: {text!r} ({exc})", stage="config"
+            ) from exc
     return MenConfig(**kwargs)

@@ -138,11 +138,10 @@ def evaluate(
     def one_repeat(r: int) -> np.ndarray:
         train_idx, test_idx = split_indices(samples, split, r)
         train = samples.subset(train_idx)
-        test_data = samples.data[test_idx]
         test_labels_raw = samples.labels[test_idx]
         model, _ = fit(train, fit_cfg)
         train_embed = project(model, train)
-        test_embed = project(model, SampleSet(test_data, _compact(test_labels_raw)))
+        test_embed = project(model, samples.subset(test_idx))
         rates = np.empty(len(dim_grid))
         for gi, d in enumerate(dim_grid):
             predicted = nn_classify(
@@ -176,11 +175,6 @@ def evaluate(
         best_dim=dim_grid[best_gi],
         boxplot=box,
     )
-
-
-def _compact(labels: np.ndarray) -> np.ndarray:
-    _, compact = np.unique(labels, return_inverse=True)
-    return compact
 
 
 def column_to_gray(column: np.ndarray, image_shape) -> np.ndarray:

@@ -12,17 +12,23 @@ float64):
     W:             int64 p, int64 d, int64 nnz, then nnz (row, col,
                    value) float triplets in column-major order
 
-The text export renders the same content losslessly (floats via repr).
+The loader trusts nothing: every length is bounded by the bytes that
+remain, the mean length must equal the basis rows and the basis columns
+must equal p, triplet indices must be integral and in range, floats must
+be finite and no bytes may trail. Anything else is a DataError (stage
+model). The text export renders the same content losslessly (floats via
+repr).
 """
 
 from __future__ import annotations
 
+import math
 import struct
 from pathlib import Path
 
 import numpy as np
 
-from .config import MenConfig, config_from_mapping, config_to_lines, parse_kv_lines
+from .config import config_from_mapping, config_to_lines, parse_kv_lines
 from .errors import DataError
 from .pipeline import ProjectionMatrix
 
@@ -77,53 +83,71 @@ def save_model(model: ProjectionMatrix, path) -> None:
     path.write_bytes(b"".join(chunks))
 
 
+# the projection is held dense: p x d float64 entries beyond this are refused
+MAX_ENTRIES = 2**27
+
+
 class _Reader:
     def __init__(self, data: bytes, name: str):
         self.data = data
         self.name = name
         self.offset = 0
 
+    def fail(self, reason: str) -> DataError:
+        return DataError(f"{self.name}: {reason}", stage="model")
+
     def take(self, count: int) -> bytes:
-        if self.offset + count > len(self.data):
-            raise DataError(f"{self.name}: truncated model file")
+        if count > len(self.data) - self.offset:
+            raise self.fail("truncated model file")
         out = self.data[self.offset : self.offset + count]
         self.offset += count
         return out
 
-    def read_int(self) -> int:
-        return struct.unpack("<q", self.take(8))[0]
+    def read_count(self, what: str) -> int:
+        value = struct.unpack("<q", self.take(8))[0]
+        if value < 0:
+            raise self.fail(f"negative {what} {value}")
+        return value
 
-    def read_floats(self, count: int) -> np.ndarray:
-        return np.frombuffer(self.take(8 * count), dtype="<f8").astype(np.float64)
+    def read_floats(self, shape: tuple[int, ...], what: str) -> np.ndarray:
+        out = np.frombuffer(self.take(8 * math.prod(shape)), dtype="<f8").astype(np.float64)
+        if not np.all(np.isfinite(out)):
+            raise self.fail(f"nonfinite values in {what}")
+        return out.reshape(shape)
 
 
 def load_model(path) -> ProjectionMatrix:
+    """Read a MEN1 model; any malformed content raises DataError (stage model)."""
     path = Path(path)
     reader = _Reader(path.read_bytes(), str(path))
     if reader.take(4) != MAGIC:
-        raise DataError(f"{path}: not a model file (bad magic)")
-    config_len = reader.read_int()
-    config_text = reader.take(config_len).decode("utf-8")
-    cfg = config_from_mapping(parse_kv_lines(config_text.splitlines()))
-    mean_len = reader.read_int()
-    mean = reader.read_floats(mean_len) if mean_len else None
-    rows = reader.read_int()
-    cols = reader.read_int()
-    basis = reader.read_floats(rows * cols).reshape(rows, cols) if rows else None
-    p = reader.read_int()
-    d = reader.read_int()
-    nnz = reader.read_int()
-    trip = reader.read_floats(3 * nnz).reshape(nnz, 3)
+        raise reader.fail("not a model file (bad magic)")
+    config_bytes = reader.take(reader.read_count("config length"))
+    try:
+        cfg = config_from_mapping(parse_kv_lines(config_bytes.decode("utf-8").splitlines()))
+    except (UnicodeDecodeError, DataError) as exc:
+        raise reader.fail(f"bad config block ({exc})") from exc
+    mean_len = reader.read_count("mean length")
+    mean = reader.read_floats((mean_len,), "mean") if mean_len else None
+    rows = reader.read_count("basis rows")
+    cols = reader.read_count("basis columns")
+    if rows != mean_len or (rows == 0) != (cols == 0):
+        raise reader.fail(f"basis shape {rows}x{cols} does not match mean length {mean_len}")
+    basis = reader.read_floats((rows, cols), "basis") if rows else None
+    p = reader.read_count("projection rows")
+    d = reader.read_count("projection columns")
+    if p < 1 or d < 1 or p * d > MAX_ENTRIES or (basis is not None and p != cols):
+        raise reader.fail(f"bad projection shape {p}x{d} (basis columns {cols})")
+    nnz = reader.read_count("nonzero count")
+    trip = reader.read_floats((nnz, 3), "projection triplets")
+    if reader.offset != len(reader.data):
+        raise reader.fail(f"{len(reader.data) - reader.offset} trailing bytes")
+    index = trip[:, :2]
+    if np.any(index != np.floor(index)) or np.any(index < 0) or np.any(index >= (p, d)):
+        raise reader.fail("projection triplet index not integral or out of range")
     values = np.zeros((p, d))
-    if nnz:
-        values[trip[:, 0].astype(np.int64), trip[:, 1].astype(np.int64)] = trip[:, 2]
-    return ProjectionMatrix(
-        values=values,
-        sparsity=[int(np.count_nonzero(values[:, t])) for t in range(d)],
-        pca_basis=basis,
-        pca_mean=mean,
-        config=cfg,
-    )
+    values[index[:, 0].astype(np.int64), index[:, 1].astype(np.int64)] = trip[:, 2]
+    return ProjectionMatrix(values=values, pca_basis=basis, pca_mean=mean, config=cfg)
 
 
 def _format_array(name: str, values: np.ndarray | None) -> list[str]:

@@ -33,17 +33,20 @@ class ProjectionMatrix:
 
     values:    p x d matrix (p in the possibly PCA-reduced space), each
                column with at most K nonzeros
-    sparsity:  per-column nonzero counts
     pca_basis: p_raw x p preprocessing basis, or None
     pca_mean:  length p_raw centering vector, or None
     config:    hyperparameters used for the fit
     """
 
     values: np.ndarray
-    sparsity: list[int]
     pca_basis: np.ndarray | None
     pca_mean: np.ndarray | None
     config: MenConfig
+
+    @property
+    def sparsity(self) -> list[int]:
+        """Per-column nonzero counts."""
+        return np.count_nonzero(self.values, axis=0).tolist()
 
     def raw_columns(self) -> np.ndarray:
         """Columns composed back into the raw feature space."""
@@ -57,9 +60,13 @@ class FitReport:
     """Per-fit diagnostics: paths, objective traces, timings, column angles."""
 
     paths: list[CoefficientPath]
-    objective_traces: list[list[float]]
     timings: dict[str, float] = field(default_factory=dict)
     column_cosines: np.ndarray | None = None
+
+    @property
+    def objective_traces(self) -> list[list[float]]:
+        """Per column, the transformed objective at every breakpoint."""
+        return [[bp.objective for bp in path.breakpoints] for path in self.paths]
 
     def check_monotone(self) -> None:
         """Every column's transformed objective must decrease each loop."""
@@ -202,16 +209,9 @@ def fit(
 
     values = np.column_stack([column for column, _ in solved])
     paths = [path for _, path in solved]
-    model = ProjectionMatrix(
-        values=values,
-        sparsity=[int(np.count_nonzero(values[:, t])) for t in range(cfg.d)],
-        pca_basis=basis,
-        pca_mean=mean,
-        config=cfg,
-    )
+    model = ProjectionMatrix(values=values, pca_basis=basis, pca_mean=mean, config=cfg)
     report = FitReport(
         paths=paths,
-        objective_traces=[[bp.objective for bp in path.breakpoints] for path in paths],
         timings=timings,
         column_cosines=_column_cosines(values),
     )

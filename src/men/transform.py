@@ -1,14 +1,18 @@
 """Rewriting the alignment-plus-classification objective as a lasso problem.
 
 The latent embedding is eliminated through its stationarity condition,
-leaving a quadratic form in the projection column governed by a matrix A
-built from the alignment matrix. Factoring the symmetrized A through its
-eigendecomposition and appending ridge rows turns the objective into an
-ordinary penalized least-squares design (xstar, ystar) that the LARS
-engine consumes. The design does not depend on the target, so all d
-projection columns share one design and one Gram matrix. Eigenvalues
-below a relative floor are clamped: the transformed response then lives
-in the retained subspace only.
+Z = M X W with M = beta (alpha L + beta I)^{-1}, leaving a quadratic form
+in the projection column. Its matrix A = alpha M L M + beta (M - I)^2 + I
+shares the eigenvectors of the symmetric L, so one eigendecomposition
+gives A = I + alpha beta L (alpha L + beta I)^{-1} = U diag(f(lambda)) U^T
+with f(lambda) = 1 + alpha beta lambda / (alpha lambda + beta). The
+negative eigenvalues of L (different-class pushes) can make f negative,
+so A is generally indefinite. Factoring A and appending ridge rows turns
+the objective into an ordinary penalized least-squares design
+(xstar, ystar) that the LARS engine consumes. The design does not depend
+on the target, so all d projection columns share one design and one Gram
+matrix. Eigenvalues below a relative floor are clamped: the transformed
+response then lives in the retained subspace only.
 """
 
 from __future__ import annotations
@@ -19,18 +23,17 @@ from functools import cached_property
 import numpy as np
 
 from .config import MenConfig
-from .errors import NumericalError
+from .errors import DataError, NumericalError
 
 __all__ = [
     "AugmentedProblem",
     "SpectralFactor",
-    "eliminate_z",
     "build_a",
     "spectral_factor",
     "build_augmented",
 ]
 
-# condition estimates at or beyond this mean the resolvent solve is unreliable
+# condition numbers of alpha L + beta I at or beyond this make A unreliable
 COND_LIMIT = 1e14
 
 
@@ -102,36 +105,34 @@ class AugmentedProblem:
         return problem
 
 
-def eliminate_z(L: np.ndarray, cfg: MenConfig) -> np.ndarray:
-    """Resolvent M = beta * (alpha L + beta I)^{-1}.
+def build_a(L: np.ndarray, cfg: MenConfig) -> np.ndarray:
+    """A = U diag(f(lambda)) U^T over the eigenpairs (lambda, U) of L.
 
-    The optimal embedding for a fixed projection is M X W, from setting
-    the objective's gradient in the embedding to zero. Raises
-    NumericalError when the system's condition estimate reaches 1e14.
+    Raises DataError unless L is a finite, exactly symmetric square matrix,
+    and NumericalError when the condition number of alpha L + beta I,
+    max|alpha lambda + beta| / min|alpha lambda + beta|, reaches 1e14.
     """
     L = np.asarray(L, dtype=np.float64)
-    n = L.shape[0]
+    square = L.ndim == 2 and L.size > 0 and np.array_equal(L, L.T)
+    if not (square and np.isfinite(L).all()):
+        raise DataError(
+            f"alignment matrix (shape {L.shape}) must be nonempty, finite, square "
+            "and exactly symmetric",
+            stage="transform",
+        )
     if cfg.alpha == 0.0:
-        return np.eye(n)
-    system = cfg.alpha * L + cfg.beta * np.eye(n)
-    cond = np.linalg.cond(system)
-    if not np.isfinite(cond) or cond >= COND_LIMIT:
+        return np.eye(L.shape[0])
+    eigvals, eigvecs = np.linalg.eigh(L)
+    shifted = cfg.alpha * eigvals + cfg.beta
+    spread = np.abs(shifted)
+    cond = spread.max() / spread.min() if spread.min() > 0.0 else np.inf
+    if cond >= COND_LIMIT:
         raise NumericalError(
-            f"alpha*L + beta*I is ill-conditioned (condition estimate {cond:.3e}); "
+            f"alpha*L + beta*I is ill-conditioned (condition number {cond:.3e}); "
             f"increase beta or decrease alpha"
         )
-    return np.linalg.solve(system, cfg.beta * np.eye(n))
-
-
-def build_a(L: np.ndarray, cfg: MenConfig) -> np.ndarray:
-    """A = alpha M^T L M + beta (M - I)^T (M - I) + I with M = eliminate_z(L)."""
-    L = np.asarray(L, dtype=np.float64)
-    n = L.shape[0]
-    m = eliminate_z(L, cfg)
-    if cfg.alpha == 0.0:
-        return np.eye(n)
-    shift = m - np.eye(n)
-    return cfg.alpha * (m.T @ L @ m) + cfg.beta * (shift.T @ shift) + np.eye(n)
+    f = 1.0 + cfg.alpha * cfg.beta * eigvals / shifted
+    return (eigvecs * f) @ eigvecs.T
 
 
 def spectral_factor(A: np.ndarray, eig_floor: float) -> SpectralFactor:

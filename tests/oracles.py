@@ -1,13 +1,16 @@
 """Independent reference implementations used to check the library.
 
 Everything here is deliberately written the slow, obvious way (dense
-selection matrices, exhaustive scans, coordinate descent, finite
-differences) and shares no code with the package under test.
+selection matrices, a dense resolvent solve, exhaustive scans,
+coordinate descent, finite differences) and shares no code with the
+package under test apart from its error type.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from men.errors import NumericalError
 
 
 def cd_lasso(X, y, lam, *, kkt_tol=1e-11, max_sweeps=100000):
@@ -78,6 +81,35 @@ def dense_alignment(n, patches):
             s[row, col] = 1.0
         total += s.T @ li @ s
     return total
+
+
+def eliminate_z(L, cfg):
+    """Resolvent M = beta * (alpha L + beta I)^{-1} by a dense solve.
+
+    The optimal embedding for a fixed projection is M X W, from setting
+    the objective's gradient in the embedding to zero. Raises
+    NumericalError when the system's SVD condition estimate reaches 1e14.
+    """
+    L = np.asarray(L, dtype=np.float64)
+    n = L.shape[0]
+    if cfg.alpha == 0.0:
+        return np.eye(n)
+    system = cfg.alpha * L + cfg.beta * np.eye(n)
+    cond = np.linalg.cond(system)
+    if not np.isfinite(cond) or cond >= 1e14:
+        raise NumericalError(
+            f"alpha*L + beta*I is ill-conditioned (condition estimate {cond:.3e})"
+        )
+    return np.linalg.solve(system, cfg.beta * np.eye(n))
+
+
+def dense_build_a(L, cfg):
+    """A = alpha M^T L M + beta (M - I)^T (M - I) + I with M = eliminate_z(L)."""
+    L = np.asarray(L, dtype=np.float64)
+    n = L.shape[0]
+    m = eliminate_z(L, cfg)
+    shift = m - np.eye(n)
+    return cfg.alpha * (m.T @ L @ m) + cfg.beta * (shift.T @ shift) + np.eye(n)
 
 
 def exhaustive_nn(train, train_labels, test):

@@ -86,10 +86,14 @@ class TestBuildPatch:
             build_patch(s, 0, k1=1, k2=3, kappa=1.0)
 
     def test_metric_names(self):
-        s = line_samples()
-        build_patch(s, 0, 1, 1, 1.0, metric="manhattan")
-        with pytest.raises(DataError, match="metric"):
-            build_patch(s, 0, 1, 1, 1.0, metric="cosine")
+        # Euclidean is the only metric: sample 1 is nearer than sample 2 in
+        # Euclidean distance (1.25 against 1.5) but farther in Manhattan
+        # (1.75 against 1.5), and no metric can be chosen by name
+        data = np.array([[0.0, 0.0], [1.0, 0.75], [1.5, 0.0], [9.0, 9.0]])
+        s = SampleSet(data, np.array([0, 0, 0, 1]))
+        assert build_patch(s, 0, k1=1, k2=1, kappa=1.0).same_class == [1]
+        with pytest.raises(TypeError):
+            build_patch(s, 0, 1, 1, 1.0, metric="manhattan")
 
 
 class TestPartMatrix:

@@ -76,6 +76,30 @@ class TestFitCommand:
         assert "bogus_key" in err
         assert "\n" not in err.strip()
 
+    @pytest.mark.parametrize(
+        "line, named",
+        [
+            (b"bogus_key=1", "bogus_key"),
+            (b"alpha=abc", "alpha"),
+            (b"alpha 2", "key=value"),
+            (b"alpha=\xff", "UTF-8"),
+        ],
+        ids=["unknown-key", "bad-value", "missing-equals", "not-utf8"],
+    )
+    def test_config_errors_exit_one(self, workspace, capsys, line, named):
+        tmp, data, config = workspace
+        config.write_bytes(CONFIG.encode() + line + b"\n")
+        rc = main([
+            "fit", "--data", str(data), "--config", str(config),
+            "--model", str(tmp / "m.men"),
+        ])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: stage=config ")
+        assert named in err
+        assert "\n" not in err.strip()
+        assert not (tmp / "m.men").exists()
+
     def test_byte_identical_reruns(self, workspace):
         tmp, data, config = workspace
         for name in ("a", "b"):
@@ -201,6 +225,69 @@ class TestProjectCommand:
         ])
         assert rc == 1
         assert "dimension" in capsys.readouterr().err
+
+
+    def test_corrupt_model_exits_one(self, workspace, capsys):
+        tmp, data, config = workspace
+        main([
+            "fit", "--data", str(data), "--config", str(config),
+            "--model", str(tmp / "m.men"),
+        ])
+        raw = bytearray((tmp / "m.men").read_bytes())
+        raw[12:20] = b"\xff" * 8  # invalid UTF-8 inside the config block
+        (tmp / "m.men").write_bytes(bytes(raw))
+        rc = main([
+            "project", "--model", str(tmp / "m.men"), "--data", str(data),
+            "--out", str(tmp / "e.csv"),
+        ])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: stage=model ")
+        assert "\n" not in err.strip()
+
+
+class TestUsage:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fit", "--model", "m.men"],  # missing --data
+            ["fit", "--data", "d.csv", "--model", "m.men", "--bogus"],
+            ["fit", "--data", "d.csv", "--model", "m.men", "--K", "ten"],
+            ["transmogrify"],
+            [],
+        ],
+        ids=["missing-flag", "unknown-flag", "non-integer", "unknown-command", "no-command"],
+    )
+    def test_usage_error_one_line_exit_one(self, capsys, argv):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: stage=usage reason=")
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["project", "--model", "m.men", "--data", "d.csv", "--out", "e.csv", "--threads", "2"],
+            ["project", "--model", "m.men", "--data", "d.csv", "--out", "e.csv", "--seed", "1"],
+            ["export-bases", "--model", "m.men", "--out", "b", "--d", "1"],
+            ["export-bases", "--model", "m.men", "--out", "b", "--K", "2"],
+            ["fit", "--data", "d.csv", "--model", "m.men", "--seed", "1"],
+            ["export-paths", "--data", "d.csv", "--out", "p", "--seed", "1"],
+        ],
+        ids=["project-threads", "project-seed", "bases-d", "bases-K", "fit-seed", "paths-seed"],
+    )
+    def test_flags_only_where_read(self, capsys, argv):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: stage=usage reason=unrecognized arguments: ")
+
+    @pytest.mark.parametrize("argv", [["--help"], ["fit", "--help"], ["evaluate", "-h"]])
+    def test_help_exits_zero(self, capsys, argv):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 0
+        assert "usage:" in capsys.readouterr().out
 
 
 class TestEvaluateCommand:

@@ -61,6 +61,21 @@ class TestKvParsing:
         with pytest.raises(DataError, match="alpha"):
             config_from_mapping({"alpha": "fast"})
 
+    @pytest.mark.parametrize(
+        "parse",
+        [
+            lambda: parse_kv_lines(["beta 2.0"]),
+            lambda: config_from_mapping({"mystery": "1"}),
+            lambda: config_from_mapping({"alpha": "fast"}),
+            lambda: config_from_mapping({"center_class_means": "maybe"}),
+        ],
+        ids=["missing-equals", "unknown-key", "bad-float", "bad-bool"],
+    )
+    def test_errors_tagged_config(self, parse):
+        with pytest.raises(DataError) as info:
+            parse()
+        assert info.value.stage == "config"
+
     def test_bool_and_optional_forms(self):
         cfg = config_from_mapping(
             {

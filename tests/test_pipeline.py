@@ -261,3 +261,69 @@ class TestModelIo:
         save_model(model, tmp_path / "m.men")
         loaded = load_model(tmp_path / "m.men")
         assert np.array_equal(loaded.values, model.values)
+
+    @staticmethod
+    def field_offsets(data):
+        """Offsets of every 8-byte field of a MEN1 file, walking its layout."""
+
+        def count(at):
+            return int(np.frombuffer(data[at : at + 8], dtype="<i8")[0])
+
+        offsets = [4]
+        at = 12 + count(4)
+        offsets += range(at, at + 8 * (1 + count(at)), 8)  # mean length, mean
+        at = offsets[-1] + 8
+        offsets += range(at, at + 8 * (2 + count(at) * count(at + 8)), 8)  # basis
+        at = offsets[-1] + 8
+        offsets += range(at, at + 8 * (3 + 3 * count(at + 16)), 8)  # p, d, nnz, triplets
+        assert offsets[-1] + 8 == len(data)
+        return offsets
+
+    @pytest.mark.parametrize("pca_retain", [None, 0])
+    def test_corrupt_fields_rejected_or_consistent(self, tmp_path, pca_retain):
+        rng = np.random.default_rng(21)
+        model, _ = fit(labelled_gaussians(rng), MenConfig(d=2, K=3, pca_retain=pca_retain))
+        save_model(model, tmp_path / "good.men")
+        data = (tmp_path / "good.men").read_bytes()
+        config_end = 12 + int(np.frombuffer(data[4:12], dtype="<i8")[0])
+        # every layout field, and the config text in 8-byte windows
+        offsets = self.field_offsets(data) + list(range(12, config_end, 8))
+        patterns = [
+            lambda b: b"\x00" * len(b),
+            lambda b: b"\xff" * len(b),
+            lambda b: b"\x7f" * len(b),
+            lambda b: bytes([b[0] ^ 0x01]) + b[1:],
+            lambda b: b[:-1] + bytes([b[-1] ^ 0x80]),
+        ]
+        path = tmp_path / "bad.men"
+        rejected = 0
+        for at in offsets:
+            for corrupt in patterns:
+                window = data[at : at + 8]
+                path.write_bytes(data[:at] + corrupt(window) + data[at + len(window) :])
+                try:
+                    loaded = load_model(path)
+                except DataError as exc:
+                    assert exc.stage == "model"
+                    rejected += 1
+                    continue
+                p, d = loaded.values.shape
+                assert p >= 1 and d >= 1
+                assert np.all(np.isfinite(loaded.values))
+                assert (loaded.pca_mean is None) == (loaded.pca_basis is None)
+                if loaded.pca_basis is not None:
+                    assert loaded.pca_basis.shape == (loaded.pca_mean.size, p)
+                    assert np.all(np.isfinite(loaded.pca_basis))
+                    assert np.all(np.isfinite(loaded.pca_mean))
+        assert 0 < rejected < len(offsets) * len(patterns)
+
+    def test_truncated_or_padded_rejected(self, tmp_path):
+        rng = np.random.default_rng(22)
+        model, _ = fit(labelled_gaussians(rng), MenConfig(d=1, K=2, pca_retain=0))
+        save_model(model, tmp_path / "good.men")
+        data = (tmp_path / "good.men").read_bytes()
+        path = tmp_path / "bad.men"
+        for content in [data[:cut] for cut in range(len(data))] + [data + b"\x00"]:
+            path.write_bytes(content)
+            with pytest.raises(DataError):
+                load_model(path)

@@ -1,12 +1,20 @@
-"""Embedding elimination, the quadratic-form matrix, and the augmentation."""
+"""Embedding elimination, the quadratic-form matrix, and the augmentation.
+
+The dense resolvent (eliminate_z) and the dense A are oracles in
+tests/oracles.py; build_a is checked against them.
+"""
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from men.alignment import accumulate_alignment, build_patch
 from men.config import MenConfig
-from men.errors import NumericalError
-from men.transform import build_a, build_augmented, eliminate_z, spectral_factor
+from men.datasets import make_informative_classes
+from men.errors import DataError, NumericalError
+from men.transform import build_a, build_augmented, spectral_factor
+
+from oracles import dense_build_a, eliminate_z
 
 
 def random_symmetric(rng, n, scale=1.0):
@@ -93,6 +101,80 @@ class TestBuildA:
             )
             quad = float(xw @ a @ xw - 2.0 * xw @ y) + float(y @ y)
             assert abs(full - quad) <= 1e-8 * max(1.0, abs(full))
+
+    def test_matches_dense_oracle_random(self):
+        # random symmetric L is indefinite, as alignment matrices are
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            n = int(rng.integers(2, 40))
+            L = random_symmetric(rng, n, scale=float(rng.uniform(0.5, 50.0)))
+            assert np.linalg.eigvalsh(L).min() < 0.0
+            cfg = MenConfig(
+                alpha=float(rng.uniform(0.01, 2.0)), beta=float(rng.uniform(60.0, 200.0))
+            )
+            dense = dense_build_a(L, cfg)
+            rel = np.abs(build_a(L, cfg) - dense).max() / np.abs(dense).max()
+            assert rel <= 1e-12
+
+    def test_matches_dense_oracle_alignment(self):
+        samples = make_informative_classes(
+            12, 6, [0, 2, 4], n_classes=4, separation=1.0, seed=12
+        )
+        patches = [build_patch(samples, i, 3, 3, 1.0) for i in range(samples.n)]
+        L = accumulate_alignment(samples, patches)
+        assert np.array_equal(L, L.T)
+        # indefinite at the default settings, not only at large alpha*kappa
+        assert np.linalg.eigvalsh(build_a(L, MenConfig())).min() < 0.0
+        for cfg in (MenConfig(), MenConfig(alpha=0.3, beta=7.0)):
+            dense = dense_build_a(L, cfg)
+            rel = np.abs(build_a(L, cfg) - dense).max() / np.abs(dense).max()
+            assert rel <= 1e-12
+
+    def test_one_eigendecomposition(self, monkeypatch):
+        rng = np.random.default_rng(13)
+        L = random_symmetric(rng, 6)
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counting_eigh(a, *args, **kwargs):
+            calls.append(a.shape)
+            return eigh(a, *args, **kwargs)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("dense route used")
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        monkeypatch.setattr(np.linalg, "solve", forbidden)
+        monkeypatch.setattr(np.linalg, "cond", forbidden)
+        build_a(L, MenConfig())
+        assert calls == [(6, 6)]
+
+    def test_condition_limit(self):
+        cfg = MenConfig(alpha=1.0, beta=1.0)
+        # condition number of alpha*L + beta*I is 2 / 2**-50, about 2.3e15
+        with pytest.raises(NumericalError, match="condition number"):
+            build_a(np.diag([-1.0 + 2.0**-50, 1.0]), cfg)
+        # a zero eigenvalue of alpha*L + beta*I counts as infinite
+        with pytest.raises(NumericalError, match="condition number"):
+            build_a(np.diag([-1.0, 1.0]), cfg)
+        # about 2e12: below the limit
+        assert np.all(np.isfinite(build_a(np.diag([-1.0 + 1e-12, 1.0]), cfg)))
+
+    @pytest.mark.parametrize(
+        "L",
+        [
+            np.array([[0.0, 1.0], [1.0 + 1e-15, 0.0]]),
+            np.zeros((2, 3)),
+            np.zeros(4),
+            np.zeros((0, 0)),
+            np.array([[0.0, np.nan], [np.nan, 0.0]]),
+        ],
+        ids=["asymmetric", "nonsquare", "vector", "empty", "nonfinite"],
+    )
+    def test_rejects_bad_alignment(self, L):
+        with pytest.raises(DataError) as info:
+            build_a(L, MenConfig())
+        assert info.value.stage == "transform"
 
 
 class TestSpectralFactor:
