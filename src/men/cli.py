@@ -155,13 +155,12 @@ def _cmd_evaluate(args) -> int:
 
 def _parse_shape(text: str | None, p: int) -> tuple[int, int]:
     if text:
-        parts = text.lower().split("x")
-        if len(parts) != 2:
-            raise DataError(f"--shape must be ROWSxCOLS, got {text!r}")
         try:
-            shape = (int(parts[0]), int(parts[1]))
-        except ValueError as exc:
-            raise DataError(f"--shape must be ROWSxCOLS, got {text!r}") from exc
+            shape = tuple(int(part) for part in text.lower().split("x"))
+        except ValueError:
+            shape = ()
+        if len(shape) != 2 or min(shape) < 1:
+            raise DataError(f"--shape must be ROWSxCOLS with sizes >= 1, got {text!r}")
         return shape
     side = int(round(np.sqrt(p)))
     if side * side != p:

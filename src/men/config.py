@@ -24,9 +24,8 @@ class MenConfig:
     beta       weight of the linearization term (> 0)
     kappa      within-patch push/pull trade-off (>= 0)
     lambda2    ridge weight of the elastic net penalty (>= 0)
-    lambda1    conceptual l1 weight; never used as a numeric threshold
-               (sparsity is governed by K), only recorded on the
-               augmented problem when given
+    lambda1    conceptual l1 weight, kept in config files and saved
+               models; never used numerically (sparsity is governed by K)
     k1, k2     same-class / different-class neighbours per patch
     d          number of projection columns
     K          entry-event budget per column (each column has <= K nonzeros)

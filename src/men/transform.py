@@ -5,14 +5,15 @@ Z = M X W with M = beta (alpha L + beta I)^{-1}, leaving a quadratic form
 in the projection column. Its matrix A = alpha M L M + beta (M - I)^2 + I
 shares the eigenvectors of the symmetric L, so one eigendecomposition
 gives A = I + alpha beta L (alpha L + beta I)^{-1} = U diag(f(lambda)) U^T
-with f(lambda) = 1 + alpha beta lambda / (alpha lambda + beta). The
-negative eigenvalues of L (different-class pushes) can make f negative,
-so A is generally indefinite. Factoring A and appending ridge rows turns
-the objective into an ordinary penalized least-squares design
-(xstar, ystar) that the LARS engine consumes. The design does not depend
-on the target, so all d projection columns share one design and one Gram
-matrix. Eigenvalues below a relative floor are clamped: the transformed
-response then lives in the retained subspace only.
+with f(lambda) = 1 + alpha beta lambda / (alpha lambda + beta). A is kept
+in that spectral form and never formed: build_a returns (f(lambda), U) and
+spectral_factor takes the square root from it, so one eigh(L) does the
+whole stage. The negative eigenvalues of L (different-class pushes) can
+make f negative, so A is generally indefinite; eigenvalues below a
+relative floor are clamped, and the transformed response then lives in
+the retained subspace only. Appending ridge rows to the factor gives an
+ordinary penalized least-squares design (xstar, ystar) for the LARS
+engine, which all d projection columns share along with its Gram matrix.
 """
 
 from __future__ import annotations
@@ -39,10 +40,10 @@ COND_LIMIT = 1e14
 
 @dataclass
 class SpectralFactor:
-    """Eigen square root of the symmetrized A restricted to retained rows.
+    """Eigen square root of A = U diag(f) U^T restricted to retained rows.
 
-    root:               n' x n, sqrt(D) U^T over retained eigenvalues
-    response_transform: n' x n, 1/sqrt(D) U^T (adjoint-inverse of root
+    root:               n' x n, sqrt(f) U^T over retained eigenvalues
+    response_transform: n' x n, 1/sqrt(f) U^T (adjoint-inverse of root
                         on the retained subspace; applied to responses)
     eigenvalues:        retained eigenvalues, descending
     n_dropped:          eigenvalues discarded by the relative floor
@@ -61,8 +62,6 @@ class AugmentedProblem:
     xstar:       (n' + p) x p design; bottom p rows are the scaled ridge block
     ystar:       length n' + p response, or (n' + p) x d with one column per
                  target; bottom p rows are zero
-    lam:         implicit lasso weight lambda1/(1+lambda2) when lambda1 was
-                 given; informational only (sparsity is governed by K)
     n_effective: n', the number of retained spectral rows
     scale:       sqrt(1+lambda2) relating the reported column W to the
                  solved coefficients (W* = scale * W)
@@ -73,7 +72,6 @@ class AugmentedProblem:
 
     xstar: np.ndarray
     ystar: np.ndarray
-    lam: float | None
     n_effective: int
     scale: float
 
@@ -96,7 +94,6 @@ class AugmentedProblem:
         problem = AugmentedProblem(
             xstar=self.xstar,
             ystar=np.ascontiguousarray(self.ystar[:, t]),
-            lam=self.lam,
             n_effective=self.n_effective,
             scale=self.scale,
         )
@@ -105,12 +102,13 @@ class AugmentedProblem:
         return problem
 
 
-def build_a(L: np.ndarray, cfg: MenConfig) -> np.ndarray:
-    """A = U diag(f(lambda)) U^T over the eigenpairs (lambda, U) of L.
+def build_a(L: np.ndarray, cfg: MenConfig) -> tuple[np.ndarray, np.ndarray]:
+    """A = U diag(f(lambda)) U^T as the pair (f(lambda), U); A is not formed.
 
-    Raises DataError unless L is a finite, exactly symmetric square matrix,
-    and NumericalError when the condition number of alpha L + beta I,
-    max|alpha lambda + beta| / min|alpha lambda + beta|, reaches 1e14.
+    For alpha = 0 the pair is (ones, I). Raises DataError unless L is a
+    finite, exactly symmetric square matrix, and NumericalError when the
+    condition number of alpha L + beta I, max|alpha lambda + beta| /
+    min|alpha lambda + beta|, reaches 1e14.
     """
     L = np.asarray(L, dtype=np.float64)
     square = L.ndim == 2 and L.size > 0 and np.array_equal(L, L.T)
@@ -121,7 +119,7 @@ def build_a(L: np.ndarray, cfg: MenConfig) -> np.ndarray:
             stage="transform",
         )
     if cfg.alpha == 0.0:
-        return np.eye(L.shape[0])
+        return np.ones(L.shape[0]), np.eye(L.shape[0])
     eigvals, eigvecs = np.linalg.eigh(L)
     shifted = cfg.alpha * eigvals + cfg.beta
     spread = np.abs(shifted)
@@ -129,44 +127,54 @@ def build_a(L: np.ndarray, cfg: MenConfig) -> np.ndarray:
     if cond >= COND_LIMIT:
         raise NumericalError(
             f"alpha*L + beta*I is ill-conditioned (condition number {cond:.3e}); "
-            f"increase beta or decrease alpha"
+            f"increase beta or decrease alpha",
+            stage="transform",
         )
-    f = 1.0 + cfg.alpha * cfg.beta * eigvals / shifted
-    return (eigvecs * f) @ eigvecs.T
+    return 1.0 + cfg.alpha * cfg.beta * eigvals / shifted, eigvecs
 
 
-def spectral_factor(A: np.ndarray, eig_floor: float) -> SpectralFactor:
-    """Factor (A + A^T)/2 = root^T root, dropping eigenvalues below the floor.
+def spectral_factor(
+    eig: tuple[np.ndarray, np.ndarray], eig_floor: float
+) -> SpectralFactor:
+    """Factor A = U diag(f) U^T as root^T root from its eigenpairs (f, U).
 
-    Eigenvalues smaller than eig_floor times the largest are discarded
-    (they would make the inverse square root applied to the response
-    blow up). Raises NumericalError when nothing is retained.
+    `eig` is the pair build_a returns. Eigenvalues smaller than eig_floor
+    times the largest are discarded (they would make the inverse square
+    root applied to the response blow up). Raises DataError unless f is a
+    nonempty finite vector and U a finite n x n matrix, and NumericalError
+    when nothing is retained.
     """
-    A = np.asarray(A, dtype=np.float64)
-    sym = 0.5 * (A + A.T)
-    eigvals, eigvecs = np.linalg.eigh(sym)
-    order = np.argsort(eigvals)[::-1]
-    eigvals = eigvals[order]
-    eigvecs = eigvecs[:, order]
-    top = eigvals[0]
+    try:
+        vals, vecs = (np.asarray(part, dtype=np.float64) for part in eig)
+    except (TypeError, ValueError):  # not a pair of numeric arrays
+        vals = vecs = np.empty(0)
+    shaped = vals.ndim == 1 and vals.size > 0 and vecs.shape == (vals.size,) * 2
+    if not (shaped and np.isfinite(vals).all() and np.isfinite(vecs).all()):
+        raise DataError(
+            "spectral_factor takes eigenpairs (f, U): a nonempty finite length-n "
+            "vector and a finite n x n matrix",
+            stage="transform",
+        )
+    order = np.argsort(vals)[::-1]
+    top = vals[order[0]]
     if top <= 0.0:
         raise NumericalError(
-            "no positive eigenvalues in the symmetrized quadratic-form matrix"
+            "no positive eigenvalues in the quadratic-form matrix", stage="transform"
         )
-    keep = eigvals >= eig_floor * top
-    if not keep.any():
+    retained = order[vals[order] >= eig_floor * top]
+    if retained.size == 0:
         raise NumericalError(
             f"eig_floor={eig_floor!r} retains no eigenvalue (largest {top:.3e})",
             stage="transform",
         )
-    kept = eigvals[keep]
-    vecs = eigvecs[:, keep]
-    sqrt_vals = np.sqrt(kept)
+    kept = vals[retained]
+    rows = vecs[:, retained].T
+    sqrt_vals = np.sqrt(kept)[:, None]
     return SpectralFactor(
-        root=sqrt_vals[:, None] * vecs.T,
-        response_transform=vecs.T / sqrt_vals[:, None],
-        eigenvalues=kept.copy(),
-        n_dropped=int(eigvals.size - kept.size),
+        root=sqrt_vals * rows,
+        response_transform=rows / sqrt_vals,
+        eigenvalues=kept,
+        n_dropped=int(vals.size - kept.size),
     )
 
 
@@ -201,11 +209,4 @@ def build_augmented(
     ystar = np.concatenate(
         [factor.response_transform @ targets, np.zeros((p,) + targets.shape[1:])]
     )
-    lam = None if cfg.lambda1 is None else cfg.lambda1 / (1.0 + cfg.lambda2)
-    return AugmentedProblem(
-        xstar=xstar,
-        ystar=ystar,
-        lam=lam,
-        n_effective=n_eff,
-        scale=scale,
-    )
+    return AugmentedProblem(xstar=xstar, ystar=ystar, n_effective=n_eff, scale=scale)

@@ -1,9 +1,10 @@
 """Independent reference implementations used to check the library.
 
 Everything here is deliberately written the slow, obvious way (dense
-selection matrices, a dense resolvent solve, exhaustive scans,
-coordinate descent, finite differences) and shares no code with the
-package under test apart from its error type.
+selection matrices, a dense resolvent solve, a dense quadratic-form
+matrix with its own eigendecomposition, exhaustive scans, coordinate
+descent, finite differences) and shares no code with the package under
+test apart from its error type.
 """
 
 from __future__ import annotations
@@ -110,6 +111,27 @@ def dense_build_a(L, cfg):
     m = eliminate_z(L, cfg)
     shift = m - np.eye(n)
     return cfg.alpha * (m.T @ L @ m) + cfg.beta * (shift.T @ shift) + np.eye(n)
+
+
+def dense_spectral_factor(A, eig_floor):
+    """Square root of a dense A by a second eigendecomposition.
+
+    Symmetrizes A, takes its eigenpairs in descending order and keeps the
+    eigenvalues at or above eig_floor times the largest. Returns
+    (root, response_transform, n_dropped) with root = sqrt(D) V^T and
+    response_transform = V^T / sqrt(D) over the kept pairs (D, V).
+    """
+    A = np.asarray(A, dtype=np.float64)
+    eigvals, eigvecs = np.linalg.eigh(0.5 * (A + A.T))
+    order = np.argsort(eigvals)[::-1]
+    eigvals = eigvals[order]
+    eigvecs = eigvecs[:, order]
+    if eigvals[0] <= 0.0:
+        raise NumericalError("no positive eigenvalues")
+    keep = eigvals >= eig_floor * eigvals[0]
+    sqrt_vals = np.sqrt(eigvals[keep])[:, None]
+    vecs_t = eigvecs[:, keep].T
+    return sqrt_vals * vecs_t, vecs_t / sqrt_vals, int(np.sum(~keep))
 
 
 def exhaustive_nn(train, train_labels, test):

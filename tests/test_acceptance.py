@@ -24,6 +24,7 @@ from oracles import (
     cd_lasso,
     check_breakpoints,
     dense_alignment,
+    dense_build_a,
     kkt_violation,
     lasso_objective,
 )
@@ -92,7 +93,7 @@ def test_c02_equicorrelation_and_dominance():
     rng0 = np.random.default_rng(0)
     X = rng0.normal(size=(12, 8))
     y = rng0.normal(size=12)
-    problem = AugmentedProblem(X, y, None, 12, 1.0)
+    problem = AugmentedProblem(X, y, 12, 1.0)
     _, path = solve_column(problem, 13)
     assert any(bp.event == "drop" for bp in path.breakpoints)
     checked += check_breakpoints(problem, path, rel_tol=1e-8)
@@ -149,9 +150,7 @@ def test_c04_transformation_identity():
         problem = build_augmented(X, y, L, cfg)
         assert problem.n_effective == n  # clamp-free by construction
 
-        from men.transform import build_a
-
-        a = build_a(L, cfg)
+        a = dense_build_a(L, cfg)
 
         def quad(w):
             xw = X @ w
@@ -289,7 +288,7 @@ def test_c08_least_squares_endpoint():
         rng = np.random.default_rng(seed)
         X = rng.normal(size=(24, 10))
         y = rng.normal(size=24)
-        w, path = solve_column(AugmentedProblem(X, y, None, 24, 1.0), 10)
+        w, path = solve_column(AugmentedProblem(X, y, 24, 1.0), 10)
         assert all(bp.event != "drop" for bp in path.breakpoints)
         worst = max(worst, np.abs(w - np.linalg.lstsq(X, y, rcond=None)[0]).max())
         checked += 1

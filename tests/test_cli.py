@@ -394,6 +394,24 @@ class TestExportCommands:
         assert rc == 1
         assert "--shape" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("shape", ["-2x-4", "-8x-1", "0x8", "2x4x1", "ax4"])
+    def test_export_bases_bad_shape_exits_one(self, workspace, capsys, shape):
+        # p = 8; negative pairs pass the size check (-2 * -4 == 8)
+        tmp, data, config = workspace
+        main([
+            "fit", "--data", str(data), "--config", str(config),
+            "--model", str(tmp / "m.men"),
+        ])
+        capsys.readouterr()
+        rc = main([
+            "export-bases", "--model", str(tmp / "m.men"), "--out", str(tmp / "b"),
+            f"--shape={shape}",
+        ])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "--shape" in err
+        assert "\n" not in err.strip()
+
     def test_export_paths(self, workspace):
         tmp, data, config = workspace
         rc = main([

@@ -35,7 +35,6 @@ def plain_problem(X, y, scale=1.0):
     return AugmentedProblem(
         xstar=X,
         ystar=np.asarray(y, dtype=np.float64),
-        lam=None,
         n_effective=X.shape[0],
         scale=scale,
     )

@@ -1,7 +1,8 @@
 """Embedding elimination, the quadratic-form matrix, and the augmentation.
 
-The dense resolvent (eliminate_z) and the dense A are oracles in
-tests/oracles.py; build_a is checked against them.
+The dense resolvent (eliminate_z), the dense A and its two-eigh square
+root are oracles in tests/oracles.py; build_a and spectral_factor, which
+keep A in spectral form, are checked against them.
 """
 
 import numpy as np
@@ -14,7 +15,7 @@ from men.datasets import make_informative_classes
 from men.errors import DataError, NumericalError
 from men.transform import build_a, build_augmented, spectral_factor
 
-from oracles import dense_build_a, eliminate_z
+from oracles import dense_build_a, dense_spectral_factor, eliminate_z
 
 
 def random_symmetric(rng, n, scale=1.0):
@@ -23,9 +24,27 @@ def random_symmetric(rng, n, scale=1.0):
     return scale * sym / np.abs(np.linalg.eigvalsh(sym)).max()
 
 
+def dense_a(L, cfg):
+    """A rebuilt from the eigenpairs build_a returns."""
+    f, u = build_a(L, cfg)
+    return (u * f) @ u.T
+
+
+def alignment_matrix():
+    samples = make_informative_classes(
+        12, 6, [0, 2, 4], n_classes=4, separation=1.0, seed=12
+    )
+    patches = [build_patch(samples, i, 3, 3, 1.0) for i in range(samples.n)]
+    return accumulate_alignment(samples, patches)
+
+
+def max_rel(actual, expected):
+    return np.abs(actual - expected).max() / np.abs(expected).max()
+
+
 def quadratic_objective(X, y, L, cfg, w):
     """Eliminated-form objective W^T X^T A X W - 2 W^T X^T y + lambda2 ||W||^2."""
-    a = build_a(L, cfg)
+    a = dense_a(L, cfg)
     xw = X @ w
     return float(xw @ a @ xw - 2.0 * xw @ y + cfg.lambda2 * (w @ w))
 
@@ -73,11 +92,13 @@ class TestEliminateZ:
 class TestBuildA:
     def test_alpha_zero(self):
         cfg = MenConfig(alpha=0.0)
-        assert np.array_equal(build_a(np.ones((4, 4)), cfg), np.eye(4))
+        f, u = build_a(np.ones((4, 4)), cfg)
+        assert np.array_equal(f, np.ones(4))
+        assert np.array_equal(u, np.eye(4))
 
     def test_zero_alignment(self):
         cfg = MenConfig(alpha=1.3, beta=2.0)
-        assert_allclose(build_a(np.zeros((4, 4)), cfg), np.eye(4), atol=1e-14)
+        assert_allclose(dense_a(np.zeros((4, 4)), cfg), np.eye(4), atol=1e-14)
 
     def test_reproduces_eliminated_objective(self):
         # substituting the optimal embedding into the three-term objective
@@ -89,7 +110,7 @@ class TestBuildA:
         X = rng.normal(size=(n, p))
         y = rng.normal(size=n)
         m = eliminate_z(L, cfg)
-        a = build_a(L, cfg)
+        a = dense_a(L, cfg)
         for _ in range(5):
             w = rng.normal(size=p)
             xw = X @ w
@@ -112,27 +133,22 @@ class TestBuildA:
             cfg = MenConfig(
                 alpha=float(rng.uniform(0.01, 2.0)), beta=float(rng.uniform(60.0, 200.0))
             )
-            dense = dense_build_a(L, cfg)
-            rel = np.abs(build_a(L, cfg) - dense).max() / np.abs(dense).max()
-            assert rel <= 1e-12
+            assert max_rel(dense_a(L, cfg), dense_build_a(L, cfg)) <= 1e-12
 
     def test_matches_dense_oracle_alignment(self):
-        samples = make_informative_classes(
-            12, 6, [0, 2, 4], n_classes=4, separation=1.0, seed=12
-        )
-        patches = [build_patch(samples, i, 3, 3, 1.0) for i in range(samples.n)]
-        L = accumulate_alignment(samples, patches)
+        L = alignment_matrix()
         assert np.array_equal(L, L.T)
         # indefinite at the default settings, not only at large alpha*kappa
-        assert np.linalg.eigvalsh(build_a(L, MenConfig())).min() < 0.0
+        assert build_a(L, MenConfig())[0].min() < 0.0
         for cfg in (MenConfig(), MenConfig(alpha=0.3, beta=7.0)):
-            dense = dense_build_a(L, cfg)
-            rel = np.abs(build_a(L, cfg) - dense).max() / np.abs(dense).max()
-            assert rel <= 1e-12
+            assert max_rel(dense_a(L, cfg), dense_build_a(L, cfg)) <= 1e-12
 
     def test_one_eigendecomposition(self, monkeypatch):
+        # the whole transform stage, build_a then spectral_factor, takes
+        # one eigh of L and never forms the dense A
         rng = np.random.default_rng(13)
         L = random_symmetric(rng, 6)
+        cfg = MenConfig()
         calls = []
         eigh = np.linalg.eigh
 
@@ -146,19 +162,22 @@ class TestBuildA:
         monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
         monkeypatch.setattr(np.linalg, "solve", forbidden)
         monkeypatch.setattr(np.linalg, "cond", forbidden)
-        build_a(L, MenConfig())
+        monkeypatch.setattr(np.linalg, "svd", forbidden)
+        fac = spectral_factor(build_a(L, cfg), cfg.eig_floor)
         assert calls == [(6, 6)]
+        assert fac.root.shape[1] == 6
 
     def test_condition_limit(self):
         cfg = MenConfig(alpha=1.0, beta=1.0)
         # condition number of alpha*L + beta*I is 2 / 2**-50, about 2.3e15
-        with pytest.raises(NumericalError, match="condition number"):
+        with pytest.raises(NumericalError, match="condition number") as info:
             build_a(np.diag([-1.0 + 2.0**-50, 1.0]), cfg)
+        assert info.value.stage == "transform"
         # a zero eigenvalue of alpha*L + beta*I counts as infinite
         with pytest.raises(NumericalError, match="condition number"):
             build_a(np.diag([-1.0, 1.0]), cfg)
         # about 2e12: below the limit
-        assert np.all(np.isfinite(build_a(np.diag([-1.0 + 1e-12, 1.0]), cfg)))
+        assert np.all(np.isfinite(build_a(np.diag([-1.0 + 1e-12, 1.0]), cfg)[0]))
 
     @pytest.mark.parametrize(
         "L",
@@ -179,13 +198,13 @@ class TestBuildA:
 
 class TestSpectralFactor:
     def test_identity(self):
-        fac = spectral_factor(np.eye(3), 1e-10)
+        fac = spectral_factor(np.linalg.eigh(np.eye(3)), 1e-10)
         assert fac.n_dropped == 0
         assert_allclose(fac.root.T @ fac.root, np.eye(3), atol=1e-12)
         assert_allclose(fac.response_transform.T @ fac.root, np.eye(3), atol=1e-12)
 
     def test_diagonal(self):
-        fac = spectral_factor(np.diag([4.0, 1.0]), 1e-10)
+        fac = spectral_factor(np.linalg.eigh(np.diag([4.0, 1.0])), 1e-10)
         assert_allclose(np.abs(fac.root), np.diag([2.0, 1.0]), atol=1e-12)
         assert_allclose(fac.eigenvalues, [4.0, 1.0])
 
@@ -195,7 +214,7 @@ class TestSpectralFactor:
         sym = 0.5 * (m + m.T)
         eigvals = np.linalg.eigvalsh(sym)
         assert eigvals.min() < 0 < eigvals.max()
-        fac = spectral_factor(m, 1e-10)
+        fac = spectral_factor(np.linalg.eigh(sym), 1e-10)
         assert fac.n_dropped == np.sum(eigvals < 1e-10 * eigvals.max())
         clamped = sum(
             val * np.outer(vec, vec)
@@ -207,18 +226,57 @@ class TestSpectralFactor:
         rng = np.random.default_rng(3)
         m = rng.normal(size=(5, 5))
         a = m @ m.T + 0.5 * np.eye(5)
-        fac = spectral_factor(a, 1e-10)
+        fac = spectral_factor(np.linalg.eigh(0.5 * (a + a.T)), 1e-10)
         assert fac.n_dropped == 0
         assert_allclose(fac.root.T @ fac.root, 0.5 * (a + a.T), atol=1e-10)
 
     def test_all_negative_error(self):
-        with pytest.raises(NumericalError, match="no positive"):
-            spectral_factor(-np.eye(3), 1e-10)
+        with pytest.raises(NumericalError, match="no positive") as info:
+            spectral_factor(np.linalg.eigh(-np.eye(3)), 1e-10)
+        assert info.value.stage == "transform"
 
     @pytest.mark.parametrize("floor", [2.0, float("nan")])
     def test_empty_spectrum_error(self, floor):
         with pytest.raises(NumericalError, match="retains no eigenvalue") as info:
-            spectral_factor(np.diag([3.0, 2.0, 1.0]), floor)
+            spectral_factor(np.linalg.eigh(np.diag([3.0, 2.0, 1.0])), floor)
+        assert info.value.stage == "transform"
+
+    @pytest.mark.parametrize("cfg", [MenConfig(), MenConfig(alpha=0.3, beta=7.0)])
+    def test_matches_two_eigh_oracle(self, cfg):
+        # the factor from build_a's eigenpairs against a second eigh of
+        # the dense A: same clamp, same A on the retained subspace, same
+        # projector onto it
+        L = alignment_matrix()
+        fac = spectral_factor(build_a(L, cfg), cfg.eig_floor)
+        root, response, n_dropped = dense_spectral_factor(
+            dense_build_a(L, cfg), cfg.eig_floor
+        )
+        assert fac.n_dropped == n_dropped
+        assert max_rel(fac.root.T @ fac.root, root.T @ root) <= 1e-12
+        assert (
+            max_rel(fac.root.T @ fac.response_transform, root.T @ response) <= 1e-12
+        )
+
+    @pytest.mark.parametrize(
+        "eig",
+        [
+            np.diag([4.0, 1.0]),
+            np.diag([3.0, 2.0, 1.0]),
+            (np.ones(3), np.eye(2)),
+            (np.ones((2, 2)), np.eye(2)),
+            (np.array([1.0, np.nan]), np.eye(2)),
+            (np.ones(2), np.array([[1.0, 0.0], [np.inf, 1.0]])),
+            (np.empty(0), np.empty((0, 0))),
+            3.0,
+        ],
+        ids=[
+            "dense2x2", "dense3x3", "mismatched", "matrix-values", "nonfinite-values",
+            "nonfinite-vectors", "empty", "scalar",
+        ],
+    )
+    def test_rejects_non_eigenpairs(self, eig):
+        with pytest.raises(DataError) as info:
+            spectral_factor(eig, 1e-10)
         assert info.value.stage == "transform"
 
 
@@ -251,16 +309,6 @@ class TestBuildAugmented:
         prob = build_augmented(X, y, np.zeros((10, 10)), cfg)
         w, *_ = np.linalg.lstsq(prob.xstar, prob.ystar, rcond=None)
         assert_allclose(w, np.linalg.lstsq(X, y, rcond=None)[0], atol=1e-10)
-
-    def test_lambda_field(self):
-        rng = np.random.default_rng(7)
-        X = rng.normal(size=(5, 3))
-        y = rng.normal(size=5)
-        cfg = MenConfig(alpha=0.0, lambda2=1.0, lambda1=3.0)
-        prob = build_augmented(X, y, np.zeros((5, 5)), cfg)
-        assert prob.lam == pytest.approx(1.5)
-        cfg2 = MenConfig(alpha=0.0, lambda2=1.0)
-        assert build_augmented(X, y, np.zeros((5, 5)), cfg2).lam is None
 
     def test_paired_difference_identity(self):
         # the augmented residual and the eliminated quadratic form differ
