@@ -6,7 +6,7 @@ by column with a least angle regression engine, yielding a K-sparse
 projection matrix.
 """
 
-from .alignment import Patch, SampleSet, accumulate_alignment, build_patch, part_matrix
+from .alignment import Patch, SampleSet, accumulate_alignment, build_patch
 from .config import MenConfig
 from .datasets import ingest, make_face_like, make_informative_classes
 from .errors import DataError, MenError, NumericalError
@@ -50,7 +50,6 @@ __all__ = [
     "make_informative_classes",
     "model_to_text",
     "nn_classify",
-    "part_matrix",
     "pca_preprocess",
     "project",
     "save_model",

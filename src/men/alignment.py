@@ -1,22 +1,24 @@
 """Discriminative patches and the global alignment matrix.
 
 Each sample is grouped with its k1 nearest same-label neighbours and its
-k2 nearest other-label neighbours. The patch contributes a small
-symmetric matrix that pulls same-class neighbours toward the center and
-pushes different-class neighbours away (weight -kappa); scatter-adding
-all patch matrices yields the n x n alignment matrix used by the
-objective transformation.
+k2 nearest other-label neighbours. A patch pulls same-class neighbours
+toward the center (edge weight 1) and pushes different-class ones away
+(edge weight -kappa). Summed over patches, the part matrices are the
+Laplacian L = D - S of one signed neighbour graph: S holds the edge
+weights, symmetrised, and D their row sums. The alignment matrix is
+built from that edge list by one scatter.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
 from .errors import DataError
 
-__all__ = ["SampleSet", "Patch", "build_patch", "part_matrix", "accumulate_alignment"]
+__all__ = ["SampleSet", "Patch", "build_patch", "accumulate_alignment"]
 
 
 @dataclass
@@ -87,11 +89,6 @@ class Patch:
     diff_class: list[int]
     kappa: float
 
-    @property
-    def indices(self) -> list[int]:
-        """Index set in (center, same-class..., different-class...) order."""
-        return [self.center, *self.same_class, *self.diff_class]
-
 
 def _nearest(candidates: np.ndarray, dist: np.ndarray, count: int) -> list[int]:
     # stable sort on distance keeps ascending-index order among ties
@@ -130,40 +127,36 @@ def build_patch(samples: SampleSet, i: int, k1: int, k2: int, kappa: float) -> P
     )
 
 
-def part_matrix(patch: Patch) -> np.ndarray:
-    """Per-patch optimization matrix of size (k1+k2+1) squared.
-
-    Row/column 0 is the patch center; the coefficient vector holds +1 for
-    same-class neighbours and -kappa for different-class ones:
-
-        [[sum(w), -w^T],
-         [-w,     diag(w)]]
-    """
-    k1 = len(patch.same_class)
-    k2 = len(patch.diff_class)
-    w = np.concatenate([np.ones(k1), -patch.kappa * np.ones(k2)])
-    size = k1 + k2 + 1
-    out = np.zeros((size, size))
-    out[0, 0] = w.sum()
-    out[0, 1:] = -w
-    out[1:, 0] = -w
-    out[1:, 1:][np.diag_indices(size - 1)] = w
-    return out
-
-
 def accumulate_alignment(samples: SampleSet, patches) -> np.ndarray:
-    """Scatter-add every patch matrix into the n x n alignment matrix.
+    """The n x n alignment matrix L = D - S of the signed neighbour graph.
 
-    Equivalent to summing S_i^T L_i S_i over patches, where S_i selects
-    the patch rows from the global coordinate.
+    Every patch contributes an edge from its center to each neighbour,
+    weight 1 for same-class and -kappa for other-class ones; this equals
+    summing S_i^T L_i S_i over the patches' part matrices.
     """
     n = samples.n
+    patches = list(patches)
+    # fromiter streams the values: no per-patch tuple or float outlives the
+    # call on an interpreter freelist, which would add to peak memory
+    groups = [g for p in patches for g in (p.same_class, p.diff_class)]
+    counts = np.fromiter(map(len, groups), np.int64, len(groups))
+    neighbours = np.fromiter(chain.from_iterable(groups), np.int64, int(counts.sum()))
+    signed = np.fromiter((w for p in patches for w in (1.0, -p.kappa)), float, len(groups))
+    weights = np.repeat(signed, counts)
+    owner = np.repeat(np.arange(len(groups)) // 2, counts)
+    centers = np.fromiter((p.center for p in patches), np.int64, len(patches))
+    bad = (centers < 0) | (centers >= n)
+    bad[owner[(neighbours < 0) | (neighbours >= n)]] = True
+    if bad.any():
+        center = patches[int(np.argmax(bad))].center
+        raise DataError(f"patch at center {center} references sample outside [0, {n})")
+    rows = centers[owner]
     out = np.zeros((n, n))
-    for patch in patches:
-        idx = np.asarray(patch.indices, dtype=np.int64)
-        if idx.min() < 0 or idx.max() >= n:
-            raise DataError(
-                f"patch at center {patch.center} references sample outside [0, {n})"
-            )
-        out[np.ix_(idx, idx)] += part_matrix(patch)
+    np.add.at(
+        out,
+        (np.concatenate([rows, neighbours]), np.concatenate([neighbours, rows])),
+        np.tile(-weights, 2),
+    )
+    # subtracting from the untouched +0.0 diagonal keeps a zero degree +0.0
+    out[np.diag_indices(n)] -= out.sum(axis=1)
     return out

@@ -3,8 +3,8 @@
 A key=value config file ('#' comments) carries the hyperparameters; a
 few override flags support sweeps: --threads, --d and --K on the
 subcommands that fit (fit, evaluate, export-paths), --seed on evaluate.
-Exit codes: 0 success, 1 user/data/usage error, 2 internal numerical
-failure. Errors are a single machine-parsable line on stderr:
+Exit codes: 0 success, 1 user/data/usage or file-system error, 2 internal
+numerical failure. Errors are a single machine-parsable line on stderr:
 ``error: stage=... reason=...``.
 """
 
@@ -247,6 +247,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except DataError as exc:
         print(f"error: stage={exc.stage or 'input'} reason={exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:  # a path that is missing, a directory, or unreadable
+        print(f"error: stage=io reason={exc}", file=sys.stderr)
         return 1
     except NumericalError as exc:
         print(f"error: stage={exc.stage or 'numerical'} reason={exc}", file=sys.stderr)

@@ -171,12 +171,15 @@ def ingest(path, fmt: str) -> SampleSet:
     path = Path(path)
     if not path.exists():
         raise DataError(f"{path}: no such file or directory")
-    if fmt == "csv-matrix":
-        return _ingest_csv(path)
-    if fmt == "raw-gray-images":
-        if path.is_dir():
-            return _ingest_image_dir(path)
-        return _ingest_manifest(path)
+    try:
+        if fmt == "csv-matrix":
+            return _ingest_csv(path)
+        if fmt == "raw-gray-images":
+            if path.is_dir():
+                return _ingest_image_dir(path)
+            return _ingest_manifest(path)
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc})") from exc
     raise DataError(f"unknown dataset format {fmt!r}")
 
 

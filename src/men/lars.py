@@ -67,15 +67,12 @@ class Direction:
     """Equiangular move for the current active set.
 
     delta:      signed per-unit coefficient increments over the active set
-    omega:      magnitude vector (sign * delta), as in the update rule
-                W_active += rho * sign * omega
     a:          G[:, A] delta, the projections xstar^T u of every variable
                 on the unit equiangular vector u = xstar[:, A] delta
     normalizer: common inner product of signed active columns with u
     """
 
     delta: np.ndarray
-    omega: np.ndarray
     a: np.ndarray
     normalizer: float
 
@@ -255,7 +252,6 @@ def direction(state: LarsState, problem: AugmentedProblem) -> Direction:
     delta = normalizer * ginv_s
     result = Direction(
         delta=delta,
-        omega=signs * delta,
         a=delta @ problem.gram[state.active],  # G is symmetric: G[:, A] delta
         normalizer=normalizer,
     )
@@ -306,14 +302,13 @@ def drop_length(state: LarsState) -> float:
 
 def _drop_position(state: LarsState, rho2: float) -> int:
     """Active-list position of the coefficient crossing zero at rho2
-    (smallest variable index among exact ties)."""
+    (smallest variable index among exact ties). rho2 is finite and is one
+    of these candidates, as drop_length took it from the same state."""
     w = state.coeffs[state.active]
     delta = state.last_direction.delta
     with np.errstate(divide="ignore", invalid="ignore"):
         cand = -w / delta
-    hits = np.flatnonzero(np.isfinite(cand) & (cand == rho2))
-    if not hits.size:  # fall back to the closest candidate
-        return int(np.nanargmin(np.abs(cand - rho2)))
+    hits = np.flatnonzero(cand == rho2)
     return int(hits[np.argmin(np.asarray(state.active)[hits])])
 
 

@@ -106,27 +106,21 @@ def pca_preprocess(
 
 def _build_patches(samples: SampleSet, cfg: MenConfig) -> list:
     """One patch per sample, clamping k1/k2 to what each class can supply."""
-    sizes = samples.class_sizes()
     n = samples.n
-    clamped = 0
-    patches = []
-    for i in range(n):
-        size = int(sizes[samples.labels[i]])
-        k1 = min(cfg.k1, size - 1)
-        k2 = min(cfg.k2, n - size)
-        if (k1, k2) != (cfg.k1, cfg.k2):
-            clamped += 1
-        if k1 + k2 < 1:
-            raise DataError(
-                f"sample {i}: no usable neighbours (class size {size} of {n})"
-            )
-        patches.append(build_patch(samples, i, k1, k2, cfg.kappa))
+    sizes = samples.class_sizes()[samples.labels]
+    k1 = np.minimum(cfg.k1, sizes - 1)
+    k2 = np.minimum(cfg.k2, n - sizes)
+    empty = np.flatnonzero(k1 + k2 < 1)
+    if empty.size:
+        i = int(empty[0])
+        raise DataError(f"sample {i}: no usable neighbours (class size {sizes[i]} of {n})")
+    clamped = np.count_nonzero((k1 != cfg.k1) | (k2 != cfg.k2))
     if clamped:
         warnings.warn(
             f"k1/k2 clamped for {clamped} of {n} samples (small classes)",
             stacklevel=3,
         )
-    return patches
+    return [build_patch(samples, i, int(k1[i]), int(k2[i]), cfg.kappa) for i in range(n)]
 
 
 def _column_cosines(values: np.ndarray) -> np.ndarray:

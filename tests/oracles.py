@@ -67,7 +67,7 @@ def dense_alignment(n, patches):
     """Sum of S_i^T L_i S_i built with explicit dense selection matrices."""
     total = np.zeros((n, n))
     for patch in patches:
-        idx = patch.indices
+        idx = [patch.center, *patch.same_class, *patch.diff_class]
         size = len(idx)
         k1 = len(patch.same_class)
         k2 = len(patch.diff_class)

@@ -1,11 +1,13 @@
-"""Patch construction, part matrices, and alignment accumulation."""
+"""Patch construction and the alignment matrix of the signed neighbour graph."""
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from men.alignment import SampleSet, accumulate_alignment, build_patch, part_matrix
+from men.alignment import SampleSet, accumulate_alignment, build_patch
+from men.config import MenConfig
 from men.errors import DataError
+from men.pipeline import _build_patches
 
 from oracles import dense_alignment
 
@@ -96,15 +98,16 @@ class TestBuildPatch:
             build_patch(s, 0, 1, 1, 1.0, metric="manhattan")
 
 
+def patch_block(samples, patch):
+    """The patch's own part matrix, read back from a one-patch alignment."""
+    idx = [patch.center, *patch.same_class, *patch.diff_class]
+    return accumulate_alignment(samples, [patch])[np.ix_(idx, idx)]
+
+
 class TestPartMatrix:
     def test_mixed_patch(self):
-        patch = build_patch(
-            SampleSet(np.arange(4.0).reshape(-1, 1), np.array([0, 0, 0, 1])),
-            0,
-            k1=2,
-            k2=1,
-            kappa=0.5,
-        )
+        s = SampleSet(np.arange(4.0).reshape(-1, 1), np.array([0, 0, 0, 1]))
+        patch = build_patch(s, 0, k1=2, k2=1, kappa=0.5)
         expected = np.array(
             [
                 [1.5, -1.0, -1.0, 0.5],
@@ -113,18 +116,18 @@ class TestPartMatrix:
                 [0.5, 0.0, 0.0, -0.5],
             ]
         )
-        assert_array_equal(part_matrix(patch), expected)
+        assert_array_equal(patch_block(s, patch), expected)
 
     def test_laplacian_edge(self):
         s = SampleSet(np.array([[0.0], [1.0]]), np.array([0, 0]))
         patch = build_patch(s, 0, k1=1, k2=0, kappa=7.3)
-        assert_array_equal(part_matrix(patch), np.array([[1.0, -1.0], [-1.0, 1.0]]))
+        assert_array_equal(patch_block(s, patch), np.array([[1.0, -1.0], [-1.0, 1.0]]))
 
     def test_zero_sum_case(self):
         s = SampleSet(np.array([[0.0], [1.0], [2.0]]), np.array([0, 0, 1]))
         patch = build_patch(s, 0, k1=1, k2=1, kappa=1.0)
         expected = np.array([[0.0, -1.0, 1.0], [-1.0, 1.0, 0.0], [1.0, 0.0, -1.0]])
-        assert_array_equal(part_matrix(patch), expected)
+        assert_array_equal(patch_block(s, patch), expected)
 
     def test_symmetric_zero_row_sums(self):
         rng = np.random.default_rng(0)
@@ -135,7 +138,7 @@ class TestPartMatrix:
             patch = build_patch(
                 s, i, min(2, size - 1), 3, float(rng.uniform(0, 2))
             )
-            li = part_matrix(patch)
+            li = patch_block(s, patch)
             assert_array_equal(li, li.T)
             sums = li.sum(axis=1)
             # rows >= 1 cancel pairwise and are exact; row 0 re-accumulates
@@ -181,6 +184,35 @@ class TestAccumulateAlignment:
         patch.same_class = [7]
         with pytest.raises(DataError, match="outside"):
             accumulate_alignment(s, [patch])
+
+    def test_negative_index_names_first_bad_center(self):
+        s = SampleSet(np.arange(4.0)[:, None], np.array([0, 0, 1, 1]))
+        patches = [build_patch(s, i, 1, 1, 1.0) for i in range(4)]
+        patches[2].diff_class = [-1]
+        patches[3].same_class = [9]
+        with pytest.raises(DataError, match=r"center 2 references sample outside \[0, 4\)"):
+            accumulate_alignment(s, patches)
+
+    def test_pipeline_patches_match_dense_oracle_exactly(self):
+        # kappa = 1 makes every entry a small integer, so the scatter and the
+        # dense selection-matrix sum must agree bit for bit; class 0 is too
+        # small for k1, so the pipeline's clamp rule shapes its patches
+        rng = np.random.default_rng(5)
+        labels = np.repeat(np.arange(4), [2, 6, 8, 8])
+        for k1, k2 in [(3, 3), (5, 2), (2, 20)]:
+            s = SampleSet(rng.normal(size=(labels.size, 4)), labels)
+            with pytest.warns(UserWarning, match="clamped"):
+                patches = _build_patches(s, MenConfig(k1=k1, k2=k2, kappa=1.0))
+            assert_array_equal(accumulate_alignment(s, patches), dense_alignment(s.n, patches))
+
+    def test_patch_order_irrelevant(self):
+        rng = np.random.default_rng(6)
+        s = SampleSet(rng.normal(size=(30, 3)), np.repeat(np.arange(3), 10))
+        patches = _build_patches(s, MenConfig(kappa=0.37))
+        base = accumulate_alignment(s, patches)
+        for _ in range(3):
+            shuffled = [patches[i] for i in rng.permutation(len(patches))]
+            assert_array_equal(accumulate_alignment(s, shuffled), base)
 
 
 class TestAlignmentProperties:

@@ -246,6 +246,40 @@ class TestProjectCommand:
         assert "\n" not in err.strip()
 
 
+class TestFileSystemFaults:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["project", "--model", "{tmp}/nope.men", "--data", "{data}", "--out", "{tmp}/e.csv"],
+            ["export-bases", "--model", "{tmp}/nope.men", "--out", "{tmp}/b"],
+            ["project", "--model", "{tmp}/adir", "--data", "{data}", "--out", "{tmp}/e.csv"],
+            ["fit", "--data", "{data}", "--config", "{config}", "--model", "{tmp}/adir"],
+            ["project", "--model", "{tmp}/m.men", "--data", "{data}", "--out", "{tmp}/adir"],
+            ["fit", "--data", "{tmp}/latin1.csv", "--model", "{tmp}/x.men"],
+            ["fit", "--data", "{tmp}/manifest.txt", "--model", "{tmp}/x.men"],
+        ],
+        ids=[
+            "project-missing-model", "export-bases-missing-model", "project-model-dir",
+            "fit-model-dir", "project-out-dir", "non-utf8-csv", "manifest-missing-image",
+        ],
+    )
+    def test_exits_one_with_one_error_line(self, workspace, capsys, argv):
+        tmp, data, config = workspace
+        main([
+            "fit", "--data", str(data), "--config", str(config),
+            "--model", str(tmp / "m.men"),
+        ])
+        (tmp / "adir").mkdir()
+        (tmp / "latin1.csv").write_bytes(b"0.5,1.0,0\n\xe9t\xe9,2.0,1\n")
+        (tmp / "manifest.txt").write_text("absent.pgm,0\nabsent2.pgm,1\n")
+        capsys.readouterr()
+        rc = main([a.format(tmp=tmp, data=data, config=config) for a in argv])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: stage=") and " reason=" in err
+        assert err.count("\n") == 1
+
+
 class TestUsage:
     @pytest.mark.parametrize(
         "argv",

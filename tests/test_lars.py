@@ -120,7 +120,8 @@ class TestDirection:
         state.signs = [1.0, 1.0]
         state.gram_inv = np.eye(2)
         d = direction(state, prob)
-        assert_allclose(d.omega, [1 / np.sqrt(2), 1 / np.sqrt(2)], atol=1e-12)
+        signs = np.asarray(state.signs)
+        assert_allclose(signs * d.delta, [1 / np.sqrt(2), 1 / np.sqrt(2)], atol=1e-12)
         assert d.normalizer == pytest.approx(1 / np.sqrt(2))
 
     def test_equiangular_identities(self):
