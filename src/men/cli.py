@@ -11,6 +11,8 @@ numerical failure. Errors are a single machine-parsable line on stderr:
 from __future__ import annotations
 
 import argparse
+import errno
+import os
 import sys
 from pathlib import Path
 
@@ -103,15 +105,20 @@ def _write_report(report, model, out_dir: Path) -> None:
 
 def _cmd_fit(args) -> int:
     cfg, _ = _split_config(_load_config_file(args.config), args)
-    samples = _ingest_auto(args.data)
-    model, report = fit(samples, cfg, threads=args.threads)
+    # refuse unwritable outputs before the fit, with the errors the writes would raise
     model_path = Path(args.model)
-    if model_path.parent != Path(""):
-        model_path.parent.mkdir(parents=True, exist_ok=True)
-    save_model(model, model_path)
+    if model_path.is_dir():
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(model_path))
     report_dir = Path(args.out) if args.out else model_path.with_suffix(
         model_path.suffix + ".report"
     )
+    if report_dir.exists() and not report_dir.is_dir():
+        raise FileExistsError(errno.EEXIST, os.strerror(errno.EEXIST), str(report_dir))
+    samples = _ingest_auto(args.data)
+    model, report = fit(samples, cfg, threads=args.threads)
+    if model_path.parent != Path(""):
+        model_path.parent.mkdir(parents=True, exist_ok=True)
+    save_model(model, model_path)
     _write_report(report, model, report_dir)
     print(f"model={model_path} columns={model.values.shape[1]} "
           f"nonzeros={','.join(str(s) for s in model.sparsity)}")

@@ -55,9 +55,11 @@ def read_pgm(path) -> np.ndarray:
         raise DataError(f"{path}: bad graymap header") from exc
     if maxval != 255:
         raise DataError(f"{path}: only 8-bit graymaps supported (maxval {maxval})")
-    pixels = np.frombuffer(data, dtype=np.uint8, count=width * height, offset=pos)
-    if pixels.size != width * height:
+    if width < 1 or height < 1:
+        raise DataError(f"{path}: bad graymap size {width}x{height}")
+    if len(data) - pos < width * height:
         raise DataError(f"{path}: truncated pixel data")
+    pixels = np.frombuffer(data, dtype=np.uint8, count=width * height, offset=pos)
     return pixels.reshape(height, width).copy()
 
 

@@ -48,10 +48,9 @@ class SplitSpec:
     repeats: int = 5
 
     def __post_init__(self):
-        if self.per_class_train < 1:
-            raise DataError(f"per_class_train must be >= 1, got {self.per_class_train}")
-        if self.repeats < 1:
-            raise DataError(f"repeats must be >= 1, got {self.repeats}")
+        for name in ("per_class_train", "repeats"):
+            if getattr(self, name) < 1:
+                raise DataError(f"{name} must be >= 1, got {getattr(self, name)}", stage="config")
 
 
 @dataclass
@@ -128,10 +127,8 @@ def evaluate(
     leading projection columns of that fit.
     """
     dim_grid = [int(d) for d in dim_grid]
-    if not dim_grid:
-        raise DataError("dim_grid must not be empty")
-    if min(dim_grid) < 1:
-        raise DataError(f"dimension grid entries must be >= 1, got {min(dim_grid)}")
+    if not dim_grid or min(dim_grid) < 1:
+        raise DataError(f"dim_grid needs entries >= 1, got {dim_grid}", stage="config")
     d_max = max(dim_grid)
     fit_cfg = cfg.with_overrides(d=d_max)
 

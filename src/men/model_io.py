@@ -16,8 +16,7 @@ The loader trusts nothing: every length is bounded by the bytes that
 remain, the mean length must equal the basis rows and the basis columns
 must equal p, triplet indices must be integral and in range, floats must
 be finite and no bytes may trail. Anything else is a DataError (stage
-model). The text export renders the same content losslessly (floats via
-repr).
+model).
 """
 
 from __future__ import annotations
@@ -150,24 +149,18 @@ def load_model(path) -> ProjectionMatrix:
     return ProjectionMatrix(values=values, pca_basis=basis, pca_mean=mean, config=cfg)
 
 
-def _format_array(name: str, values: np.ndarray | None) -> list[str]:
-    if values is None:
-        return [f"{name} absent"]
-    arr = np.atleast_2d(values)
-    lines = [f"{name} {arr.shape[0]} {arr.shape[1]}"]
-    for row in arr:
-        lines.append(" ".join(repr(float(v)) for v in row))
-    return lines
-
-
 def model_to_text(model: ProjectionMatrix) -> str:
-    """Lossless human-readable dump of a model (floats as repr)."""
+    """Config, PCA shapes and one ``row col repr(value)`` line per nonzero of W.
+
+    The PCA mean and basis values are only in the binary model file.
+    """
     lines = ["MEN1 text export", "[config]"]
     lines.extend(config_to_lines(model.config))
-    lines.append("[mean]")
-    lines.extend(_format_array("mean", model.pca_mean))
-    lines.append("[pca_basis]")
-    lines.extend(_format_array("pca_basis", model.pca_basis))
+    if model.pca_basis is None:
+        lines.append("pca absent")
+    else:
+        rows, cols = model.pca_basis.shape
+        lines.append(f"pca mean {model.pca_mean.size} basis {rows} {cols}")
     lines.append("[projection]")
     p, d = model.values.shape
     trip = _triplets(model.values)

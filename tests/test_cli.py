@@ -257,10 +257,12 @@ class TestFileSystemFaults:
             ["project", "--model", "{tmp}/m.men", "--data", "{data}", "--out", "{tmp}/adir"],
             ["fit", "--data", "{tmp}/latin1.csv", "--model", "{tmp}/x.men"],
             ["fit", "--data", "{tmp}/manifest.txt", "--model", "{tmp}/x.men"],
+            ["fit", "--data", "{tmp}/images", "--model", "{tmp}/x.men"],
         ],
         ids=[
             "project-missing-model", "export-bases-missing-model", "project-model-dir",
             "fit-model-dir", "project-out-dir", "non-utf8-csv", "manifest-missing-image",
+            "malformed-graymap",
         ],
     )
     def test_exits_one_with_one_error_line(self, workspace, capsys, argv):
@@ -272,12 +274,40 @@ class TestFileSystemFaults:
         (tmp / "adir").mkdir()
         (tmp / "latin1.csv").write_bytes(b"0.5,1.0,0\n\xe9t\xe9,2.0,1\n")
         (tmp / "manifest.txt").write_text("absent.pgm,0\nabsent2.pgm,1\n")
+        for label in ("c0", "c1"):
+            (tmp / "images" / label).mkdir(parents=True)
+            (tmp / "images" / label / "a.pgm").write_bytes(b"P5\n2 2\n255")
         capsys.readouterr()
         rc = main([a.format(tmp=tmp, data=data, config=config) for a in argv])
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error: stage=") and " reason=" in err
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "outputs",
+        [["--model", "{tmp}/adir"], ["--model", "{tmp}/m.men", "--out", "{tmp}/afile"]],
+        ids=["fit-model-dir", "fit-out-file"],
+    )
+    def test_fit_refuses_unwritable_outputs_before_fitting(
+        self, workspace, capsys, monkeypatch, outputs
+    ):
+        import men.cli as cli_module
+
+        def never(*args, **kwargs):
+            raise AssertionError("fit ran although its outputs cannot be written")
+
+        monkeypatch.setattr(cli_module, "fit", never)
+        tmp, data, config = workspace
+        (tmp / "adir").mkdir()
+        (tmp / "afile").write_text("")
+        argv = ["fit", "--data", str(data), "--config", str(config)] + outputs
+        rc = main([a.format(tmp=tmp) for a in argv])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: stage=io reason=")
+        assert err.count("\n") == 1
+        assert not (tmp / "m.men").exists()
 
 
 class TestUsage:
@@ -363,6 +393,19 @@ class TestEvaluateCommand:
         ])
         assert rc == 1
         assert "dim_grid" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line", ["repeats=0", "dim_grid=0,1"])
+    def test_bad_evaluation_value_is_config_stage(self, workspace, capsys, line):
+        tmp, data, config = workspace
+        config.write_text(CONFIG + line + "\n")
+        rc = main([
+            "evaluate", "--data", str(data), "--config", str(config),
+            "--out", str(tmp / "eval"),
+        ])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: stage=config reason=")
+        assert err.count("\n") == 1
 
     def test_seed_override_changes_split(self, workspace):
         tmp, data, config = workspace

@@ -105,6 +105,20 @@ class TestGraymaps:
         with pytest.raises(DataError, match="list.txt:1"):
             ingest(manifest, "raw-gray-images")
 
+    @pytest.mark.parametrize(
+        "content, reason",
+        [
+            (b"P5\n2 2\n255", "truncated pixel data"),
+            (b"P5\n-2 -2\n255\n\x00\x00\x00\x00", "bad graymap size -2x-2"),
+            (b"P5\n100000 100000\n255\n\x00\x00\x00\x00", "truncated pixel data"),
+        ],
+        ids=["ends-after-maxval", "negative-size", "short-pixel-block"],
+    )
+    def test_malformed_graymap_names_path(self, tmp_path, content, reason):
+        (tmp_path / "bad.pgm").write_bytes(content)
+        with pytest.raises(DataError, match=f"bad.pgm: {reason}"):
+            read_pgm(tmp_path / "bad.pgm")
+
     def test_mismatched_shapes(self, tmp_path):
         d = tmp_path / "c0"
         d.mkdir()

@@ -1,11 +1,16 @@
 """PCA preprocessing, the end-to-end fit, projection, and persistence."""
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from men.alignment import SampleSet
-from men.config import MenConfig
+from men.config import MenConfig, config_from_mapping, parse_kv_lines
 from men.datasets import make_informative_classes
 from men.errors import DataError, NumericalError
 from men.indicator import build_indicator
@@ -215,6 +220,18 @@ class TestProject:
         assert_allclose(embedded, manual, atol=1e-12)
 
 
+def assert_consistent(model):
+    """A loaded model is finite and its shapes fit together."""
+    p, d = model.values.shape
+    assert p >= 1 and d >= 1
+    assert np.all(np.isfinite(model.values))
+    assert (model.pca_mean is None) == (model.pca_basis is None)
+    if model.pca_basis is not None:
+        assert model.pca_basis.shape == (model.pca_mean.size, p)
+        assert np.all(np.isfinite(model.pca_basis))
+        assert np.all(np.isfinite(model.pca_mean))
+
+
 class TestModelIo:
     def test_roundtrip_exact(self, tmp_path):
         rng = np.random.default_rng(18)
@@ -241,13 +258,38 @@ class TestModelIo:
         assert loaded.pca_mean is None
         assert np.array_equal(loaded.values, model.values)
 
-    def test_text_export_lossless_values(self, tmp_path):
+    def test_text_export_lossless_values(self):
         rng = np.random.default_rng(20)
-        s = labelled_gaussians(rng)
-        model, _ = fit(s, MenConfig(d=1, K=3, pca_retain=0))
-        text = model_to_text(model)
-        for j in np.flatnonzero(model.values[:, 0]):
-            assert repr(float(model.values[j, 0])) in text
+        s = labelled_gaussians(rng, p=12)
+        for pca_retain in (0, None):
+            model, _ = fit(s, MenConfig(d=2, K=3, pca_retain=pca_retain))
+            self.check_text_export(model)
+
+    @staticmethod
+    def check_text_export(model):
+        lines = model_to_text(model).splitlines()
+        config_end = lines.index("[projection]") - 1
+        assert lines[1] == "[config]"
+        assert config_from_mapping(parse_kv_lines(lines[2:config_end])) == model.config
+        if model.pca_basis is None:
+            assert lines[config_end] == "pca absent"
+        else:
+            rows, cols = model.pca_basis.shape
+            assert lines[config_end] == f"pca mean {model.pca_mean.size} basis {rows} {cols}"
+        p, d = model.values.shape
+        nnz = np.count_nonzero(model.values)
+        assert lines[config_end + 2] == f"W {p} {d} nnz {nnz}"
+        values = np.zeros((p, d))
+        for line in lines[config_end + 3 :]:
+            row, col, value = line.split()
+            values[int(row), int(col)] = float(value)
+        assert np.array_equal(values, model.values)
+        # the mean and basis values live only in the binary model
+        assert len(lines) <= nnz + (config_end - 2) + 5
+        if model.pca_basis is not None:
+            tokens = set(" ".join(lines).replace("=", " ").split())
+            dense = np.concatenate([model.pca_mean, model.pca_basis.ravel()])
+            assert not tokens & {repr(float(v)) for v in dense}
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bogus.men"
@@ -307,14 +349,7 @@ class TestModelIo:
                     assert exc.stage == "model"
                     rejected += 1
                     continue
-                p, d = loaded.values.shape
-                assert p >= 1 and d >= 1
-                assert np.all(np.isfinite(loaded.values))
-                assert (loaded.pca_mean is None) == (loaded.pca_basis is None)
-                if loaded.pca_basis is not None:
-                    assert loaded.pca_basis.shape == (loaded.pca_mean.size, p)
-                    assert np.all(np.isfinite(loaded.pca_basis))
-                    assert np.all(np.isfinite(loaded.pca_mean))
+                assert_consistent(loaded)
         assert 0 < rejected < len(offsets) * len(patterns)
 
     def test_truncated_or_padded_rejected(self, tmp_path):
@@ -327,3 +362,43 @@ class TestModelIo:
             path.write_bytes(content)
             with pytest.raises(DataError):
                 load_model(path)
+
+
+def _saved_pca_model() -> bytes:
+    model, _ = fit(labelled_gaussians(np.random.default_rng(23)), MenConfig(d=2, K=3))
+    with tempfile.TemporaryDirectory() as tmp:
+        save_model(model, Path(tmp) / "m.men")
+        return (Path(tmp) / "m.men").read_bytes()
+
+
+# saved once at import: a function-scoped fixture would be shared by every @given example
+PCA_MODEL_BYTES = _saved_pca_model()
+
+
+def _flip_bytes(flips) -> bytes:
+    data = bytearray(PCA_MODEL_BYTES)
+    for at, mask in flips:
+        data[at] ^= mask
+    return bytes(data)
+
+
+_offsets = st.integers(0, len(PCA_MODEL_BYTES) - 1)
+_corrupted_models = st.one_of(
+    st.lists(st.tuples(_offsets, st.integers(1, 255)), min_size=1, max_size=4).map(_flip_bytes),
+    _offsets.map(lambda cut: PCA_MODEL_BYTES[:cut]),
+    st.binary(min_size=1, max_size=32).map(lambda tail: PCA_MODEL_BYTES + tail),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_corrupted_models)
+def test_load_model_fuzz_rejects_or_consistent(content):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fuzzed.men"
+        path.write_bytes(content)
+        try:
+            loaded = load_model(path)
+        except DataError as exc:
+            assert exc.stage == "model"
+            return
+    assert_consistent(loaded)
