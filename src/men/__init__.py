@@ -6,7 +6,7 @@ by column with a least angle regression engine, yielding a K-sparse
 projection matrix.
 """
 
-from .alignment import Patch, SampleSet, accumulate_alignment, build_patch
+from .alignment import Patch, SampleSet, accumulate_alignment, build_patch, build_patches
 from .config import MenConfig
 from .datasets import ingest, make_face_like, make_informative_classes
 from .errors import DataError, MenError, NumericalError
@@ -39,6 +39,7 @@ __all__ = [
     "build_augmented",
     "build_indicator",
     "build_patch",
+    "build_patches",
     "class_centers",
     "evaluate",
     "export_bases",

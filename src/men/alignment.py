@@ -7,6 +7,10 @@ toward the center (edge weight 1) and pushes different-class ones away
 Laplacian L = D - S of one signed neighbour graph: S holds the edge
 weights, symmetrised, and D their row sums. The alignment matrix is
 built from that edge list by one scatter.
+
+Neighbours are found by a GEMM distance filter and an exact re-rank of
+the kept candidates by explicit-difference Euclidean distance, ties broken
+by ascending index.
 """
 
 from __future__ import annotations
@@ -18,14 +22,15 @@ import numpy as np
 
 from .errors import DataError
 
-__all__ = ["SampleSet", "Patch", "build_patch", "accumulate_alignment"]
+__all__ = ["SampleSet", "Patch", "build_patch", "build_patches", "accumulate_alignment"]
 
 
 @dataclass
 class SampleSet:
     """A labelled data matrix: n samples (rows) by p features.
 
-    Labels are compact integers 0..c-1 with every class present.
+    Labels are compact integers 0..c-1 with every class present. Data is
+    C-contiguous, so a row's distance rounds the same in any row subset.
     Instances are treated as immutable after construction.
     """
 
@@ -33,7 +38,7 @@ class SampleSet:
     labels: np.ndarray
 
     def __post_init__(self):
-        self.data = np.asarray(self.data, dtype=np.float64)
+        self.data = np.ascontiguousarray(self.data, dtype=np.float64)
         self.labels = np.asarray(self.labels, dtype=np.int64)
         if self.data.ndim != 2:
             raise DataError(f"data must be 2-D, got shape {self.data.shape}")
@@ -90,10 +95,14 @@ class Patch:
     kappa: float
 
 
+def _distances(x: np.ndarray, i: int, rows) -> np.ndarray:
+    diff = x[rows] - x[i]
+    return np.sqrt((diff * diff).sum(axis=1))
+
+
 def _nearest(candidates: np.ndarray, dist: np.ndarray, count: int) -> list[int]:
     # stable sort on distance keeps ascending-index order among ties
-    order = candidates[np.argsort(dist[candidates], kind="stable")]
-    return order[:count].tolist()
+    return candidates[np.argsort(dist, kind="stable")][:count].tolist()
 
 
 def build_patch(samples: SampleSet, i: int, k1: int, k2: int, kappa: float) -> Patch:
@@ -117,14 +126,63 @@ def build_patch(samples: SampleSet, i: int, k1: int, k2: int, kappa: float) -> P
         raise DataError(
             f"only {diff.size} samples outside class {label}; k2={k2} requested"
         )
-    diff_rows = samples.data - samples.data[i]
-    dist = np.sqrt((diff_rows * diff_rows).sum(axis=1))
+    dist = _distances(samples.data, i, slice(None))
     return Patch(
         center=i,
-        same_class=_nearest(same, dist, k1),
-        diff_class=_nearest(diff, dist, k2),
+        same_class=_nearest(same, dist[same], k1),
+        diff_class=_nearest(diff, dist[diff], k2),
         kappa=float(kappa),
     )
+
+
+def _select(x, i, group, row, err, count) -> list[int]:
+    """The `count` members of `group` nearest to sample i, ranked as build_patch does."""
+    if count == 0:
+        return []
+    d2, err = row[group], err[group]
+    top = np.argpartition(d2, count - 1)[:count]
+    keep = group[d2 <= d2[top].max() + err[top].max() + err]
+    dist = _distances(x, i, keep)
+    if not (np.isfinite(d2).all() and np.isfinite(dist).all()):
+        keep = group  # overflow voids the bound: rank the whole group exactly
+        dist = _distances(x, i, keep)
+    return _nearest(keep, dist, count)
+
+
+def build_patches(samples: SampleSet, k1, k2, kappa: float) -> list[Patch]:
+    """Every sample's patch: patch i equals build_patch(samples, i, k1[i], k2[i], kappa).
+
+    The GEMM squared distances keep, per group, the candidates within their
+    rounding bound of the k-th smallest; only those are ranked exactly.
+    """
+    x, n, k1, k2 = samples.data, samples.n, np.asarray(k1), np.asarray(k2)
+    sizes = samples.class_sizes()[samples.labels]
+    bad = (k1 < 0) | (k2 < 0) | (k1 + k2 < 1) | (k1 >= sizes) | (k2 > n - sizes)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise DataError(f"sample {i}: k1={k1[i]} k2={k2[i]} do not fit class size {sizes[i]}")
+    with np.errstate(over="ignore", invalid="ignore"):  # such rows are ranked exactly
+        sq = np.einsum("ij,ij->i", x, x)
+        d2 = x @ x.T  # the only n x n array; it is freed on return, before L
+        d2 *= -2.0
+        d2 += sq[:, None]
+        d2 += sq
+    # To first order the GEMM and the explicit squared distance each lie
+    # within (p+2)*eps*(|x_i|^2 + |x_j|^2) of the true one; gradual
+    # underflow adds far less than tiny. Twice that also covers squared
+    # distances whose square roots round to a tie.
+    scale, eps, tiny = 4.0 * (samples.p + 2), np.finfo(float).eps, np.finfo(float).tiny
+    members = [samples.class_members(c) for c in range(samples.c)]
+    others = [np.flatnonzero(samples.labels != c) for c in range(samples.c)]
+    patches = []
+    for i in range(n):
+        label = samples.labels[i]
+        err = scale * (eps * (sq[i] + sq) + tiny)
+        same = members[label][members[label] != i]
+        groups = ((same, k1[i]), (others[label], k2[i]))
+        nearest = (_select(x, i, group, d2[i], err, k) for group, k in groups)
+        patches.append(Patch(i, *nearest, float(kappa)))
+    return patches
 
 
 def accumulate_alignment(samples: SampleSet, patches) -> np.ndarray:

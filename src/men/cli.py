@@ -114,10 +114,9 @@ def _cmd_fit(args) -> int:
     )
     if report_dir.exists() and not report_dir.is_dir():
         raise FileExistsError(errno.EEXIST, os.strerror(errno.EEXIST), str(report_dir))
+    model_path.parent.mkdir(parents=True, exist_ok=True)
     samples = _ingest_auto(args.data)
     model, report = fit(samples, cfg, threads=args.threads)
-    if model_path.parent != Path(""):
-        model_path.parent.mkdir(parents=True, exist_ok=True)
     save_model(model, model_path)
     _write_report(report, model, report_dir)
     print(f"model={model_path} columns={model.values.shape[1]} "

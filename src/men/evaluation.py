@@ -73,7 +73,8 @@ def split_indices(
     if spec.per_class_train >= smallest:
         raise DataError(
             f"per_class_train={spec.per_class_train} must be below the smallest "
-            f"class size {smallest}"
+            f"class size {smallest}",
+            stage="config",
         )
     rng = np.random.default_rng(spec.seed + repeat)
     train, test = [], []

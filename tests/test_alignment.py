@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
-from men.alignment import SampleSet, accumulate_alignment, build_patch
+from men.alignment import SampleSet, accumulate_alignment, build_patch, build_patches
 from men.config import MenConfig
+from men.datasets import make_informative_classes
 from men.errors import DataError
 from men.pipeline import _build_patches
 
@@ -33,6 +36,37 @@ def random_patches(rng, samples, kappa=1.0):
             k2 = 1
         patches.append(build_patch(samples, i, k1, k2, kappa))
     return patches
+
+
+def oracle_patches(samples, k1, k2, kappa):
+    return [build_patch(samples, i, int(k1[i]), int(k2[i]), kappa) for i in range(samples.n)]
+
+
+def selector_problem(kind, seed, n, p, c, fortran):
+    """A small labelled problem whose distances stress the GEMM filter, with
+    random per-sample counts within what each class can supply."""
+    rng = np.random.default_rng(seed)
+    labels = np.sort(np.concatenate([np.arange(c), rng.integers(0, c, size=n - c)]))
+    data = rng.normal(size=(n, p))
+    if kind != "random":
+        data = data[rng.integers(0, max(2, n // 3), size=n)]  # duplicated rows: exact ties
+    if kind == "near-ties":
+        nudge = rng.random(data.shape) < 0.3
+        data[nudge] = np.nextafter(data[nudge], np.where(rng.random(nudge.sum()) < 0.5, -1, 1))
+    elif kind == "offset":
+        data += 1e6  # |x_i|^2 + |x_j|^2 - 2 x_i.x_j cancels to rounding noise
+    elif kind == "huge":
+        data[rng.random(n) < 0.5] *= 1e160  # squared norms overflow to inf
+    elif kind == "tiny":
+        data *= 3e-162  # squared entries underflow to a few subnormal units or to 0
+    samples = SampleSet(np.asfortranarray(data) if fortran else data, labels)
+    sizes = samples.class_sizes()[labels]
+    k1 = rng.integers(0, sizes)  # up to size-1
+    k2 = rng.integers(0, n - sizes + 1)
+    empty = k1 + k2 == 0
+    k2[empty & (sizes < n)] = 1
+    k1[empty & (sizes == n)] = 1
+    return samples, k1, k2
 
 
 class TestSampleSet:
@@ -96,6 +130,46 @@ class TestBuildPatch:
         assert build_patch(s, 0, k1=1, k2=1, kappa=1.0).same_class == [1]
         with pytest.raises(TypeError):
             build_patch(s, 0, 1, 1, 1.0, metric="manhattan")
+
+
+class TestBuildPatches:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        kind=st.sampled_from(["random", "duplicates", "near-ties", "offset", "huge", "tiny"]),
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 24),
+        p=st.integers(1, 12),
+        c=st.integers(1, 4),
+        fortran=st.booleans(),
+    )
+    def test_matches_per_sample_oracle(self, kind, seed, n, p, c, fortran):
+        samples, k1, k2 = selector_problem(kind, seed, n, p, min(c, n), fortran)
+        with np.errstate(over="ignore"):  # both rank overflowing distances as inf
+            got = build_patches(samples, k1, k2, 0.5)
+            want = oracle_patches(samples, k1, k2, 0.5)
+        assert [(g.center, g.same_class, g.diff_class, g.kappa) for g in got] == [
+            (w.center, w.same_class, w.diff_class, w.kappa) for w in want
+        ]
+
+    @pytest.mark.parametrize("kind", ["duplicates", "near-ties", "offset", "huge", "tiny"])
+    def test_stress_kinds_at_size(self, kind):
+        # more rows than the Hypothesis problems, so the filter drops most
+        # candidates; p > 8 takes numpy's pairwise summation path
+        samples, k1, k2 = selector_problem(kind, 11, 90, 17, 3, False)
+        with np.errstate(over="ignore"):
+            got = build_patches(samples, k1, k2, 1.0)
+            want = oracle_patches(samples, k1, k2, 1.0)
+        assert [(g.same_class, g.diff_class) for g in got] == [
+            (w.same_class, w.diff_class) for w in want
+        ]
+
+    @pytest.mark.parametrize("k1, k2", [(2, 1), (1, 4), (-1, 1), (0, 0)])
+    def test_rejects_counts_the_class_cannot_supply(self, k1, k2):
+        s = SampleSet(np.arange(5.0)[:, None], np.array([0, 0, 1, 1, 1]))
+        counts = [np.ones(5, dtype=int), np.ones(5, dtype=int)]
+        counts[0][0], counts[1][0] = k1, k2
+        with pytest.raises(DataError, match=f"sample 0: k1={k1} k2={k2} do not fit class size 2"):
+            build_patches(s, *counts, 1.0)
 
 
 def patch_block(samples, patch):
@@ -204,6 +278,14 @@ class TestAccumulateAlignment:
             with pytest.warns(UserWarning, match="clamped"):
                 patches = _build_patches(s, MenConfig(k1=k1, k2=k2, kappa=1.0))
             assert_array_equal(accumulate_alignment(s, patches), dense_alignment(s.n, patches))
+
+    @pytest.mark.parametrize("kappa", [1.0, 0.37])
+    def test_pipeline_patches_give_the_oracles_alignment_bytes(self, kappa):
+        s = make_informative_classes(25, 30, [0, 3, 7], n_classes=4, separation=1.0, seed=8)
+        # four classes of 25 leave k1=4 and k2=6 unclamped
+        k = np.full(s.n, 4), np.full(s.n, 6)
+        got = accumulate_alignment(s, _build_patches(s, MenConfig(k1=4, k2=6, kappa=kappa)))
+        assert got.tobytes() == accumulate_alignment(s, oracle_patches(s, *k, kappa)).tobytes()
 
     def test_patch_order_irrelevant(self):
         rng = np.random.default_rng(6)

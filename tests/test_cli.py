@@ -286,8 +286,12 @@ class TestFileSystemFaults:
 
     @pytest.mark.parametrize(
         "outputs",
-        [["--model", "{tmp}/adir"], ["--model", "{tmp}/m.men", "--out", "{tmp}/afile"]],
-        ids=["fit-model-dir", "fit-out-file"],
+        [
+            ["--model", "{tmp}/adir"],
+            ["--model", "{tmp}/m.men", "--out", "{tmp}/afile"],
+            ["--model", "{tmp}/afile/m.men"],
+        ],
+        ids=["fit-model-dir", "fit-out-file", "model-parent-is-file"],
     )
     def test_fit_refuses_unwritable_outputs_before_fitting(
         self, workspace, capsys, monkeypatch, outputs
@@ -394,7 +398,7 @@ class TestEvaluateCommand:
         assert rc == 1
         assert "dim_grid" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("line", ["repeats=0", "dim_grid=0,1"])
+    @pytest.mark.parametrize("line", ["repeats=0", "dim_grid=0,1", "per_class_train=10"])
     def test_bad_evaluation_value_is_config_stage(self, workspace, capsys, line):
         tmp, data, config = workspace
         config.write_text(CONFIG + line + "\n")

@@ -142,8 +142,9 @@ class TestSplits:
 
     def test_train_too_large(self):
         s = make_informative_classes(5, 6, [0, 1, 2], n_classes=3, seed=2)
-        with pytest.raises(DataError, match="per_class_train"):
+        with pytest.raises(DataError, match="per_class_train") as info:
             split_indices(s, SplitSpec(per_class_train=5), 0)
+        assert info.value.stage == "config"
 
 
 class TestNnClassify:
