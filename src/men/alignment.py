@@ -1,12 +1,14 @@
 """Discriminative patches and the global alignment matrix.
 
 Each sample is grouped with its k1 nearest same-label neighbours and its
-k2 nearest other-label neighbours. A patch pulls same-class neighbours
-toward the center (edge weight 1) and pushes different-class ones away
-(edge weight -kappa). Summed over patches, the part matrices are the
-Laplacian L = D - S of one signed neighbour graph: S holds the edge
-weights, symmetrised, and D their row sums. The alignment matrix is
-built from that edge list by one scatter.
+k2 nearest other-label neighbours; build_patches clamps both to what the
+sample's class can supply (warning when it does) and rejects a sample
+left with none. A patch pulls same-class neighbours toward the center
+(edge weight 1) and pushes different-class ones away (edge weight
+-kappa). Summed over patches, the part matrices are the Laplacian
+L = D - S of one signed neighbour graph: S holds the edge weights,
+symmetrised, and D their row sums. The alignment matrix is built from
+that edge list by one scatter.
 
 Neighbours are found by a GEMM distance filter and an exact re-rank of
 the kept candidates by explicit-difference Euclidean distance, ties broken
@@ -15,6 +17,7 @@ by ascending index.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from itertools import chain
 
@@ -149,18 +152,26 @@ def _select(x, i, group, row, err, count) -> list[int]:
     return _nearest(keep, dist, count)
 
 
-def build_patches(samples: SampleSet, k1, k2, kappa: float) -> list[Patch]:
-    """Every sample's patch: patch i equals build_patch(samples, i, k1[i], k2[i], kappa).
+def build_patches(samples: SampleSet, k1: int, k2: int, kappa: float) -> list[Patch]:
+    """Every sample's patch, with k1 and k2 clamped to what its class can supply.
 
-    The GEMM squared distances keep, per group, the candidates within their
-    rounding bound of the k-th smallest; only those are ranked exactly.
+    Patch i equals build_patch(samples, i, min(k1, size - 1), min(k2, n - size),
+    kappa) for the size of its class; a clamp warns. The GEMM squared distances
+    keep, per group, the candidates within their rounding bound of the k-th
+    smallest; only those are ranked exactly.
     """
-    x, n, k1, k2 = samples.data, samples.n, np.asarray(k1), np.asarray(k2)
-    sizes = samples.class_sizes()[samples.labels]
-    bad = (k1 < 0) | (k2 < 0) | (k1 + k2 < 1) | (k1 >= sizes) | (k2 > n - sizes)
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise DataError(f"sample {i}: k1={k1[i]} k2={k2[i]} do not fit class size {sizes[i]}")
+    if k1 < 0 or k2 < 0:
+        raise DataError(f"need k1 >= 0 and k2 >= 0, got k1={k1} k2={k2}")
+    x, n, labels, sizes = samples.data, samples.n, samples.labels, samples.class_sizes()
+    k1s, k2s = np.minimum(k1, sizes - 1), np.minimum(k2, n - sizes)  # per class
+    empty = (k1s + k2s < 1)[labels]
+    if empty.any():
+        i = int(np.argmax(empty))
+        size = sizes[labels[i]]
+        raise DataError(f"sample {i}: no usable neighbours (class size {size} of {n})")
+    clamped = np.count_nonzero(((k1s != k1) | (k2s != k2))[labels])
+    if clamped:
+        warnings.warn(f"k1/k2 clamped for {clamped} of {n} samples (small classes)", stacklevel=2)
     with np.errstate(over="ignore", invalid="ignore"):  # such rows are ranked exactly
         sq = np.einsum("ij,ij->i", x, x)
         d2 = x @ x.T  # the only n x n array; it is freed on return, before L
@@ -173,13 +184,13 @@ def build_patches(samples: SampleSet, k1, k2, kappa: float) -> list[Patch]:
     # distances whose square roots round to a tie.
     scale, eps, tiny = 4.0 * (samples.p + 2), np.finfo(float).eps, np.finfo(float).tiny
     members = [samples.class_members(c) for c in range(samples.c)]
-    others = [np.flatnonzero(samples.labels != c) for c in range(samples.c)]
+    others = [np.flatnonzero(labels != c) for c in range(samples.c)]
     patches = []
     for i in range(n):
-        label = samples.labels[i]
+        label = labels[i]
         err = scale * (eps * (sq[i] + sq) + tiny)
         same = members[label][members[label] != i]
-        groups = ((same, k1[i]), (others[label], k2[i]))
+        groups = ((same, k1s[label]), (others[label], k2s[label]))
         nearest = (_select(x, i, group, d2[i], err, k) for group, k in groups)
         patches.append(Patch(i, *nearest, float(kappa)))
     return patches

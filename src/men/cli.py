@@ -80,7 +80,6 @@ def _ingest_auto(path: str):
 
 
 def _write_report(report, model, out_dir: Path) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
     export_paths(report, out_dir)
     trace_lines = ["column,loop,objective"]
     for t, trace in enumerate(report.objective_traces):
@@ -112,9 +111,8 @@ def _cmd_fit(args) -> int:
     report_dir = Path(args.out) if args.out else model_path.with_suffix(
         model_path.suffix + ".report"
     )
-    if report_dir.exists() and not report_dir.is_dir():
-        raise FileExistsError(errno.EEXIST, os.strerror(errno.EEXIST), str(report_dir))
     model_path.parent.mkdir(parents=True, exist_ok=True)
+    report_dir.mkdir(parents=True, exist_ok=True)  # raises for a file on its path
     samples = _ingest_auto(args.data)
     model, report = fit(samples, cfg, threads=args.threads)
     save_model(model, model_path)
@@ -125,13 +123,12 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_project(args) -> int:
+    out_path = Path(args.out)
+    out_path.parent.mkdir(parents=True, exist_ok=True)  # before any input is read
     model = load_model(args.model)
     samples = _ingest_auto(args.data)
     embedding = project(model, samples)
     lines = [",".join(repr(float(v)) for v in row) for row in embedding]
-    out_path = Path(args.out)
-    if out_path.parent != Path(""):
-        out_path.parent.mkdir(parents=True, exist_ok=True)
     out_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     print(f"embedding={out_path} shape={embedding.shape[0]}x{embedding.shape[1]}")
     return 0

@@ -19,10 +19,13 @@ columns. The active-set Gram inverse is maintained incrementally: a
 Schur-complement bordering step on entry, a complementary-block downdate
 on removal, with inversion of G[A, A] as the fallback.
 
-The path is piecewise linear; a breakpoint is recorded at the end of
-every segment. Event kinds: "init" (all-zero start), "enter" (a variable
-joined at the segment start), "drop" (an active coefficient hit zero),
-"cont" (post-drop segment in which nothing entered).
+Per segment, `direction` returns the equiangular move, `step_length` and
+`drop_length` take it, and `lars_step` advances the state by the shorter
+distance. The path is piecewise linear; `solve_column` alone records a
+breakpoint at the end of every segment. Event kinds: "init" (all-zero
+start), "enter" (a variable joined at the segment start), "drop" (an
+active coefficient hit zero), "cont" (post-drop segment in which nothing
+entered).
 """
 
 from __future__ import annotations
@@ -91,7 +94,6 @@ class LarsState:
     correlations: np.ndarray
     inactive: np.ndarray
     loop: int = 0
-    last_direction: Direction | None = None
 
     @property
     def c_hat(self) -> float:
@@ -250,13 +252,11 @@ def direction(state: LarsState, problem: AugmentedProblem) -> Direction:
         )
     normalizer = 1.0 / np.sqrt(quad)
     delta = normalizer * ginv_s
-    result = Direction(
+    return Direction(
         delta=delta,
         a=delta @ problem.gram[state.active],  # G is symmetric: G[:, A] delta
         normalizer=normalizer,
     )
-    state.last_direction = result
-    return result
 
 
 def _positive_min(values: np.ndarray, floor: float) -> float:
@@ -264,17 +264,14 @@ def _positive_min(values: np.ndarray, floor: float) -> float:
     return float(np.min(values, where=np.isfinite(values) & (values > floor), initial=np.inf))
 
 
-def step_length(state: LarsState, problem: AugmentedProblem) -> float:
-    """Distance to the next correlation tie (or the full least-squares step).
+def step_length(state: LarsState, d: Direction) -> float:
+    """Distance along d to the next correlation tie (or the full least-squares step).
 
     Minimum over the strictly positive candidates
     (chat - c_j)/(normalizer - a_j) and (chat + c_j)/(normalizer + a_j)
     across inactive variables; the full step chat/normalizer when no
     candidate is positive, and always capped by it.
     """
-    if state.last_direction is None:
-        raise NumericalError("step_length requires a computed direction")
-    d = state.last_direction
     chat = state.c_hat
     full = chat / d.normalizer
     c = state.correlations[state.inactive]
@@ -286,30 +283,20 @@ def step_length(state: LarsState, problem: AugmentedProblem) -> float:
     return float(min(_positive_min(candidates, STEP_FLOOR_REL * full), full))
 
 
-def drop_length(state: LarsState) -> float:
-    """Smallest positive step at which an active coefficient crosses zero.
+def drop_length(state: LarsState, d: Direction) -> tuple[float, int]:
+    """Smallest positive step along d at which an active coefficient
+    crosses zero, and that coefficient's active-list position (the
+    smallest variable index among exact ties).
 
-    Returns +inf when every active coefficient moves away from zero.
+    Returns (inf, -1) when every active coefficient moves away from zero.
     """
-    if state.last_direction is None:
-        raise NumericalError("drop_length requires a computed direction")
-    w = state.coeffs[state.active]
-    delta = state.last_direction.delta
     with np.errstate(divide="ignore", invalid="ignore"):
-        cand = -w / delta
-    return _positive_min(cand, 0.0)
-
-
-def _drop_position(state: LarsState, rho2: float) -> int:
-    """Active-list position of the coefficient crossing zero at rho2
-    (smallest variable index among exact ties). rho2 is finite and is one
-    of these candidates, as drop_length took it from the same state."""
-    w = state.coeffs[state.active]
-    delta = state.last_direction.delta
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cand = -w / delta
-    hits = np.flatnonzero(cand == rho2)
-    return int(hits[np.argmin(np.asarray(state.active)[hits])])
+        cand = -state.coeffs[state.active] / d.delta
+    rho2 = _positive_min(cand, 0.0)
+    if rho2 == np.inf:
+        return rho2, -1
+    hits = np.flatnonzero(cand == rho2).tolist()
+    return rho2, min(hits, key=state.active.__getitem__)
 
 
 def _objective(problem: AugmentedProblem, state: LarsState) -> float:
@@ -340,50 +327,35 @@ def _record(
     )
 
 
-def lars_step(
-    state: LarsState,
-    problem: AugmentedProblem,
-    path: CoefficientPath | None = None,
-    entered: int | None = None,
-) -> tuple[str, int]:
+def lars_step(state: LarsState, problem: AugmentedProblem) -> int | None:
     """Advance one path segment: direction, distances, coefficient update.
 
-    `entered` is the variable added at the start of this loop (None on a
-    post-drop continuation segment). Returns the recorded (event,
-    variable) pair: a lasso drop when the zero crossing comes first,
-    otherwise the enter/cont segment end.
+    Returns the variable a lasso drop removed when the zero crossing
+    comes first, otherwise None. Records nothing; solve_column does.
     """
     d = direction(state, problem)
-    rho1 = step_length(state, problem)
-    rho2 = drop_length(state)
+    rho1 = step_length(state, d)
+    rho2, pos = drop_length(state, d)
     dropping = rho2 <= rho1
     rho = rho2 if dropping else rho1
     if not np.isfinite(rho) or rho < 0.0:
         raise NumericalError(f"nonfinite or negative step length {rho!r}")
-    pos = _drop_position(state, rho2) if dropping else -1
     state.coeffs[state.active] += rho * d.delta
     if not np.all(np.isfinite(state.coeffs)):
         raise NumericalError("nonfinite coefficients after path advance")
     state.loop += 1
+    dropped = None
     if dropping:
-        variable = state.active[pos]
-        state.coeffs[variable] = 0.0
-        del state.active[pos]
+        dropped = state.active.pop(pos)
+        state.coeffs[dropped] = 0.0
         del state.signs[pos]
-        state.inactive[variable] = True
+        state.inactive[dropped] = True
         try:
             state.gram_inv = gram_downdate(state.gram_inv, pos)
         except NumericalError:
             state.gram_inv = _refactor_gram_inverse(problem, state.active)
-        event = "drop"
-    elif entered is not None:
-        event, variable = "enter", entered
-    else:
-        event, variable = "cont", -1
     state.correlations = _gram_correlations(problem, state)
-    if path is not None:
-        _record(path, state, problem, event, variable)
-    return event, variable
+    return dropped
 
 
 def solve_column(
@@ -394,6 +366,8 @@ def solve_column(
 
     `problem` holds one target column. Its Gram matrix is formed on first
     use, or shared when the problem came from AugmentedProblem.column.
+    Each lars_step segment is recorded here as a drop, else an enter,
+    else a continuation.
 
     The result has at most K nonzeros (drop events reduce the count but
     never refund the entry budget).
@@ -407,17 +381,22 @@ def solve_column(
     if c0 <= 0.0:
         return state.coeffs, path
     enters = 0
-    pending_enter = True
+    dropped = None
     max_segments = 8 * problem.n_variables + 64
     for _ in range(max_segments):
         entered = None
-        if pending_enter:
+        if dropped is None:  # the segment after a drop admits no variable
             entered = extend_active(state, problem)
             if entered is None:
                 break
             enters += 1
-        event, _ = lars_step(state, problem, path, entered)
-        pending_enter = event != "drop"
+        dropped = lars_step(state, problem)
+        if dropped is not None:
+            _record(path, state, problem, "drop", dropped)
+        elif entered is not None:
+            _record(path, state, problem, "enter", entered)
+        else:
+            _record(path, state, problem, "cont", -1)
         if state.c_hat <= EARLY_STOP_REL * c0:
             break
         if enters >= K:

@@ -105,25 +105,6 @@ def pca_preprocess(
     return SampleSet(centered @ basis, samples.labels.copy()), basis, mean
 
 
-def _build_patches(samples: SampleSet, cfg: MenConfig) -> list:
-    """One patch per sample, clamping k1/k2 to what each class can supply."""
-    n = samples.n
-    sizes = samples.class_sizes()[samples.labels]
-    k1 = np.minimum(cfg.k1, sizes - 1)
-    k2 = np.minimum(cfg.k2, n - sizes)
-    empty = np.flatnonzero(k1 + k2 < 1)
-    if empty.size:
-        i = int(empty[0])
-        raise DataError(f"sample {i}: no usable neighbours (class size {sizes[i]} of {n})")
-    clamped = np.count_nonzero((k1 != cfg.k1) | (k2 != cfg.k2))
-    if clamped:
-        warnings.warn(
-            f"k1/k2 clamped for {clamped} of {n} samples (small classes)",
-            stacklevel=3,
-        )
-    return build_patches(samples, k1, k2, cfg.kappa)
-
-
 def _column_cosines(values: np.ndarray) -> np.ndarray:
     norms = np.linalg.norm(values, axis=0)
     safe = np.where(norms > 0, norms, 1.0)
@@ -165,7 +146,8 @@ def fit(
 
     work, basis, mean = staged("preprocess", _preprocess)
     align = staged(
-        "alignment", lambda: accumulate_alignment(work, _build_patches(work, cfg))
+        "alignment",
+        lambda: accumulate_alignment(work, build_patches(work, cfg.k1, cfg.k2, cfg.kappa)),
     )
     indicator = staged(
         "indicator",

@@ -1,5 +1,8 @@
 """Patch construction and the alignment matrix of the signed neighbour graph."""
 
+import re
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,10 +10,8 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from men.alignment import SampleSet, accumulate_alignment, build_patch, build_patches
-from men.config import MenConfig
 from men.datasets import make_informative_classes
 from men.errors import DataError
-from men.pipeline import _build_patches
 
 from oracles import dense_alignment
 
@@ -39,12 +40,30 @@ def random_patches(rng, samples, kappa=1.0):
 
 
 def oracle_patches(samples, k1, k2, kappa):
-    return [build_patch(samples, i, int(k1[i]), int(k2[i]), kappa) for i in range(samples.n)]
+    """build_patch per sample at the per-class clamp of k1 and k2."""
+    sizes = samples.class_sizes()[samples.labels]
+    counts = zip(np.minimum(k1, sizes - 1), np.minimum(k2, samples.n - sizes))
+    return [build_patch(samples, i, int(a), int(b), kappa) for i, (a, b) in enumerate(counts)]
 
 
-def selector_problem(kind, seed, n, p, c, fortran):
+def patches_and_oracle(samples, k1, k2, kappa):
+    """build_patches and oracle_patches; build_patches warns exactly when it clamps."""
+    sizes = samples.class_sizes()
+    clamps = bool(((k1 > sizes - 1) | (k2 > samples.n - sizes)).any())
+    with np.errstate(over="ignore"):  # both rank overflowing distances as inf
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got = build_patches(samples, k1, k2, kappa)
+        want = oracle_patches(samples, k1, k2, kappa)
+    assert len(caught) == clamps and all("k1/k2 clamped" in str(w.message) for w in caught)
+    return got, want
+
+
+def selector_problem(kind, seed, n, p, c, fortran, kmax=None):
     """A small labelled problem whose distances stress the GEMM filter, with
-    random per-sample counts within what each class can supply."""
+    random counts k1, k2 that leave every sample a neighbour. By default they
+    range up to the largest group, so smaller classes clamp and larger ones
+    select only part of a group; `kmax` caps both."""
     rng = np.random.default_rng(seed)
     labels = np.sort(np.concatenate([np.arange(c), rng.integers(0, c, size=n - c)]))
     data = rng.normal(size=(n, p))
@@ -60,12 +79,11 @@ def selector_problem(kind, seed, n, p, c, fortran):
     elif kind == "tiny":
         data *= 3e-162  # squared entries underflow to a few subnormal units or to 0
     samples = SampleSet(np.asfortranarray(data) if fortran else data, labels)
-    sizes = samples.class_sizes()[labels]
-    k1 = rng.integers(0, sizes)  # up to size-1
-    k2 = rng.integers(0, n - sizes + 1)
-    empty = k1 + k2 == 0
-    k2[empty & (sizes < n)] = 1
-    k1[empty & (sizes == n)] = 1
+    sizes = samples.class_sizes()
+    top = (sizes.max(), n - sizes.min()) if kmax is None else (kmax, kmax)
+    k1, k2 = (int(rng.integers(0, k + 1)) for k in top)
+    if (np.minimum(k1, sizes - 1) + np.minimum(k2, n - sizes) < 1).any():
+        k1, k2 = (k1, 1) if c > 1 else (1, k2)  # a class would have no neighbours
     return samples, k1, k2
 
 
@@ -144,32 +162,41 @@ class TestBuildPatches:
     )
     def test_matches_per_sample_oracle(self, kind, seed, n, p, c, fortran):
         samples, k1, k2 = selector_problem(kind, seed, n, p, min(c, n), fortran)
-        with np.errstate(over="ignore"):  # both rank overflowing distances as inf
-            got = build_patches(samples, k1, k2, 0.5)
-            want = oracle_patches(samples, k1, k2, 0.5)
+        got, want = patches_and_oracle(samples, k1, k2, 0.5)
         assert [(g.center, g.same_class, g.diff_class, g.kappa) for g in got] == [
             (w.center, w.same_class, w.diff_class, w.kappa) for w in want
         ]
 
     @pytest.mark.parametrize("kind", ["duplicates", "near-ties", "offset", "huge", "tiny"])
     def test_stress_kinds_at_size(self, kind):
-        # more rows than the Hypothesis problems, so the filter drops most
-        # candidates; p > 8 takes numpy's pairwise summation path
-        samples, k1, k2 = selector_problem(kind, 11, 90, 17, 3, False)
-        with np.errstate(over="ignore"):
-            got = build_patches(samples, k1, k2, 1.0)
-            want = oracle_patches(samples, k1, k2, 1.0)
+        # more rows than the Hypothesis problems and at most 9 neighbours per
+        # group, so the filter drops most candidates; p > 8 takes numpy's
+        # pairwise summation path
+        samples, k1, k2 = selector_problem(kind, 11, 90, 17, 3, False, kmax=9)
+        got, want = patches_and_oracle(samples, k1, k2, 1.0)
         assert [(g.same_class, g.diff_class) for g in got] == [
             (w.same_class, w.diff_class) for w in want
         ]
 
-    @pytest.mark.parametrize("k1, k2", [(2, 1), (1, 4), (-1, 1), (0, 0)])
-    def test_rejects_counts_the_class_cannot_supply(self, k1, k2):
+    @pytest.mark.parametrize("k1, k2", [(-1, 1), (1, -1)])
+    def test_rejects_negative_counts(self, k1, k2):
         s = SampleSet(np.arange(5.0)[:, None], np.array([0, 0, 1, 1, 1]))
-        counts = [np.ones(5, dtype=int), np.ones(5, dtype=int)]
-        counts[0][0], counts[1][0] = k1, k2
-        with pytest.raises(DataError, match=f"sample 0: k1={k1} k2={k2} do not fit class size 2"):
-            build_patches(s, *counts, 1.0)
+        with pytest.raises(DataError, match=f"need k1 >= 0 and k2 >= 0, got k1={k1} k2={k2}"):
+            build_patches(s, k1, k2, 1.0)
+
+    @pytest.mark.parametrize(
+        "labels, k1, k2, message",
+        [
+            ([0, 0, 1, 1, 2], 3, 0, "sample 4: no usable neighbours (class size 1 of 5)"),
+            ([0, 0, 1, 1, 1], 0, 0, "sample 0: no usable neighbours (class size 2 of 5)"),
+        ],
+        ids=["singleton-class", "zero-counts"],
+    )
+    def test_rejects_samples_without_neighbours(self, labels, k1, k2, message):
+        # sample 4 is a class of one: k1 clamps to 0, and k2=0 leaves it nothing
+        s = SampleSet(np.arange(5.0)[:, None], np.array(labels))
+        with pytest.raises(DataError, match=re.escape(message)):
+            build_patches(s, k1, k2, 1.0)
 
 
 def patch_block(samples, patch):
@@ -276,21 +303,20 @@ class TestAccumulateAlignment:
         for k1, k2 in [(3, 3), (5, 2), (2, 20)]:
             s = SampleSet(rng.normal(size=(labels.size, 4)), labels)
             with pytest.warns(UserWarning, match="clamped"):
-                patches = _build_patches(s, MenConfig(k1=k1, k2=k2, kappa=1.0))
+                patches = build_patches(s, k1, k2, 1.0)
             assert_array_equal(accumulate_alignment(s, patches), dense_alignment(s.n, patches))
 
     @pytest.mark.parametrize("kappa", [1.0, 0.37])
     def test_pipeline_patches_give_the_oracles_alignment_bytes(self, kappa):
         s = make_informative_classes(25, 30, [0, 3, 7], n_classes=4, separation=1.0, seed=8)
         # four classes of 25 leave k1=4 and k2=6 unclamped
-        k = np.full(s.n, 4), np.full(s.n, 6)
-        got = accumulate_alignment(s, _build_patches(s, MenConfig(k1=4, k2=6, kappa=kappa)))
-        assert got.tobytes() == accumulate_alignment(s, oracle_patches(s, *k, kappa)).tobytes()
+        got = accumulate_alignment(s, build_patches(s, 4, 6, kappa))
+        assert got.tobytes() == accumulate_alignment(s, oracle_patches(s, 4, 6, kappa)).tobytes()
 
     def test_patch_order_irrelevant(self):
         rng = np.random.default_rng(6)
         s = SampleSet(rng.normal(size=(30, 3)), np.repeat(np.arange(3), 10))
-        patches = _build_patches(s, MenConfig(kappa=0.37))
+        patches = build_patches(s, 3, 3, 0.37)
         base = accumulate_alignment(s, patches)
         for _ in range(3):
             shuffled = [patches[i] for i in rng.permutation(len(patches))]

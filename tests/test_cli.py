@@ -290,8 +290,9 @@ class TestFileSystemFaults:
             ["--model", "{tmp}/adir"],
             ["--model", "{tmp}/m.men", "--out", "{tmp}/afile"],
             ["--model", "{tmp}/afile/m.men"],
+            ["--model", "{tmp}/m.men", "--out", "{tmp}/afile/report"],
         ],
-        ids=["fit-model-dir", "fit-out-file", "model-parent-is-file"],
+        ids=["fit-model-dir", "fit-out-file", "model-parent-is-file", "report-parent-is-file"],
     )
     def test_fit_refuses_unwritable_outputs_before_fitting(
         self, workspace, capsys, monkeypatch, outputs
@@ -312,6 +313,25 @@ class TestFileSystemFaults:
         assert err.startswith("error: stage=io reason=")
         assert err.count("\n") == 1
         assert not (tmp / "m.men").exists()
+
+    def test_project_refuses_unwritable_output_before_reading(self, workspace, capsys, monkeypatch):
+        import men.cli as cli_module
+
+        def never(*args, **kwargs):
+            raise AssertionError("input read although the output cannot be written")
+
+        monkeypatch.setattr(cli_module, "load_model", never)
+        monkeypatch.setattr(cli_module, "ingest", never)
+        tmp, data, _ = workspace
+        (tmp / "afile").write_text("")
+        rc = main([
+            "project", "--model", str(tmp / "m.men"), "--data", str(data),
+            "--out", str(tmp / "afile" / "e.csv"),
+        ])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: stage=io reason=")
+        assert err.count("\n") == 1
 
 
 class TestUsage:

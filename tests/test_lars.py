@@ -145,8 +145,7 @@ class TestStepLengths:
         prob = plain_problem(np.eye(2), [3.0, 1.0])
         state = initial_state(prob)
         extend_active(state, prob)
-        direction(state, prob)
-        assert step_length(state, prob) == pytest.approx(2.0)
+        assert step_length(state, direction(state, prob)) == pytest.approx(2.0)
 
     def test_full_step_when_no_inactive(self):
         prob = plain_problem(np.eye(2), [3.0, 1.0])
@@ -155,7 +154,7 @@ class TestStepLengths:
         lars_step(state, prob)
         extend_active(state, prob)
         d = direction(state, prob)
-        assert step_length(state, prob) == pytest.approx(state.c_hat / d.normalizer)
+        assert step_length(state, d) == pytest.approx(state.c_hat / d.normalizer)
 
     def test_zero_denominator_skipped(self):
         # x1 = e0 + e1 has inner product 1 with the equiangular vector e0,
@@ -167,15 +166,14 @@ class TestStepLengths:
         assert extend_active(state, prob) == 0
         d = direction(state, prob)
         assert d.a[1] == pytest.approx(d.normalizer)  # zero denominator case
-        rho = step_length(state, prob)
+        rho = step_length(state, d)
         assert rho == pytest.approx((3.0 + 2.0) / (1.0 + 1.0))  # second candidate
 
     def test_drop_length_no_crossing(self):
         prob = plain_problem(np.eye(2), [3.0, 1.0])
         state = initial_state(prob)
         extend_active(state, prob)
-        direction(state, prob)
-        assert drop_length(state) == np.inf
+        assert drop_length(state, direction(state, prob)) == (np.inf, -1)
 
     def test_drop_length_linear_crossing(self):
         prob = plain_problem(np.eye(2), [3.0, 1.0])
@@ -184,7 +182,7 @@ class TestStepLengths:
         d = direction(state, prob)
         state.coeffs[state.active[0]] = 0.5
         d.delta[0] = -0.25
-        assert drop_length(state) == pytest.approx(2.0)
+        assert drop_length(state, d) == (pytest.approx(2.0), 0)
 
     def test_drop_length_matches_crossing_scan(self):
         rng = np.random.default_rng(5)
@@ -194,7 +192,7 @@ class TestStepLengths:
             extend_active(state, prob)
             lars_step(state, prob)
         d = direction(state, prob)
-        rho2 = drop_length(state)
+        rho2, _ = drop_length(state, d)
         candidates = [
             -state.coeffs[j] / d.delta[pos]
             for pos, j in enumerate(state.active)
@@ -202,6 +200,30 @@ class TestStepLengths:
         ]
         expected = min(candidates) if candidates else np.inf
         assert rho2 == pytest.approx(expected)
+
+    def test_drop_tie_goes_to_smallest_variable(self):
+        # variables 2 then 1 enter with sign -1; at equal positive
+        # coefficients both cross zero at exactly the same step, and the
+        # smaller variable (active-list position 1) is the one dropped
+        prob = plain_problem(np.eye(3), [0.0, -2.0, -3.0])
+        state = initial_state(prob)
+        assert [extend_active(state, prob), extend_active(state, prob)] == [2, 1]
+        state.coeffs[[1, 2]] = 0.5
+        state.correlations = correlations(prob, state.coeffs)
+        d = direction(state, prob)
+        assert d.delta[0] == d.delta[1] < 0.0  # an exact tie
+        assert drop_length(state, d) == (pytest.approx(0.5 / -d.delta[0]), 1)
+        assert lars_step(state, prob) == 1
+        assert state.active == [2]
+        assert state.coeffs[1] == 0.0 and state.inactive[1]
+
+    def test_variable_zero_records_its_entry(self):
+        _, path = solve_column(plain_problem(np.eye(2), [3.0, 1.0]), 2)
+        assert [(bp.event, bp.variable) for bp in path.breakpoints] == [
+            ("init", -1),
+            ("enter", 0),
+            ("enter", 1),
+        ]
 
 
 class TestLarsStep:
