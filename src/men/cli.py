@@ -11,6 +11,7 @@ numerical failure. Errors are a single machine-parsable line on stderr:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import errno
 import os
 import sys
@@ -111,12 +112,23 @@ def _cmd_fit(args) -> int:
     report_dir = Path(args.out) if args.out else model_path.with_suffix(
         model_path.suffix + ".report"
     )
-    model_path.parent.mkdir(parents=True, exist_ok=True)
-    report_dir.mkdir(parents=True, exist_ok=True)  # raises for a file on its path
-    samples = _ingest_auto(args.data)
-    model, report = fit(samples, cfg, threads=args.threads)
-    save_model(model, model_path)
-    _write_report(report, model, report_dir)
+    # the directories this call makes, deepest first; a failure removes the empty ones
+    created = sorted(
+        {d for d in (report_dir, *report_dir.parents, *model_path.parents) if not d.exists()},
+        key=lambda d: len(d.parts), reverse=True,
+    )
+    try:
+        model_path.parent.mkdir(parents=True, exist_ok=True)
+        report_dir.mkdir(parents=True, exist_ok=True)  # raises for a file on its path
+        samples = _ingest_auto(args.data)
+        model, report = fit(samples, cfg, threads=args.threads)
+        save_model(model, model_path)
+        _write_report(report, model, report_dir)
+    except BaseException:
+        for directory in created:
+            with contextlib.suppress(OSError):
+                directory.rmdir()
+        raise
     print(f"model={model_path} columns={model.values.shape[1]} "
           f"nonzeros={','.join(str(s) for s in model.sparsity)}")
     return 0

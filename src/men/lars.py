@@ -19,6 +19,10 @@ columns. The active-set Gram inverse is maintained incrementally: a
 Schur-complement bordering step on entry, a complementary-block downdate
 on removal, with inversion of G[A, A] as the fallback.
 
+No segment gathers from G or the design: the state keeps the active
+rows of G and active columns of the design in blocks (LarsState), and
+c_hat is computed once per segment.
+
 Per segment, `direction` returns the equiangular move, `step_length` and
 `drop_length` take it, and `lars_step` advances the state by the shorter
 distance. The path is piecewise linear; `solve_column` alone records a
@@ -63,6 +67,7 @@ PIVOT_MIN = 1e-12
 # step candidates below this fraction of the full step count as non-positive
 # (guards zero-length re-entry of a variable dropped at this breakpoint)
 STEP_FLOOR_REL = 1e-12
+_PLUS_MINUS = np.array([[1.0], [-1.0]])
 
 
 @dataclass
@@ -84,23 +89,31 @@ class Direction:
 class LarsState:
     """Mutable solver state for one column solve.
 
-    inactive is the boolean mask of the variables not in `active`.
+    The active set fills blocks of min(K, p) slots in entry order:
+    `index[:m]`, `sign[:m]`, `rows[:m]` = G[A] (C order) and `cols[:, :m]`
+    = xstar[:, A] (F order). Each slice has the values and layout of the
+    fancy-indexed copy it replaces, so every product over it is the same
+    BLAS call with the same bits, and the copying happens once per entry
+    rather than once per segment. `c_hat` is the common |correlation| of
+    the active set (of all variables while it is empty). inactive is the
+    boolean mask of the variables not in the active set.
     """
 
-    active: list[int]
-    signs: list[float]
     coeffs: np.ndarray
     gram_inv: np.ndarray | None
     correlations: np.ndarray
     inactive: np.ndarray
+    c_hat: float
+    index: np.ndarray
+    sign: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
+    m: int = 0
     loop: int = 0
 
     @property
-    def c_hat(self) -> float:
-        """Common absolute correlation of the active set (0 when empty)."""
-        if not self.active:
-            return float(np.max(np.abs(self.correlations), initial=0.0))
-        return float(np.max(np.abs(self.correlations[self.active])))
+    def active(self) -> list[int]:
+        return self.index[: self.m].tolist()
 
 
 @dataclass
@@ -137,20 +150,28 @@ def correlations(problem: AugmentedProblem, coeffs: np.ndarray) -> np.ndarray:
     return problem.xstar.T @ residual
 
 
-def _gram_correlations(problem: AugmentedProblem, state: LarsState) -> np.ndarray:
-    """Correlations in covariance form, b - G[:, A] w_A."""
-    return problem.xty - state.coeffs[state.active] @ problem.gram[state.active]
+def _update_correlations(state: LarsState, problem: AugmentedProblem) -> None:
+    """Correlations in covariance form, b - G[:, A] w_A, and their c_hat."""
+    index = state.index[: state.m]
+    state.correlations = problem.xty - state.coeffs[index] @ state.rows[: state.m]
+    active = state.correlations[index] if state.m else state.correlations
+    state.c_hat = float(np.abs(active).max(initial=0.0))
 
 
-def initial_state(problem: AugmentedProblem) -> LarsState:
+def initial_state(problem: AugmentedProblem, K: int | None = None) -> LarsState:
+    """The all-zero start; the active blocks hold min(K, p) variables (p without K)."""
     p = problem.n_variables
+    size = p if K is None else min(K, p)
     return LarsState(
-        active=[],
-        signs=[],
         coeffs=np.zeros(p),
         gram_inv=None,
         correlations=problem.xty.copy(),
         inactive=np.ones(p, dtype=bool),
+        c_hat=float(np.max(np.abs(problem.xty), initial=0.0)),
+        index=np.empty(size, dtype=np.intp),
+        sign=np.empty(size),
+        rows=np.empty((size, p)),
+        cols=np.empty((problem.xstar.shape[0], size), order="F"),
     )
 
 
@@ -220,17 +241,23 @@ def extend_active(state: LarsState, problem: AugmentedProblem) -> int | None:
         return None
     # correlations within 1e-12 (relative) of the maximum count as tied;
     # ties resolve to the smallest variable index
-    best = int(np.flatnonzero(strengths >= top * (1.0 - 1e-12))[0])
+    best = int((strengths >= top * (1.0 - 1e-12)).argmax())  # the first True
     gram = problem.gram
+    m = state.m
     try:
         state.gram_inv = gram_update(
-            state.gram_inv, gram[state.active, best], float(gram[best, best])
+            state.gram_inv, state.rows[:m, best].copy(), float(gram[best, best])
         )
     except NumericalError:
         state.gram_inv = _refactor_gram_inverse(problem, state.active + [best])
-    state.active.append(best)
+    c_best = abs(float(state.correlations[best]))
+    state.c_hat = max(state.c_hat, c_best) if m else c_best
+    state.index[m] = best
+    state.sign[m] = 1.0 if state.correlations[best] > 0 else -1.0
+    state.rows[m] = gram[best]
+    state.cols[:, m] = problem.xstar[:, best]
+    state.m = m + 1
     state.inactive[best] = False
-    state.signs.append(1.0 if state.correlations[best] > 0 else -1.0)
     return best
 
 
@@ -240,9 +267,9 @@ def direction(state: LarsState, problem: AugmentedProblem) -> Direction:
     Every signed active column has the same inner product (the
     normalizer) with the unit vector u = xstar[:, A] delta.
     """
-    if not state.active:
+    if not state.m:
         raise NumericalError("direction requested with an empty active set")
-    signs = np.asarray(state.signs)
+    signs = state.sign[: state.m]
     ginv_s = state.gram_inv @ signs
     quad = float(signs @ ginv_s)
     if not np.isfinite(quad) or quad <= 0.0:
@@ -254,14 +281,18 @@ def direction(state: LarsState, problem: AugmentedProblem) -> Direction:
     delta = normalizer * ginv_s
     return Direction(
         delta=delta,
-        a=delta @ problem.gram[state.active],  # G is symmetric: G[:, A] delta
+        a=delta @ state.rows[: state.m],  # G is symmetric: G[:, A] delta
         normalizer=normalizer,
     )
 
 
-def _positive_min(values: np.ndarray, floor: float) -> float:
-    """Smallest finite value above floor; +inf when there is none."""
-    return float(np.min(values, where=np.isfinite(values) & (values > floor), initial=np.inf))
+def _positive_min(values: np.ndarray, floor: float, where: np.ndarray | None = None) -> float:
+    """Smallest finite value above floor (and where `where` holds); +inf when none."""
+    keep = (values > floor) & (values < np.inf)
+    if where is not None:
+        keep &= where
+    # the ufunc's own reduce: np.min's wrapper takes a slower path for where=
+    return float(np.minimum.reduce(values, axis=None, where=keep, initial=np.inf))
 
 
 def step_length(state: LarsState, d: Direction) -> float:
@@ -274,13 +305,12 @@ def step_length(state: LarsState, d: Direction) -> float:
     """
     chat = state.c_hat
     full = chat / d.normalizer
-    c = state.correlations[state.inactive]
-    a = d.a[state.inactive]
+    floor = STEP_FLOOR_REL * full
+    # row 0 holds (chat - c)/(normalizer - a), row 1 (chat + c)/(normalizer + a):
+    # x - (-1.0 * y) rounds exactly as x + y does
     with np.errstate(divide="ignore", invalid="ignore"):
-        candidates = np.concatenate(
-            ((chat - c) / (d.normalizer - a), (chat + c) / (d.normalizer + a))
-        )
-    return float(min(_positive_min(candidates, STEP_FLOOR_REL * full), full))
+        cand = (chat - _PLUS_MINUS * state.correlations) / (d.normalizer - _PLUS_MINUS * d.a)
+    return float(min(_positive_min(cand, floor, state.inactive), full))
 
 
 def drop_length(state: LarsState, d: Direction) -> tuple[float, int]:
@@ -290,19 +320,20 @@ def drop_length(state: LarsState, d: Direction) -> tuple[float, int]:
 
     Returns (inf, -1) when every active coefficient moves away from zero.
     """
+    index = state.index[: state.m]
     with np.errstate(divide="ignore", invalid="ignore"):
-        cand = -state.coeffs[state.active] / d.delta
+        cand = -state.coeffs[index] / d.delta
     rho2 = _positive_min(cand, 0.0)
     if rho2 == np.inf:
         return rho2, -1
-    hits = np.flatnonzero(cand == rho2).tolist()
-    return rho2, min(hits, key=state.active.__getitem__)
+    hits = (cand == rho2).nonzero()[0]
+    return rho2, int(hits[np.argmin(index[hits])])
 
 
 def _objective(problem: AugmentedProblem, state: LarsState) -> float:
     """Squared residual norm, from the design's active columns (exact
     rather than the cancellation-prone y'y - 2 b'w + w'Gw)."""
-    residual = problem.ystar - problem.xstar[:, state.active] @ state.coeffs[state.active]
+    residual = problem.ystar - state.cols[:, : state.m] @ state.coeffs[state.index[: state.m]]
     return float(residual @ residual)
 
 
@@ -340,21 +371,26 @@ def lars_step(state: LarsState, problem: AugmentedProblem) -> int | None:
     rho = rho2 if dropping else rho1
     if not np.isfinite(rho) or rho < 0.0:
         raise NumericalError(f"nonfinite or negative step length {rho!r}")
-    state.coeffs[state.active] += rho * d.delta
-    if not np.all(np.isfinite(state.coeffs)):
+    index = state.index[: state.m]
+    state.coeffs[index] += rho * d.delta
+    if not np.isfinite(state.coeffs[index]).all():
         raise NumericalError("nonfinite coefficients after path advance")
     state.loop += 1
     dropped = None
     if dropping:
-        dropped = state.active.pop(pos)
+        dropped = int(index[pos])
         state.coeffs[dropped] = 0.0
-        del state.signs[pos]
         state.inactive[dropped] = True
+        m = state.m - 1
+        for block in (state.index, state.sign, state.rows):
+            block[pos:m] = block[pos + 1 : m + 1]
+        state.cols[:, pos:m] = state.cols[:, pos + 1 : m + 1]
+        state.m = m
         try:
             state.gram_inv = gram_downdate(state.gram_inv, pos)
         except NumericalError:
             state.gram_inv = _refactor_gram_inverse(problem, state.active)
-    state.correlations = _gram_correlations(problem, state)
+    _update_correlations(state, problem)
     return dropped
 
 
@@ -374,7 +410,7 @@ def solve_column(
     """
     if K < 1:
         raise NumericalError(f"K must be >= 1, got {K}")
-    state = initial_state(problem)
+    state = initial_state(problem, K)
     path = CoefficientPath(n_variables=problem.n_variables)
     _record(path, state, problem, "init", -1)
     c0 = state.c_hat

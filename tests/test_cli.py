@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose
 
 from men.cli import main
 from men.datasets import make_informative_classes
+from men.errors import NumericalError
 from men.evaluation import nn_classify
 from men.model_io import load_model
 from men.pipeline import project
@@ -332,6 +333,34 @@ class TestFileSystemFaults:
         err = capsys.readouterr().err
         assert err.startswith("error: stage=io reason=")
         assert err.count("\n") == 1
+
+    def test_failed_ingest_leaves_no_directories(self, tmp_path, capsys):
+        rc = main([
+            "fit", "--data", str(tmp_path / "missing.csv"),
+            "--model", str(tmp_path / "out" / "deep" / "m.men"),
+        ])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: stage=input reason=")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_fit_keeps_existing_directories(self, workspace, capsys, monkeypatch):
+        import men.cli as cli_module
+
+        def failing(*args, **kwargs):
+            raise NumericalError("injected", stage="solve")
+
+        monkeypatch.setattr(cli_module, "fit", failing)
+        tmp, data, config = workspace
+        (tmp / "report").mkdir()
+        (tmp / "kept").mkdir()
+        rc = main([
+            "fit", "--data", str(data), "--config", str(config),
+            "--model", str(tmp / "kept" / "new" / "m.men"), "--out", str(tmp / "report"),
+        ])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: stage=solve reason=injected")
+        assert (tmp / "report").is_dir() and list((tmp / "report").iterdir()) == []
+        assert list((tmp / "kept").iterdir()) == []
 
 
 class TestUsage:

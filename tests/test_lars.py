@@ -76,13 +76,13 @@ class TestExtendActive:
         state = initial_state(prob)
         assert extend_active(state, prob) == 0
         assert state.active == [0]
-        assert state.signs == [1.0]
+        assert state.sign[: state.m].tolist() == [1.0]
 
     def test_negative_correlation_sign(self):
         prob = plain_problem(np.eye(2), [-5.0, 2.0])
         state = initial_state(prob)
         assert extend_active(state, prob) == 0
-        assert state.signs == [-1.0]
+        assert state.sign[: state.m].tolist() == [-1.0]
 
     def test_matches_argmax_oracle(self):
         rng = np.random.default_rng(2)
@@ -110,17 +110,16 @@ class TestDirection:
         d = direction(state, prob)
         u = prob.xstar[:, state.active] @ d.delta
         assert d.normalizer == pytest.approx(1.0)
-        assert_allclose(u, state.signs[0] * x, atol=1e-12)
+        assert_allclose(u, state.sign[0] * x, atol=1e-12)
 
     def test_two_orthonormal_columns(self):
         prob = plain_problem(np.eye(2), [3.0, 3.0])
         state = initial_state(prob)
-        extend_active(state, prob)
-        state.active = [0, 1]
-        state.signs = [1.0, 1.0]
-        state.gram_inv = np.eye(2)
+        assert [extend_active(state, prob), extend_active(state, prob)] == [0, 1]
+        assert state.sign[: state.m].tolist() == [1.0, 1.0]
+        assert np.array_equal(state.gram_inv, np.eye(2))
         d = direction(state, prob)
-        signs = np.asarray(state.signs)
+        signs = state.sign[: state.m]
         assert_allclose(signs * d.delta, [1 / np.sqrt(2), 1 / np.sqrt(2)], atol=1e-12)
         assert d.normalizer == pytest.approx(1 / np.sqrt(2))
 
@@ -137,7 +136,7 @@ class TestDirection:
         assert np.linalg.norm(u) == pytest.approx(1.0, abs=1e-10)
         for pos, j in enumerate(state.active):
             inner = float(prob.xstar[:, j] @ u)
-            assert inner == pytest.approx(state.signs[pos] * d.normalizer, abs=1e-10)
+            assert inner == pytest.approx(state.sign[pos] * d.normalizer, abs=1e-10)
 
 
 class TestStepLengths:
@@ -210,6 +209,7 @@ class TestStepLengths:
         assert [extend_active(state, prob), extend_active(state, prob)] == [2, 1]
         state.coeffs[[1, 2]] = 0.5
         state.correlations = correlations(prob, state.coeffs)
+        state.c_hat = float(np.max(np.abs(state.correlations[state.active])))
         d = direction(state, prob)
         assert d.delta[0] == d.delta[1] < 0.0  # an exact tie
         assert drop_length(state, d) == (pytest.approx(0.5 / -d.delta[0]), 1)
@@ -451,6 +451,22 @@ def pipeline_problem(d=3):
     return samples, targets, align, cfg, factor
 
 
+def near_duplicate_problem():
+    """Two targets on a design whose column 3 repeats column 1 up to 1e-7
+    noise, with lambda2 = 0, so the Schur pivot of the later of the two
+    falls below PIVOT_MIN and the solver inverts G[A, A] instead."""
+    from men.config import MenConfig
+    from men.transform import build_augmented
+
+    rng = np.random.default_rng(0)
+    X = rng.normal(size=(20, 6))
+    X[:, 3] = X[:, 1] + 1e-7 * rng.normal(size=20)
+    y = X[:, 1] + X[:, 3] + 0.5 * X[:, 0] + 0.1 * rng.normal(size=20)
+    targets = np.column_stack([y, -y])
+    cfg = MenConfig(alpha=0.0, lambda2=0.0)
+    return X, targets, cfg, build_augmented(X, targets, np.zeros((20, 20)), cfg)
+
+
 class TestSharedGram:
     def test_columns_share_design_and_gram(self):
         from men.transform import build_augmented
@@ -483,11 +499,8 @@ class TestSharedGram:
             assert np.array_equal(report_column(w, single), model.values[:, t])
 
     def test_refactor_fallback_on_near_duplicate_columns(self, monkeypatch):
-        # column 3 repeats column 1 up to 1e-7 noise and lambda2 = 0, so the
-        # Schur pivot of the later of the two falls below PIVOT_MIN and the
-        # solver inverts G[A, A] instead
+        # near_duplicate_problem forces the re-factorization
         import men.lars as lars_module
-        from men.config import MenConfig
         from men.transform import build_augmented
 
         refactored = []
@@ -498,13 +511,7 @@ class TestSharedGram:
             return original(problem, active)
 
         monkeypatch.setattr(lars_module, "_refactor_gram_inverse", counting)
-        rng = np.random.default_rng(0)
-        X = rng.normal(size=(20, 6))
-        X[:, 3] = X[:, 1] + 1e-7 * rng.normal(size=20)
-        y = X[:, 1] + X[:, 3] + 0.5 * X[:, 0] + 0.1 * rng.normal(size=20)
-        targets = np.column_stack([y, -y])
-        cfg = MenConfig(alpha=0.0, lambda2=0.0)
-        shared = build_augmented(X, targets, np.zeros((20, 20)), cfg)
+        X, targets, cfg, shared = near_duplicate_problem()
         for t in range(2):
             refactored.clear()
             w, path = solve_column(shared.column(t), 6)
@@ -517,3 +524,93 @@ class TestSharedGram:
             assert np.all(np.isfinite(w)) and np.count_nonzero(w) <= 6
             obj = [bp.objective for bp in path.breakpoints]
             assert all(b - a <= 1e-12 for a, b in zip(obj, obj[1:]))
+
+
+class TestActiveBlocks:
+    """After every entry and every lars_step of a solve, the state's blocks
+    hold exactly what a gather from G and the design would give, for the
+    active set tracked here from the events alone."""
+
+    def solve_checked(self, monkeypatch, problem, K):
+        import men.lars as lars_module
+
+        active, signs, events = [], [], []
+
+        def check(state):
+            m = len(active)
+            assert state.m == m and state.active == active
+            assert state.index[:m].tolist() == active
+            assert state.sign[:m].tolist() == signs
+            rows, cols = problem.gram[active], problem.xstar[:, active]
+            for block, gathered in ((state.rows[:m], rows), (state.cols[:, :m], cols)):
+                assert block.strides == gathered.strides
+                assert block.tobytes() == gathered.tobytes()
+            if m:
+                assert state.c_hat == float(np.max(np.abs(state.correlations[active])))
+
+        def checked_extend(state, prob):
+            entered = extend_active(state, prob)
+            if entered is not None:
+                active.append(entered)
+                signs.append(1.0 if state.correlations[entered] > 0 else -1.0)
+                events.append("enter")
+            check(state)
+            return entered
+
+        def checked_step(state, prob):
+            dropped = lars_step(state, prob)
+            if dropped is not None:
+                pos = active.index(dropped)
+                del active[pos], signs[pos]
+                events.append("drop")
+            check(state)
+            assert state.rows.shape[0] == state.cols.shape[1] == min(K, problem.n_variables)
+            return dropped
+
+        monkeypatch.setattr(lars_module, "extend_active", checked_extend)
+        monkeypatch.setattr(lars_module, "lars_step", checked_step)
+        solve_column(problem, K)
+        return events
+
+    def test_full_blocks_with_drops(self, monkeypatch):
+        # K >= p: the blocks hold every variable, and this path drops
+        rng = np.random.default_rng(0)
+        prob = plain_problem(rng.normal(size=(12, 8)), rng.normal(size=12))
+        events = self.solve_checked(monkeypatch, prob, 13)
+        assert "drop" in events and events.count("enter") - events.count("drop") == 8
+
+    def test_single_slot(self, monkeypatch):
+        rng = np.random.default_rng(9)
+        assert self.solve_checked(monkeypatch, random_problem(rng, 15, 8), 1) == ["enter"]
+
+    def test_partial_blocks_on_chain_problems(self, monkeypatch):
+        from men.config import MenConfig
+        from men.transform import build_augmented
+
+        rng = np.random.default_rng(999)
+        drops = 0
+        for _ in range(12):
+            n, p = int(rng.integers(8, 22)), int(rng.integers(4, 31))
+            raw = rng.normal(size=(n, n))
+            cfg = MenConfig(alpha=1.0, beta=float(rng.uniform(2.0, 100.0)), lambda2=0.1)
+            prob = build_augmented(
+                rng.normal(size=(n, p)), rng.normal(size=n), 0.1 * (raw + raw.T), cfg
+            )
+            drops += self.solve_checked(monkeypatch, prob, max(1, p - 2)).count("drop")
+        assert drops > 0
+
+    def test_refactor_fallback(self, monkeypatch):
+        import men.lars as lars_module
+
+        refactored = []
+        original = lars_module._refactor_gram_inverse
+
+        def counting(problem, active):
+            refactored.append(list(active))
+            return original(problem, active)
+
+        monkeypatch.setattr(lars_module, "_refactor_gram_inverse", counting)
+        _, _, _, shared = near_duplicate_problem()
+        for t in range(2):
+            self.solve_checked(monkeypatch, shared.column(t), 6)
+        assert refactored

@@ -9,13 +9,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from men.alignment import SampleSet
+from men.alignment import SampleSet, accumulate_alignment, build_patches
 from men.config import MenConfig, config_from_mapping, parse_kv_lines
 from men.datasets import make_informative_classes
 from men.errors import DataError, NumericalError
 from men.indicator import build_indicator
 from men.model_io import load_model, model_to_text, save_model
 from men.pipeline import fit, pca_preprocess, project
+from men.transform import build_a, build_augmented, spectral_factor
+
+from oracles import check_breakpoints
 
 
 def labelled_gaussians(rng, n_per_class=8, p=6, c=3, shift=1.0):
@@ -402,3 +405,49 @@ def test_load_model_fuzz_rejects_or_consistent(content):
             assert exc.stage == "model"
             return
     assert_consistent(loaded)
+
+
+@st.composite
+def small_labelled_fits(draw):
+    """A random small labelled problem and a config that clamps no k1/k2."""
+    classes = draw(st.integers(2, 4))
+    per_class = draw(st.integers(4, 6))
+    p = draw(st.integers(2, 10))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    samples = labelled_gaussians(rng, per_class, p, classes, shift=draw(st.sampled_from([0.5, 2.0])))
+    cfg = MenConfig(
+        d=draw(st.integers(1, min(classes, p))),
+        K=draw(st.integers(1, p + 2)),
+        kappa=draw(st.sampled_from([0.37, 1.0])),
+        lambda2=draw(st.sampled_from([0.01, 1.0])),
+        pca_retain=0,
+    )
+    return samples, cfg
+
+
+def _breakpoint_bytes(report):
+    return [
+        [(bp.loop, bp.event, bp.variable, bp.coefficients.tobytes(), bp.c_hat, bp.l1_norm,
+          bp.objective, bp.active) for bp in path.breakpoints]
+        for path in report.paths
+    ]
+
+
+@settings(max_examples=20, deadline=None)
+@given(small_labelled_fits())
+def test_fit_invariants(problem):
+    # each column's path against the residual form of that column alone,
+    # rebuilt from the stage functions
+    samples, cfg = problem
+    model, report = fit(samples, cfg)
+    assert max(model.sparsity) <= cfg.K
+    report.check_monotone()
+    align = accumulate_alignment(samples, build_patches(samples, cfg.k1, cfg.k2, cfg.kappa))
+    targets = build_indicator(samples, cfg.d).values
+    factor = spectral_factor(build_a(align, cfg), cfg.eig_floor)
+    for t, path in enumerate(report.paths):
+        single = build_augmented(samples.data, targets[:, t], align, cfg, factor=factor)
+        assert check_breakpoints(single, path, rel_tol=1e-8) >= 1
+    again, again_report = fit(samples, cfg)
+    assert again.values.tobytes() == model.values.tobytes()
+    assert _breakpoint_bytes(again_report) == _breakpoint_bytes(report)
