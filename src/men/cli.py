@@ -1,8 +1,9 @@
 """Command-line front end: fit, project, evaluate, export-bases, export-paths.
 
 A key=value config file ('#' comments) carries the hyperparameters; a
-few override flags support sweeps: --threads, --d and --K on the
-subcommands that fit (fit, evaluate, export-paths), --seed on evaluate.
+few override flags support sweeps: --d and --K on the subcommands that
+fit (fit, evaluate, export-paths), --seed on evaluate. Fits and
+evaluation repeats run serially; BLAS is the only parallelism.
 Exit codes: 0 success, 1 user/data/usage or file-system error, 2 internal
 numerical failure. Errors are a single machine-parsable line on stderr:
 ``error: stage=... reason=...``.
@@ -103,6 +104,25 @@ def _write_report(report, model, out_dir: Path) -> None:
     (out_dir / "model.txt").write_text(model_to_text(model), encoding="utf-8")
 
 
+@contextlib.contextmanager
+def _output_directories(*directories: Path):
+    """Make `directories` and their missing parents (mkdir raises for a file
+    on the way); if the body fails, remove the empty ones made here, deepest first."""
+    created = sorted(
+        {d for top in directories for d in (top, *top.parents) if not d.exists()},
+        key=lambda d: len(d.parts), reverse=True,
+    )
+    try:
+        for directory in directories:
+            directory.mkdir(parents=True, exist_ok=True)
+        yield
+    except BaseException:
+        for directory in created:
+            with contextlib.suppress(OSError):
+                directory.rmdir()
+        raise
+
+
 def _cmd_fit(args) -> int:
     cfg, _ = _split_config(_load_config_file(args.config), args)
     # refuse unwritable outputs before the fit, with the errors the writes would raise
@@ -112,23 +132,11 @@ def _cmd_fit(args) -> int:
     report_dir = Path(args.out) if args.out else model_path.with_suffix(
         model_path.suffix + ".report"
     )
-    # the directories this call makes, deepest first; a failure removes the empty ones
-    created = sorted(
-        {d for d in (report_dir, *report_dir.parents, *model_path.parents) if not d.exists()},
-        key=lambda d: len(d.parts), reverse=True,
-    )
-    try:
-        model_path.parent.mkdir(parents=True, exist_ok=True)
-        report_dir.mkdir(parents=True, exist_ok=True)  # raises for a file on its path
+    with _output_directories(model_path.parent, report_dir):
         samples = _ingest_auto(args.data)
-        model, report = fit(samples, cfg, threads=args.threads)
+        model, report = fit(samples, cfg)
         save_model(model, model_path)
         _write_report(report, model, report_dir)
-    except BaseException:
-        for directory in created:
-            with contextlib.suppress(OSError):
-                directory.rmdir()
-        raise
     print(f"model={model_path} columns={model.values.shape[1]} "
           f"nonzeros={','.join(str(s) for s in model.sparsity)}")
     return 0
@@ -136,12 +144,12 @@ def _cmd_fit(args) -> int:
 
 def _cmd_project(args) -> int:
     out_path = Path(args.out)
-    out_path.parent.mkdir(parents=True, exist_ok=True)  # before any input is read
-    model = load_model(args.model)
-    samples = _ingest_auto(args.data)
-    embedding = project(model, samples)
-    lines = [",".join(repr(float(v)) for v in row) for row in embedding]
-    out_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with _output_directories(out_path.parent):  # before any input is read
+        model = load_model(args.model)
+        samples = _ingest_auto(args.data)
+        embedding = project(model, samples)
+        lines = [",".join(repr(float(v)) for v in row) for row in embedding]
+        out_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     print(f"embedding={out_path} shape={embedding.shape[0]}x{embedding.shape[1]}")
     return 0
 
@@ -157,7 +165,7 @@ def _cmd_evaluate(args) -> int:
     except ValueError as exc:
         raise DataError(f"bad evaluation config value ({exc})", stage="config") from exc
     split = SplitSpec(per_class_train=per_class_train, seed=seed, repeats=repeats)
-    result = evaluate(samples, cfg, split, dim_grid, threads=args.threads)
+    result = evaluate(samples, cfg, split, dim_grid)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_results_csv(result, out_dir / "results.csv")
@@ -197,7 +205,7 @@ def _cmd_export_bases(args) -> int:
 def _cmd_export_paths(args) -> int:
     cfg, _ = _split_config(_load_config_file(args.config), args)
     samples = _ingest_auto(args.data)
-    _, report = fit(samples, cfg, threads=args.threads)
+    _, report = fit(samples, cfg)
     paths = export_paths(report, args.out)
     print(f"paths={len(paths)} dir={args.out}")
     return 0
@@ -221,7 +229,6 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p, *, config=False, data=False, model=False, out=False, out_required=False):
         if config:  # only the subcommands that fit read a config, so only they override it
             p.add_argument("--config", help="key=value config file")
-            p.add_argument("--threads", type=int, default=1, help="worker threads (default 1)")
             p.add_argument("--d", type=int, help="override projection dimension d")
             p.add_argument("--K", type=int, help="override per-column entry budget K")
         if data:

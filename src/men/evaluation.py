@@ -9,7 +9,6 @@ coefficient-path CSVs, and rate/boxplot CSVs.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -124,36 +123,28 @@ def evaluate(
 ) -> EvalResult:
     """Run the repeated split/fit/score protocol over a dimension grid.
 
-    One fit per repeat at d = max(dim_grid); smaller dimensions reuse the
-    leading projection columns of that fit.
+    The repeats run one after another in the caller's thread. One fit per
+    repeat at d = max(dim_grid); smaller dimensions reuse the leading
+    projection columns of that fit. `threads` is accepted and unused: the
+    benchmark harness still passes it, and ROADMAP item 1's benchmark
+    commit deletes it.
     """
     dim_grid = [int(d) for d in dim_grid]
     if not dim_grid or min(dim_grid) < 1:
         raise DataError(f"dim_grid needs entries >= 1, got {dim_grid}", stage="config")
-    d_max = max(dim_grid)
-    fit_cfg = cfg.with_overrides(d=d_max)
-
-    def one_repeat(r: int) -> np.ndarray:
+    fit_cfg = cfg.with_overrides(d=max(dim_grid))
+    rates = np.empty((split.repeats, len(dim_grid)))
+    for r in range(split.repeats):
         train_idx, test_idx = split_indices(samples, split, r)
         train = samples.subset(train_idx)
-        test_labels_raw = samples.labels[test_idx]
         model, _ = fit(train, fit_cfg)
         train_embed = project(model, train)
         test_embed = project(model, samples.subset(test_idx))
-        rates = np.empty(len(dim_grid))
         for gi, d in enumerate(dim_grid):
             predicted = nn_classify(
                 train_embed[:, :d], samples.labels[train_idx], test_embed[:, :d]
             )
-            rates[gi] = float(np.mean(predicted == test_labels_raw))
-        return rates
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(one_repeat, range(split.repeats)))
-    else:
-        rows = [one_repeat(r) for r in range(split.repeats)]
-    rates = np.vstack(rows)
+            rates[r, gi] = float(np.mean(predicted == samples.labels[test_idx]))
     mean_rates = rates.mean(axis=0)
     best_gi = int(np.argmax(mean_rates))
     box = np.column_stack(

@@ -4,15 +4,15 @@ Stages: optional mean-centered PCA; one discriminative patch per sample
 accumulated into the alignment matrix; indicator targets from the
 weighted class-center PCA; a spectral factor; one augmented design and
 Gram matrix shared by all columns; then one covariance-mode LARS solve
-per projection column. Everything is deterministic (no RNG), so
-identical inputs give identical models.
+per projection column. The columns are solved one after another in the
+caller's thread; BLAS is the only parallelism. Everything is
+deterministic (no RNG), so identical inputs give identical models.
 """
 
 from __future__ import annotations
 
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -119,9 +119,11 @@ def _column_cosines(values: np.ndarray) -> np.ndarray:
 def fit(
     samples: SampleSet, cfg: MenConfig, *, threads: int = 1
 ) -> tuple[ProjectionMatrix, FitReport]:
-    """Run the full pipeline and solve the d projection columns.
+    """Run the full pipeline and solve the d projection columns in turn.
 
     Raises DataError/NumericalError tagged with the failing stage.
+    `threads` is accepted and unused: the benchmark harness still passes
+    it, and ROADMAP item 1's benchmark commit deletes it.
     """
     timings: dict[str, float] = {}
 
@@ -175,14 +177,7 @@ def fit(
         )
         return column, path
 
-    def _solve_all():
-        problems = [shared.column(t) for t in range(cfg.d)]
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                return list(pool.map(_solve_one, problems))
-        return [_solve_one(problem) for problem in problems]
-
-    solved = staged("solve", _solve_all)
+    solved = staged("solve", lambda: [_solve_one(shared.column(t)) for t in range(cfg.d)])
 
     values = np.column_stack([column for column, _ in solved])
     paths = [path for _, path in solved]

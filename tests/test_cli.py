@@ -362,6 +362,26 @@ class TestFileSystemFaults:
         assert (tmp / "report").is_dir() and list((tmp / "report").iterdir()) == []
         assert list((tmp / "kept").iterdir()) == []
 
+    def test_failed_project_leaves_no_directories(self, tmp_path, capsys):
+        rc = main([
+            "project", "--model", str(tmp_path / "missing.men"),
+            "--data", str(tmp_path / "missing.csv"), "--out", str(tmp_path / "newdir" / "e.csv"),
+        ])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: stage=io reason=")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_project_keeps_existing_out_parent(self, workspace, capsys):
+        tmp, data, _ = workspace
+        (tmp / "kept").mkdir()
+        rc = main([
+            "project", "--model", str(tmp / "missing.men"), "--data", str(data),
+            "--out", str(tmp / "kept" / "e.csv"),
+        ])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: stage=io reason=")
+        assert (tmp / "kept").is_dir()
+
 
 class TestUsage:
     @pytest.mark.parametrize(
@@ -391,8 +411,14 @@ class TestUsage:
             ["export-bases", "--model", "m.men", "--out", "b", "--K", "2"],
             ["fit", "--data", "d.csv", "--model", "m.men", "--seed", "1"],
             ["export-paths", "--data", "d.csv", "--out", "p", "--seed", "1"],
+            ["fit", "--data", "d.csv", "--model", "m.men", "--threads", "2"],
+            ["evaluate", "--data", "d.csv", "--out", "r", "--threads", "2"],
+            ["export-paths", "--data", "d.csv", "--out", "p", "--threads", "2"],
         ],
-        ids=["project-threads", "project-seed", "bases-d", "bases-K", "fit-seed", "paths-seed"],
+        ids=[
+            "project-threads", "project-seed", "bases-d", "bases-K", "fit-seed", "paths-seed",
+            "fit-threads", "evaluate-threads", "paths-threads",
+        ],
     )
     def test_flags_only_where_read(self, capsys, argv):
         assert main(argv) == 1

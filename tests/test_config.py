@@ -1,6 +1,10 @@
 """Config validation, key=value parsing, and serialization round-trips."""
 
+from dataclasses import fields
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from men.config import MenConfig, config_from_mapping, config_to_lines, parse_kv_lines
 from men.errors import DataError
@@ -111,3 +115,47 @@ class TestRoundTrip:
         for line in config_to_lines(MenConfig()):
             key, value = line.split("=", 1)
             config_from_mapping({key: value})
+
+
+_EXTREMES = [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308]
+
+
+def _weights(positive=False):
+    """Finite floats >= 0 (> 0 when `positive`), with subnormals, signed zeros and the largest."""
+    return st.floats(
+        min_value=0.0, exclude_min=positive, allow_nan=False, allow_infinity=False
+    ) | st.sampled_from([v for v in _EXTREMES if v > 0 or not positive])
+
+
+_big_ints = st.integers(0, 2**200) | st.sampled_from([2**63 - 1, 2**63, 2**64])
+
+# every MenConfig field, with None wherever the field allows it
+men_configs = st.builds(
+    MenConfig,
+    alpha=_weights(),
+    beta=_weights(positive=True),
+    kappa=_weights(),
+    lambda2=_weights(),
+    lambda1=st.none() | _weights(),
+    k1=_big_ints,
+    k2=_big_ints,
+    d=_big_ints.filter(lambda v: v >= 1),
+    K=_big_ints.filter(lambda v: v >= 1),
+    pca_retain=st.none() | _big_ints,
+    eig_floor=_weights(),
+    double_shrinkage_correction=st.booleans(),
+    center_class_means=st.booleans(),
+)
+
+
+def field_reprs(cfg):
+    """Each field's repr, so -0.0 differs from 0.0 and 1 from 1.0."""
+    return [repr(getattr(cfg, f.name)) for f in fields(cfg)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(men_configs)
+def test_lines_round_trip_property(cfg):
+    back = config_from_mapping(parse_kv_lines(config_to_lines(cfg)))
+    assert back == cfg
+    assert field_reprs(back) == field_reprs(cfg)

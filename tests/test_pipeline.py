@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 
 from men.alignment import SampleSet, accumulate_alignment, build_patches
@@ -15,10 +16,11 @@ from men.datasets import make_informative_classes
 from men.errors import DataError, NumericalError
 from men.indicator import build_indicator
 from men.model_io import load_model, model_to_text, save_model
-from men.pipeline import fit, pca_preprocess, project
+from men.pipeline import ProjectionMatrix, fit, pca_preprocess, project
 from men.transform import build_a, build_augmented, spectral_factor
 
 from oracles import check_breakpoints
+from test_config import field_reprs, men_configs
 
 
 def labelled_gaussians(rng, n_per_class=8, p=6, c=3, shift=1.0):
@@ -405,6 +407,44 @@ def test_load_model_fuzz_rejects_or_consistent(content):
             assert exc.stage == "model"
             return
     assert_consistent(loaded)
+
+
+# finite floats, with both zeros and subnormals among them
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def random_models(draw):
+    """A projection of random shape, with or without PCA, under any valid config."""
+    p = draw(st.integers(1, 6))
+    d = draw(st.integers(1, 4))
+    # the file keeps the nonzeros of W, so W's zeros are +0.0, as fits leave them
+    values = draw(arrays(np.float64, (p, d), elements=_finite.filter(bool) | st.just(0.0)))
+    mean = basis = None
+    if draw(st.booleans()):
+        raw = draw(st.integers(1, 6))
+        mean = draw(arrays(np.float64, raw, elements=_finite))
+        basis = draw(arrays(np.float64, (raw, p), elements=_finite))
+    return ProjectionMatrix(values=values, pca_basis=basis, pca_mean=mean, config=draw(men_configs))
+
+
+def _array_bytes(a):
+    return None if a is None else (a.shape, a.tobytes())
+
+
+@settings(max_examples=100, deadline=None)
+@given(random_models())
+def test_save_load_round_trip(model):
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = Path(tmp) / "first.men", Path(tmp) / "second.men"
+        save_model(model, first)
+        loaded = load_model(first)
+        save_model(loaded, second)
+        assert second.read_bytes() == first.read_bytes()
+    for name in ("values", "pca_mean", "pca_basis"):
+        assert _array_bytes(getattr(loaded, name)) == _array_bytes(getattr(model, name)), name
+    assert loaded.config == model.config
+    assert field_reprs(loaded.config) == field_reprs(model.config)
 
 
 @st.composite
