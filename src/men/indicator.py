@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .alignment import SampleSet
-from .errors import DataError
+from .errors import DataError, NumericalError
 
 __all__ = ["IndicatorMatrix", "class_centers", "weighted_center_pca", "build_indicator"]
 
@@ -35,8 +35,9 @@ def class_centers(samples: SampleSet) -> tuple[np.ndarray, np.ndarray]:
     """Per-class mean rows and class proportions (summing to 1)."""
     sizes = samples.class_sizes()
     centers = np.zeros((samples.c, samples.p))
-    for k in range(samples.c):
-        centers[k] = samples.data[samples.labels == k].mean(axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):  # weighted_center_pca rejects it
+        for k in range(samples.c):
+            centers[k] = samples.data[samples.labels == k].mean(axis=0)
     return centers, sizes / samples.n
 
 
@@ -52,13 +53,20 @@ def weighted_center_pca(
     V is the uncentered second moment of the class centers; with
     center=True the weighted mean is subtracted first (conventional PCA).
     Returns (basis p x d, eigenvalues length d descending). Raises
-    DataError when d exceeds the numerical rank of V.
+    DataError when V is not finite or d exceeds its numerical rank, and
+    NumericalError when the eigensolver does not converge.
     """
     centers = np.asarray(centers, dtype=np.float64)
     weights = np.asarray(weights, dtype=np.float64)
-    work = centers - weights @ centers if center else centers
-    v = (work.T * weights) @ work
-    eigvals, eigvecs = np.linalg.eigh(v)
+    with np.errstate(over="ignore", invalid="ignore"):
+        work = centers - weights @ centers if center else centers
+        v = (work.T * weights) @ work
+    if not np.isfinite(v).all():
+        raise DataError("the weighted center moment overflows; rescale the features")
+    try:
+        eigvals, eigvecs = np.linalg.eigh(v)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"center moment eigendecomposition failed: {exc}") from exc
     order = np.argsort(eigvals)[::-1]
     eigvals = eigvals[order]
     eigvecs = eigvecs[:, order]

@@ -86,23 +86,36 @@ def pca_preprocess(
     """Mean-centered PCA keeping `retain` components.
 
     Returns (reduced samples, basis p x retain, mean). The basis columns
-    are orthonormal right singular vectors with the largest-magnitude
-    entry of each made positive.
+    are orthonormal right singular vectors of the centered data, each with
+    its largest-magnitude entry (the first, among ties) made positive.
+    They are taken as the left singular vectors of the p x n transpose:
+    when p > n that matrix is tall, and LAPACK reduces it by QR first
+    (Chan's R-SVD), faster than the SVD of the wide data. The basis is a
+    fresh p x retain array, copied after the centered data are freed.
+    Raises DataError when centering overflows and NumericalError when the
+    SVD does not converge.
     """
     limit = min(samples.n - 1, samples.p)
     if not 1 <= retain <= limit:
         raise DataError(
             f"pca_retain={retain} outside [1, {limit}] for {samples.n} x {samples.p} data"
         )
-    mean = samples.data.mean(axis=0)
-    centered = samples.data - mean
-    _, _, vt = np.linalg.svd(centered, full_matrices=False)
-    basis = vt[:retain].T.copy()
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = samples.data.mean(axis=0)
+        centered = samples.data - mean
+    if not np.isfinite(centered).all():
+        raise DataError("centering the data overflows; rescale the features")
+    try:
+        basis = np.linalg.svd(centered.T, full_matrices=False)[0][:, :retain]
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"PCA SVD failed: {exc}") from exc
     for t in range(retain):
         j = int(np.argmax(np.abs(basis[:, t])))
         if basis[j, t] < 0:
             basis[:, t] = -basis[:, t]
-    return SampleSet(centered @ basis, samples.labels.copy()), basis, mean
+    reduced = centered @ basis
+    del centered
+    return SampleSet(reduced, samples.labels.copy()), basis.copy(), mean
 
 
 def _column_cosines(values: np.ndarray) -> np.ndarray:

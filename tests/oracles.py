@@ -1,10 +1,10 @@
 """Independent reference implementations used to check the library.
 
-Everything here is deliberately written the slow, obvious way (dense
-selection matrices, a dense resolvent solve, a dense quadratic-form
-matrix with its own eigendecomposition, exhaustive scans, coordinate
-descent, finite differences) and shares no code with the package under
-test apart from its error type.
+Everything here is deliberately written the slow, obvious way (the SVD
+of the wide data matrix, dense selection matrices, a dense resolvent
+solve, a dense quadratic-form matrix with its own eigendecomposition,
+exhaustive scans, coordinate descent, finite differences) and shares no
+code with the package under test apart from its error type.
 """
 
 from __future__ import annotations
@@ -12,6 +12,25 @@ from __future__ import annotations
 import numpy as np
 
 from men.errors import NumericalError
+
+
+def dense_pca(data, retain):
+    """Mean-centered PCA from the SVD of the n x p centered data itself.
+
+    Returns (reduced n x retain, basis p x retain, mean). The basis is the
+    first `retain` right singular vectors, each with its largest-magnitude
+    entry (the first, among ties) made positive.
+    """
+    data = np.asarray(data, dtype=np.float64)
+    mean = data.mean(axis=0)
+    centered = data - mean
+    _, _, vt = np.linalg.svd(centered, full_matrices=False)
+    basis = vt[:retain].T.copy()
+    for t in range(retain):
+        j = int(np.argmax(np.abs(basis[:, t])))
+        if basis[j, t] < 0:
+            basis[:, t] = -basis[:, t]
+    return centered @ basis, basis, mean
 
 
 def cd_lasso(X, y, lam, *, kkt_tol=1e-11, max_sweeps=100000):

@@ -382,6 +382,28 @@ class TestFileSystemFaults:
         assert capsys.readouterr().err.startswith("error: stage=io reason=")
         assert (tmp / "kept").is_dir()
 
+    def test_overflowing_column_sums_exit_one(self, tmp_path, capsys):
+        # finite entries whose column sum overflows; the SVD of the NaN-filled
+        # centered data would never return
+        rows = np.random.default_rng(5).normal(size=(6, 10))
+        rows[1:3, 0] = 1.7e308
+        labels = [0, 0, 0, 1, 1, 1]
+        data = tmp_path / "huge.csv"
+        data.write_text("".join(
+            ",".join(map(repr, row)) + f",{label}\n" for row, label in zip(rows.tolist(), labels)
+        ))
+        config = tmp_path / "men.cfg"
+        config.write_text("d=1\nK=2\nk1=1\nk2=1\n")
+        rc = main([
+            "fit", "--data", str(data), "--config", str(config),
+            "--model", str(tmp_path / "out" / "m.men"),
+        ])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: stage=preprocess reason=")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
 
 class TestUsage:
     @pytest.mark.parametrize(

@@ -127,6 +127,14 @@ class TestBuildIndicator:
         ind = build_indicator(s, 3)
         assert ind.values.shape == (12, 3)
 
+    def test_cancelling_overflow_raises_data_error(self):
+        # one contiguous column: the class sum pairs +inf with -inf, a NaN mean
+        data = np.zeros((16, 1))
+        data[:4, 0] = [1.7e308, 1.7e308, -1.7e308, -1.7e308]
+        s = SampleSet(data, np.repeat([0, 1], 8))
+        with pytest.raises(DataError, match="overflows"):
+            build_indicator(s, 1)
+
     def test_centered_variant(self):
         rng = np.random.default_rng(7)
         labels = np.repeat(np.arange(3), 4)

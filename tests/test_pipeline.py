@@ -1,6 +1,7 @@
 """PCA preprocessing, the end-to-end fit, projection, and persistence."""
 
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -12,14 +13,15 @@ from numpy.testing import assert_allclose
 
 from men.alignment import SampleSet, accumulate_alignment, build_patches
 from men.config import MenConfig, config_from_mapping, parse_kv_lines
-from men.datasets import make_informative_classes
+from men.datasets import make_face_like, make_informative_classes
 from men.errors import DataError, NumericalError
+from men.evaluation import SplitSpec, split_indices
 from men.indicator import build_indicator
 from men.model_io import load_model, model_to_text, save_model
 from men.pipeline import ProjectionMatrix, fit, pca_preprocess, project
 from men.transform import build_a, build_augmented, spectral_factor
 
-from oracles import check_breakpoints
+from oracles import check_breakpoints, dense_pca
 from test_config import field_reprs, men_configs
 
 
@@ -30,7 +32,83 @@ def labelled_gaussians(rng, n_per_class=8, p=6, c=3, shift=1.0):
     return SampleSet(data, labels)
 
 
+def evaluate_face_train():
+    """The first training split of the evaluate-face benchmark input: 240 x 1600."""
+    samples = make_face_like(7, n_classes=60, within_scale=0.6, pixel_noise=0.05, seed=1)
+    train, _ = split_indices(samples, SplitSpec(per_class_train=4, seed=1, repeats=5), 0)
+    return samples.subset(train)
+
+
+def assert_matches_dense_pca(samples, retain):
+    reduced, basis, mean = pca_preprocess(samples, retain)
+    ref_reduced, ref_basis, ref_mean = dense_pca(samples.data, retain)
+    assert mean.tobytes() == ref_mean.tobytes()
+    assert basis.shape == (samples.p, retain)
+    assert basis.flags.c_contiguous and basis.base is None
+    # singular values are the column norms of the reduced data
+    ref_values = np.linalg.norm(ref_reduced, axis=0)
+    assert_allclose(np.linalg.norm(reduced.data, axis=0), ref_values, rtol=1e-13, atol=0)
+    scale = np.abs(samples.data - ref_mean).max()
+    gap = np.abs(reduced.data @ basis.T - ref_reduced @ ref_basis.T).max()
+    assert gap <= 1e-12 * scale
+    assert np.abs(basis.T @ basis - np.eye(retain)).max() <= 1e-13
+    # sign rule: the largest-magnitude entry of each column, the first among ties, is positive
+    lead = np.argmax(np.abs(basis), axis=0)
+    assert np.all(basis[lead, np.arange(retain)] > 0)
+
+
+@st.composite
+def planted_spectra(draw):
+    """Data whose centered matrix has singular values rank, rank-1, ..., 1 (scaled)."""
+    n = draw(st.integers(3, 12))
+    p = draw(st.integers(1, 16))
+    rank = min(n - 1, p)
+    retain = draw(st.integers(1, rank))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # left singular vectors orthogonal to the ones vector, so centering keeps them
+    left = np.linalg.qr(np.column_stack([np.ones(n), rng.normal(size=(n, rank))]))[0][:, 1:]
+    right = np.linalg.qr(rng.normal(size=(p, rank)))[0]
+    spectrum = draw(st.sampled_from([1e-3, 1.0, 1e3])) * np.arange(rank, 0, -1.0)
+    data = (left * spectrum) @ right.T + 10.0 * rng.normal(size=p)
+    return SampleSet(data, np.arange(n) % 2), retain
+
+
 class TestPcaPreprocess:
+    def test_matches_dense_pca_on_fit_face(self):
+        samples = make_face_like(4, n_classes=100, seed=0)  # 400 x 1600
+        assert_matches_dense_pca(samples, samples.n - 1)
+
+    def test_matches_dense_pca_on_evaluate_face_split(self):
+        samples = evaluate_face_train()
+        assert_matches_dense_pca(samples, samples.n - 1)
+
+    @settings(max_examples=60, deadline=None)
+    @given(planted_spectra())
+    def test_matches_dense_pca_property(self, problem):
+        assert_matches_dense_pca(*problem)
+
+    def test_peak_memory_bounded(self):
+        # the centered data, U of the transpose and the returned basis are never
+        # all alive at once
+        samples = evaluate_face_train()
+        tracemalloc.start()
+        try:
+            pca_preprocess(samples, samples.n - 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.3 * samples.data.nbytes
+
+    def test_overflowing_centering_raises_before_svd(self, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("SVD ran on nonfinite centered data")
+
+        monkeypatch.setattr(np.linalg, "svd", never)
+        data = np.random.default_rng(4).normal(size=(6, 10))
+        data[1:3, 0] = 1.7e308
+        with pytest.raises(DataError, match="overflows"):
+            pca_preprocess(SampleSet(data, np.repeat([0, 1], 3)), 1)
+
     def test_lossless_at_full_rank(self):
         rng = np.random.default_rng(0)
         s = SampleSet(rng.normal(size=(6, 10)), np.array([0, 0, 0, 1, 1, 1]))
@@ -171,6 +249,28 @@ class TestFit:
             assert exc.stage == "indicator"
         else:
             pytest.fail("expected DataError")
+
+    def test_overflowing_sums_fail_with_stage(self):
+        data = np.random.default_rng(24).normal(size=(6, 10))
+        data[:, 0] = 1.7e308  # every sum overflows, every difference is exact
+        s = SampleSet(data, np.repeat([0, 1], 3))
+        for pca_retain, stage in ((None, "preprocess"), (0, "indicator")):
+            with pytest.raises(DataError, match="overflows") as info:
+                fit(s, MenConfig(d=1, K=2, k1=1, k2=1, pca_retain=pca_retain))
+            assert info.value.stage == stage
+
+    @pytest.mark.parametrize(
+        "routine, stage", [("svd", "preprocess"), ("eigh", "indicator")]
+    )
+    def test_decomposition_failure_is_numerical(self, monkeypatch, routine, stage):
+        def failing(*args, **kwargs):
+            raise np.linalg.LinAlgError("did not converge")
+
+        monkeypatch.setattr(np.linalg, routine, failing)
+        s = labelled_gaussians(np.random.default_rng(25))
+        with pytest.raises(NumericalError, match="did not converge") as info:
+            fit(s, MenConfig(d=1, K=2))
+        assert info.value.stage == stage
 
     def test_empty_spectrum_raises(self):
         rng = np.random.default_rng(23)
