@@ -80,12 +80,15 @@ class SampleSet:
     def class_members(self, label: int) -> np.ndarray:
         return np.flatnonzero(self.labels == label)
 
+    @classmethod
+    def compacted(cls, data, labels) -> "SampleSet":
+        """A SampleSet with integer labels renumbered 0..c-1 in ascending order."""
+        _, compact = np.unique(np.asarray(labels, dtype=np.int64), return_inverse=True)
+        return cls(data, compact)
+
     def subset(self, indices) -> "SampleSet":
         idx = np.asarray(indices, dtype=np.int64)
-        sub_labels = self.labels[idx]
-        # compact the label range so SampleSet invariants hold on any split
-        _, compact = np.unique(sub_labels, return_inverse=True)
-        return SampleSet(self.data[idx], compact)
+        return SampleSet.compacted(self.data[idx], self.labels[idx])
 
 
 @dataclass

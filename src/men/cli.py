@@ -72,15 +72,6 @@ def _split_config(mapping: dict[str, str], args) -> tuple[MenConfig, dict[str, s
     return cfg, eval_map
 
 
-def _ingest_auto(path: str):
-    data_path = Path(path)
-    if data_path.is_dir():
-        return ingest(data_path, "raw-gray-images")
-    if data_path.suffix.lower() == ".csv":
-        return ingest(data_path, "csv-matrix")
-    return ingest(data_path, "raw-gray-images")  # manifest file
-
-
 def _write_report(report, model, out_dir: Path) -> None:
     export_paths(report, out_dir)
     trace_lines = ["column,loop,objective"]
@@ -133,7 +124,7 @@ def _cmd_fit(args) -> int:
         model_path.suffix + ".report"
     )
     with _output_directories(model_path.parent, report_dir):
-        samples = _ingest_auto(args.data)
+        samples = ingest(args.data)
         model, report = fit(samples, cfg)
         save_model(model, model_path)
         _write_report(report, model, report_dir)
@@ -146,9 +137,9 @@ def _cmd_project(args) -> int:
     out_path = Path(args.out)
     with _output_directories(out_path.parent):  # before any input is read
         model = load_model(args.model)
-        samples = _ingest_auto(args.data)
+        samples = ingest(args.data)
         embedding = project(model, samples)
-        lines = [",".join(repr(float(v)) for v in row) for row in embedding]
+        lines = [",".join(map(repr, row)) for row in embedding.tolist()]
         out_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     print(f"embedding={out_path} shape={embedding.shape[0]}x{embedding.shape[1]}")
     return 0
@@ -156,7 +147,6 @@ def _cmd_project(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     cfg, eval_map = _split_config(_load_config_file(args.config), args)
-    samples = _ingest_auto(args.data)
     try:
         seed = int(eval_map["seed"])
         repeats = int(eval_map["repeats"])
@@ -165,13 +155,13 @@ def _cmd_evaluate(args) -> int:
     except ValueError as exc:
         raise DataError(f"bad evaluation config value ({exc})", stage="config") from exc
     split = SplitSpec(per_class_train=per_class_train, seed=seed, repeats=repeats)
-    result = evaluate(samples, cfg, split, dim_grid)
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_results_csv(result, out_dir / "results.csv")
-    write_boxplot_csv(result, out_dir / "boxplot.csv")
-    summary = f"best={result.best_rate:.4f}@dim={result.best_dim}"
-    (out_dir / "summary.txt").write_text(summary + "\n", encoding="utf-8")
+    with _output_directories(out_dir):
+        result = evaluate(ingest(args.data), cfg, split, dim_grid)
+        write_results_csv(result, out_dir / "results.csv")
+        write_boxplot_csv(result, out_dir / "boxplot.csv")
+        summary = f"best={result.best_rate:.4f}@dim={result.best_dim}"
+        (out_dir / "summary.txt").write_text(summary + "\n", encoding="utf-8")
     print(summary)
     return 0
 
@@ -194,19 +184,19 @@ def _parse_shape(text: str | None, p: int) -> tuple[int, int]:
 
 
 def _cmd_export_bases(args) -> int:
-    model = load_model(args.model)
-    raw_dim = model.raw_columns().shape[0]
-    shape = _parse_shape(args.shape, raw_dim)
-    paths = export_bases(model, shape, args.out)
+    with _output_directories(Path(args.out)):
+        model = load_model(args.model)
+        shape = _parse_shape(args.shape, model.raw_columns().shape[0])
+        paths = export_bases(model, shape, args.out)
     print(f"bases={len(paths)} dir={args.out}")
     return 0
 
 
 def _cmd_export_paths(args) -> int:
     cfg, _ = _split_config(_load_config_file(args.config), args)
-    samples = _ingest_auto(args.data)
-    _, report = fit(samples, cfg)
-    paths = export_paths(report, args.out)
+    with _output_directories(Path(args.out)):
+        _, report = fit(ingest(args.data), cfg)
+        paths = export_paths(report, args.out)
     print(f"paths={len(paths)} dir={args.out}")
     return 0
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields, replace
+from functools import partial
 
 from .errors import DataError
 
@@ -91,7 +92,6 @@ class MenConfig:
         return replace(self, **kwargs)
 
 
-# key -> coercion function; order fixed for deterministic serialization
 def _parse_bool(text: str) -> bool:
     low = text.strip().lower()
     if low in ("true", "1", "yes", "on"):
@@ -101,27 +101,17 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
-def _parse_opt_int(text: str):
-    low = text.strip().lower()
-    if low in ("auto", "none", ""):
-        return None
-    return int(low)
+def _parse_optional(parse, text: str):
+    return None if text.strip().lower() in ("auto", "none", "") else parse(text)
 
 
+_PARSERS = {"float": float, "int": int, "bool": _parse_bool}
+# key -> coercion function, read off MenConfig's annotations (strings under
+# the __future__ import) in field order
 _SCHEMA = {
-    "alpha": float,
-    "beta": float,
-    "kappa": float,
-    "lambda2": float,
-    "lambda1": lambda t: None if t.strip().lower() in ("none", "") else float(t),
-    "k1": int,
-    "k2": int,
-    "d": int,
-    "K": int,
-    "pca_retain": _parse_opt_int,
-    "eig_floor": float,
-    "double_shrinkage_correction": _parse_bool,
-    "center_class_means": _parse_bool,
+    f.name: partial(_parse_optional, _PARSERS[f.type.removesuffix(" | None")])
+    if f.type.endswith(" | None") else _PARSERS[f.type]
+    for f in fields(MenConfig)
 }
 
 
@@ -157,7 +147,7 @@ def parse_kv_lines(lines) -> dict[str, str]:
 
 
 def config_from_mapping(mapping: dict[str, str]) -> MenConfig:
-    """Build a MenConfig from a string mapping, coercing per the key schema.
+    """Build a MenConfig from a string mapping, coercing per field type.
 
     Keys absent from the mapping keep their defaults. Unknown keys and
     values that do not parse raise DataError (stage config) naming the key.

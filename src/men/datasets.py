@@ -1,11 +1,11 @@
 """Dataset ingestion and synthetic generators.
 
-Two input formats: a CSV matrix (one sample per row, last column an
-integer label) and directories or manifests of 8-bit binary graymap
-images (each image flattened row-major and scaled to [0, 1]). The
-bundled generators produce labelled Gaussian-class data for tests and
-demos; the face-like generator embeds smooth class prototypes in a
-40 x 40 pixel space with pixel-correlated noise.
+Two input formats, told apart by the path: a CSV matrix (one sample per
+row, last column an integer label) and directories or manifests of
+8-bit binary graymap images (each image flattened row-major and scaled
+to [0, 1]). The bundled generators produce labelled Gaussian-class
+data for tests and demos; the face-like generator embeds smooth class
+prototypes in a 40 x 40 pixel space with pixel-correlated noise.
 """
 
 from __future__ import annotations
@@ -103,41 +103,24 @@ def _ingest_csv(path: Path) -> SampleSet:
                 ) from exc
     if not rows:
         raise DataError(f"{path}: no samples")
-    # compact arbitrary integer labels to 0..c-1 in ascending label order
-    arr = np.asarray(labels, dtype=np.int64)
-    _, compact = np.unique(arr, return_inverse=True)
-    return SampleSet(np.asarray(rows, dtype=np.float64), compact)
+    return SampleSet.compacted(np.asarray(rows, dtype=np.float64), labels)
 
 
-def _image_row(path: Path, expected_shape) -> tuple[np.ndarray, tuple[int, int]]:
-    image = read_pgm(path)
-    if expected_shape is not None and image.shape != expected_shape:
-        raise DataError(
-            f"{path}: image shape {image.shape} differs from first image {expected_shape}"
-        )
-    return image.reshape(-1).astype(np.float64) / 255.0, image.shape
-
-
-def _ingest_image_dir(path: Path) -> SampleSet:
+def _class_dir_entries(path: Path):
+    """(image path, label) per file; labels follow the sorted class subdirectories."""
     class_dirs = sorted(d for d in path.iterdir() if d.is_dir())
     if not class_dirs:
         raise DataError(f"{path}: no class subdirectories")
-    rows, labels = [], []
-    shape = None
     for label, class_dir in enumerate(class_dirs):
         files = sorted(f for f in class_dir.iterdir() if f.is_file())
         if not files:
             raise DataError(f"{class_dir}: empty class directory")
         for f in files:
-            row, shape = _image_row(f, shape)
-            rows.append(row)
-            labels.append(label)
-    return SampleSet(np.asarray(rows), np.asarray(labels))
+            yield f, label
 
 
-def _ingest_manifest(path: Path) -> SampleSet:
-    rows, labels = [], []
-    shape = None
+def _manifest_entries(path: Path):
+    """(image path, label) per line; image paths are relative to the manifest."""
     with path.open("r", encoding="utf-8") as handle:
         for lineno, raw in enumerate(handle, start=1):
             line = raw.strip()
@@ -152,37 +135,46 @@ def _ingest_manifest(path: Path) -> SampleSet:
                 raise DataError(
                     f"{path}:{lineno}: bad label {label_text.strip()!r}"
                 ) from exc
-            resolved = (path.parent / image_path.strip()).resolve()
-            row, shape = _image_row(resolved, shape)
-            rows.append(row)
-            labels.append(label)
+            yield (path.parent / image_path.strip()).resolve(), label
+
+
+def _ingest_images(path: Path, entries) -> SampleSet:
+    rows, labels = [], []
+    shape = None
+    for image_path, label in entries:
+        image = read_pgm(image_path)
+        if shape is not None and image.shape != shape:
+            raise DataError(
+                f"{image_path}: image shape {image.shape} differs from first image {shape}"
+            )
+        shape = image.shape
+        rows.append(image.reshape(-1).astype(np.float64) / 255.0)
+        labels.append(label)
     if not rows:
         raise DataError(f"{path}: no entries")
-    arr = np.asarray(labels, dtype=np.int64)
-    _, compact = np.unique(arr, return_inverse=True)
-    return SampleSet(np.asarray(rows), compact)
+    return SampleSet.compacted(np.asarray(rows), labels)
 
 
-def ingest(path, fmt: str) -> SampleSet:
-    """Load a labelled dataset.
+def ingest(path) -> SampleSet:
+    """Load a labelled dataset in the format its path names.
 
-    fmt "csv-matrix": one sample per row, last column an integer label.
-    fmt "raw-gray-images": a directory of class subdirectories of binary
-    graymaps, or a manifest file with image-path,label lines.
+    A directory holds one subdirectory of binary graymaps per class. A
+    file whose name ends in .csv (any case) is a matrix: one sample per
+    row, last column an integer label. Any other file is a manifest of
+    image-path,label lines. Labels are compacted to 0..c-1 in ascending
+    order.
     """
     path = Path(path)
     if not path.exists():
         raise DataError(f"{path}: no such file or directory")
     try:
-        if fmt == "csv-matrix":
+        if path.is_dir():
+            return _ingest_images(path, _class_dir_entries(path))
+        if path.suffix.lower() == ".csv":
             return _ingest_csv(path)
-        if fmt == "raw-gray-images":
-            if path.is_dir():
-                return _ingest_image_dir(path)
-            return _ingest_manifest(path)
+        return _ingest_images(path, _manifest_entries(path))
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 text ({exc})") from exc
-    raise DataError(f"unknown dataset format {fmt!r}")
 
 
 def make_informative_classes(

@@ -172,10 +172,6 @@ def column_to_gray(column: np.ndarray, image_shape) -> np.ndarray:
     A degenerate range maps every pixel to mid-gray 128.
     """
     height, width = image_shape
-    if column.size != height * width:
-        raise DataError(
-            f"column length {column.size} does not match shape {height}x{width}"
-        )
     low = float(column.min())
     high = float(column.max())
     if high - low <= 0.0:
@@ -220,7 +216,7 @@ def path_csv_lines(path: CoefficientPath) -> list[str]:
     )
     lines = [header]
     for bp in path.breakpoints:
-        coeffs = ",".join(repr(float(v)) for v in bp.coefficients)
+        coeffs = ",".join(map(repr, bp.coefficients.tolist()))
         lines.append(
             f"{bp.loop},{bp.event},{bp.variable},{repr(bp.l1_norm)},"
             f"{repr(bp.c_hat)},{coeffs}"
@@ -251,6 +247,6 @@ def write_results_csv(result: EvalResult, path) -> None:
 def write_boxplot_csv(result: EvalResult, path) -> None:
     lines = ["dimension,min,q1,median,q3,max"]
     for gi, d in enumerate(result.dim_grid):
-        row = ",".join(repr(float(v)) for v in result.boxplot[gi])
+        row = ",".join(map(repr, result.boxplot[gi].tolist()))
         lines.append(f"{d},{row}")
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

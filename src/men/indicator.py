@@ -31,6 +31,15 @@ class IndicatorMatrix:
     basis: np.ndarray
 
 
+def orient_columns(basis: np.ndarray) -> None:
+    """Negate in place each column whose largest-magnitude entry (the first,
+    among ties) is negative; column by column, so no basis-sized temporary."""
+    for t in range(basis.shape[1]):
+        j = int(np.argmax(np.abs(basis[:, t])))
+        if basis[j, t] < 0:
+            basis[:, t] = -basis[:, t]
+
+
 def class_centers(samples: SampleSet) -> tuple[np.ndarray, np.ndarray]:
     """Per-class mean rows and class proportions (summing to 1)."""
     sizes = samples.class_sizes()
@@ -77,11 +86,7 @@ def weighted_center_pca(
             f"d={d} exceeds the numerical rank {rank} of the weighted center moment"
         )
     basis = eigvecs[:, :d].copy()
-    # sign convention: largest-magnitude entry of each eigenvector positive
-    for t in range(d):
-        j = int(np.argmax(np.abs(basis[:, t])))
-        if basis[j, t] < 0:
-            basis[:, t] = -basis[:, t]
+    orient_columns(basis)
     return basis, eigvals[:d].copy()
 
 

@@ -21,7 +21,7 @@ import numpy as np
 from .alignment import SampleSet, accumulate_alignment, build_patch, build_patches  # noqa: F401
 from .config import MenConfig
 from .errors import DataError, MenError, NumericalError
-from .indicator import build_indicator
+from .indicator import build_indicator, orient_columns
 from .lars import CoefficientPath, report_column, solve_column
 from .transform import build_a, build_augmented, spectral_factor
 
@@ -109,10 +109,7 @@ def pca_preprocess(
         basis = np.linalg.svd(centered.T, full_matrices=False)[0][:, :retain]
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"PCA SVD failed: {exc}") from exc
-    for t in range(retain):
-        j = int(np.argmax(np.abs(basis[:, t])))
-        if basis[j, t] < 0:
-            basis[:, t] = -basis[:, t]
+    orient_columns(basis)
     reduced = centered @ basis
     del centered
     return SampleSet(reduced, samples.labels.copy()), basis.copy(), mean

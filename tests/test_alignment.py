@@ -100,6 +100,13 @@ class TestSampleSet:
         with pytest.raises(DataError):
             SampleSet(np.zeros((1, 2)), np.array([0]))
 
+    def test_compacted_and_subset_renumber_labels(self):
+        s = SampleSet.compacted(np.arange(6.0).reshape(3, 2), [5, 9, 5])
+        assert np.array_equal(s.labels, [0, 1, 0])
+        sub = SampleSet(np.arange(8.0).reshape(4, 2), np.array([0, 1, 2, 1])).subset([1, 2, 3])
+        assert np.array_equal(sub.labels, [0, 1, 0])
+        assert np.array_equal(sub.data, [[2.0, 3.0], [4.0, 5.0], [6.0, 7.0]])
+
 
 class TestBuildPatch:
     def test_single_candidates(self):

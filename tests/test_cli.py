@@ -1,5 +1,10 @@
 """Command-line behaviour: exit codes, outputs, determinism."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -343,6 +348,50 @@ class TestFileSystemFaults:
         assert capsys.readouterr().err.startswith("error: stage=input reason=")
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["evaluate", "--data", "{tmp}/missing.csv", "--out", "{tmp}/afile/sub"],
+            ["evaluate", "--data", "{data}", "--config", "{config}", "--out", "{tmp}/afile/sub"],
+            ["export-paths", "--data", "{tmp}/missing.csv", "--out", "{tmp}/afile/sub"],
+            ["export-bases", "--model", "{tmp}/missing.men", "--out", "{tmp}/afile/sub"],
+        ],
+        ids=["evaluate-missing-data", "evaluate", "export-paths", "export-bases"],
+    )
+    def test_refuses_unwritable_out_before_reading(self, workspace, capsys, monkeypatch, argv):
+        import men.cli as cli_module
+
+        def never(*args, **kwargs):
+            raise AssertionError("input read although the output cannot be written")
+
+        monkeypatch.setattr(cli_module, "load_model", never)
+        monkeypatch.setattr(cli_module, "ingest", never)
+        tmp, data, config = workspace
+        (tmp / "afile").write_text("")
+        rc = main([a.format(tmp=tmp, data=data, config=config) for a in argv])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: stage=io reason=")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv, stage",
+        [
+            (["evaluate", "--data", "{tmp}/missing.csv", "--out", "{tmp}/out/deep"], "input"),
+            (["evaluate", "--data", "{tmp}/missing.csv", "--config", "{tmp}/bad.cfg",
+              "--out", "{tmp}/out/deep"], "config"),
+            (["export-paths", "--data", "{tmp}/missing.csv", "--out", "{tmp}/out/deep"], "input"),
+            (["export-bases", "--model", "{tmp}/missing.men", "--out", "{tmp}/out/deep"], "io"),
+        ],
+        ids=["evaluate", "evaluate-bad-repeats", "export-paths", "export-bases"],
+    )
+    def test_failed_command_leaves_no_directories(self, tmp_path, capsys, argv, stage):
+        (tmp_path / "bad.cfg").write_text("repeats=0\n")
+        rc = main([a.format(tmp=tmp_path) for a in argv])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(f"error: stage={stage} reason=")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.cfg"]
+
     def test_failed_fit_keeps_existing_directories(self, workspace, capsys, monkeypatch):
         import men.cli as cli_module
 
@@ -453,6 +502,28 @@ class TestUsage:
             main(argv)
         assert info.value.code == 0
         assert "usage:" in capsys.readouterr().out
+
+
+class TestProcess:
+    def test_module_exit_codes_and_error_line(self, workspace):
+        tmp, data, config = workspace
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+
+        def run(*argv):
+            return subprocess.run(
+                [sys.executable, "-m", "men.cli", *argv],
+                env=env, capture_output=True, text=True, timeout=300,
+            )
+
+        assert run("--help").returncode == 0
+        fitted = run("fit", "--data", str(data), "--config", str(config),
+                     "--model", str(tmp / "m.men"))
+        assert fitted.returncode == 0, fitted.stderr
+        assert load_model(tmp / "m.men").values.shape[1] == 2
+        missing = run("fit", "--config", str(config), "--model", str(tmp / "n.men"))
+        assert missing.returncode == 1
+        assert len(missing.stderr.splitlines()) == 1
+        assert missing.stderr.startswith("error: stage=")
 
 
 class TestEvaluateCommand:

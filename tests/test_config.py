@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from men.config import MenConfig, config_from_mapping, config_to_lines, parse_kv_lines
+from men.config import _SCHEMA, MenConfig, config_from_mapping, config_to_lines, parse_kv_lines
 from men.errors import DataError
 
 
@@ -94,6 +94,12 @@ class TestKvParsing:
         assert cfg.pca_retain is None
         assert cfg.lambda1 is None
         assert config_from_mapping({"pca_retain": "0"}).pca_retain == 0
+
+    def test_schema_is_the_field_list(self):
+        assert list(_SCHEMA) == [f.name for f in fields(MenConfig)]
+        assert config_from_mapping({"lambda1": "auto"}).lambda1 is None
+        assert config_from_mapping({"lambda1": " 0.5 "}).lambda1 == 0.5
+        assert config_from_mapping({"pca_retain": "None"}).pca_retain is None
 
 
 class TestRoundTrip:

@@ -35,7 +35,7 @@ class TestIngestCsv:
     def test_two_rows(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("1,2,0\n3,4,1\n")
-        s = ingest(path, "csv-matrix")
+        s = ingest(path)
         assert_allclose(s.data, [[1.0, 2.0], [3.0, 4.0]])
         assert np.array_equal(s.labels, [0, 1])
 
@@ -43,19 +43,40 @@ class TestIngestCsv:
         path = tmp_path / "d.csv"
         path.write_text("1,2,0\n3,4\n")
         with pytest.raises(DataError, match="d.csv:2"):
-            ingest(path, "csv-matrix")
+            ingest(path)
 
     def test_bad_label_named(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("1,2,0\n3,4,x\n")
         with pytest.raises(DataError, match="d.csv:2"):
-            ingest(path, "csv-matrix")
+            ingest(path)
 
     def test_noncompact_labels_remapped(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("1,2,5\n3,4,9\n5,6,5\n")
-        s = ingest(path, "csv-matrix")
+        s = ingest(path)
         assert np.array_equal(s.labels, [0, 1, 0])
+
+
+    @pytest.mark.parametrize("name", ["images", "d.csv", "D.CSV", "list.txt"])
+    def test_format_follows_path(self, tmp_path, name):
+        for label, value in ((0, 7), (1, 9)):
+            image = np.full((2, 2), value, dtype=np.uint8)
+            write_pgm(tmp_path / f"img{label}.pgm", image)
+            (tmp_path / "images" / f"c{label}").mkdir(parents=True)
+            write_pgm(tmp_path / "images" / f"c{label}" / "a.pgm", image)
+        (tmp_path / "d.csv").write_text("1,2,3\n4,5,8\n")
+        (tmp_path / "D.CSV").write_text("1,2,3\n4,5,8\n")
+        (tmp_path / "list.txt").write_text("img0.pgm,3\nimg1.pgm,8\n")
+        s = ingest(tmp_path / name)
+        assert np.array_equal(s.labels, [0, 1])
+        assert s.p == (2 if name.lower() == "d.csv" else 4)
+
+    def test_csv_without_csv_suffix_is_a_manifest(self, tmp_path):
+        path = tmp_path / "data.txt"
+        path.write_text("f0,f1,label\n1,2,0\n3,4,1\n")
+        with pytest.raises(DataError, match="data.txt:1: bad label 'label'$"):
+            ingest(path)
 
 
 class TestGraymaps:
@@ -72,7 +93,7 @@ class TestGraymaps:
         write_pgm(class_dir / "b.pgm", image)
         (tmp_path / "c1").mkdir()
         write_pgm(tmp_path / "c1" / "a.pgm", 255 - image)
-        s = ingest(tmp_path, "raw-gray-images")
+        s = ingest(tmp_path)
         assert_allclose(s.data[0], [0.0, 1.0, 1.0, 0.0])
         assert np.array_equal(s.labels, [0, 0, 1])
 
@@ -86,7 +107,7 @@ class TestGraymaps:
                     d / f"{i}.pgm",
                     rng.integers(0, 256, size=(40, 40)).astype(np.uint8),
                 )
-        s = ingest(tmp_path, "raw-gray-images")
+        s = ingest(tmp_path)
         assert s.p == 1600
 
     def test_manifest(self, tmp_path):
@@ -95,7 +116,7 @@ class TestGraymaps:
         write_pgm(tmp_path / "img1.pgm", image + 1)
         manifest = tmp_path / "list.txt"
         manifest.write_text("img0.pgm,3\nimg1.pgm,8\n")
-        s = ingest(manifest, "raw-gray-images")
+        s = ingest(manifest)
         assert np.array_equal(s.labels, [0, 1])
 
     def test_manifest_bad_label(self, tmp_path):
@@ -103,7 +124,7 @@ class TestGraymaps:
         manifest = tmp_path / "list.txt"
         manifest.write_text("img0.pgm,notanint\n")
         with pytest.raises(DataError, match="list.txt:1"):
-            ingest(manifest, "raw-gray-images")
+            ingest(manifest)
 
     @pytest.mark.parametrize(
         "content, reason",
@@ -125,7 +146,7 @@ class TestGraymaps:
         write_pgm(d / "a.pgm", np.zeros((2, 2), dtype=np.uint8))
         write_pgm(d / "b.pgm", np.zeros((3, 3), dtype=np.uint8))
         with pytest.raises(DataError, match="shape"):
-            ingest(tmp_path, "raw-gray-images")
+            ingest(tmp_path)
 
 
 class TestSplits:

@@ -6,7 +6,7 @@ from numpy.testing import assert_allclose
 
 from men.alignment import SampleSet
 from men.errors import DataError
-from men.indicator import build_indicator, class_centers, weighted_center_pca
+from men.indicator import build_indicator, class_centers, orient_columns, weighted_center_pca
 
 
 def test_class_centers_two_classes():
@@ -68,6 +68,11 @@ class TestWeightedCenterPca:
         centers = np.array([[-3.0, 0.0]])
         eta, _ = weighted_center_pca(centers, np.array([1.0]), 1)
         assert eta[0, 0] > 0  # largest-magnitude entry made positive
+
+    def test_orient_columns_breaks_ties_by_first_index(self):
+        basis = np.array([[-1.0, 1.0, 0.5], [1.0, -1.0, -2.0]])
+        orient_columns(basis)
+        assert np.array_equal(basis, [[1.0, 1.0, -0.5], [-1.0, -1.0, 2.0]])
 
 
 class TestBuildIndicator:
