@@ -12,7 +12,8 @@ that edge list by one scatter.
 
 Neighbours are found by a GEMM distance filter and an exact re-rank of
 the kept candidates by explicit-difference Euclidean distance, ties broken
-by ascending index.
+by ascending index. SampleSet bounds every entry, so neither distance can
+overflow and the filter's rounding bound always holds.
 """
 
 from __future__ import annotations
@@ -34,7 +35,10 @@ class SampleSet:
 
     Labels are compact integers 0..c-1 with every class present. Data is
     C-contiguous, so a row's distance rounds the same in any row subset.
-    Instances are treated as immutable after construction.
+    Every |entry| <= sqrt(max float / (4 n p)), so squared norms stay below
+    max float / (4 n) and no distance, centering sum or class-center moment
+    of the data overflows. Instances are treated as immutable after
+    construction.
     """
 
     data: np.ndarray
@@ -52,8 +56,10 @@ class SampleSet:
             raise DataError(
                 f"labels must have length {n}, got shape {self.labels.shape}"
             )
-        if not np.all(np.isfinite(self.data)):
-            raise DataError("data contains nonfinite entries")
+        limit = np.sqrt(np.finfo(np.float64).max / (4.0 * n * p))
+        # a NaN fails the comparison; min and max make no n x p temporary
+        if not -limit <= self.data.min() <= self.data.max() <= limit:
+            raise DataError(f"data has nonfinite entries or |x| > {limit:.4g}; rescale the data")
         if self.labels.min(initial=0) < 0:
             raise DataError("labels must be nonnegative")
         c = int(self.labels.max()) + 1
@@ -148,11 +154,7 @@ def _select(x, i, group, row, err, count) -> list[int]:
     d2, err = row[group], err[group]
     top = np.argpartition(d2, count - 1)[:count]
     keep = group[d2 <= d2[top].max() + err[top].max() + err]
-    dist = _distances(x, i, keep)
-    if not (np.isfinite(d2).all() and np.isfinite(dist).all()):
-        keep = group  # overflow voids the bound: rank the whole group exactly
-        dist = _distances(x, i, keep)
-    return _nearest(keep, dist, count)
+    return _nearest(keep, _distances(x, i, keep), count)
 
 
 def build_patches(samples: SampleSet, k1: int, k2: int, kappa: float) -> list[Patch]:
@@ -161,7 +163,8 @@ def build_patches(samples: SampleSet, k1: int, k2: int, kappa: float) -> list[Pa
     Patch i equals build_patch(samples, i, min(k1, size - 1), min(k2, n - size),
     kappa) for the size of its class; a clamp warns. The GEMM squared distances
     keep, per group, the candidates within their rounding bound of the k-th
-    smallest; only those are ranked exactly.
+    smallest; only those are ranked exactly. SampleSet's entry bound keeps
+    every squared distance finite, so the rounding bound holds in every row.
     """
     if k1 < 0 or k2 < 0:
         raise DataError(f"need k1 >= 0 and k2 >= 0, got k1={k1} k2={k2}")
@@ -175,12 +178,11 @@ def build_patches(samples: SampleSet, k1: int, k2: int, kappa: float) -> list[Pa
     clamped = np.count_nonzero(((k1s != k1) | (k2s != k2))[labels])
     if clamped:
         warnings.warn(f"k1/k2 clamped for {clamped} of {n} samples (small classes)", stacklevel=2)
-    with np.errstate(over="ignore", invalid="ignore"):  # such rows are ranked exactly
-        sq = np.einsum("ij,ij->i", x, x)
-        d2 = x @ x.T  # the only n x n array; it is freed on return, before L
-        d2 *= -2.0
-        d2 += sq[:, None]
-        d2 += sq
+    sq = np.einsum("ij,ij->i", x, x)
+    d2 = x @ x.T  # the only n x n array; it is freed on return, before L
+    d2 *= -2.0
+    d2 += sq[:, None]
+    d2 += sq
     # To first order the GEMM and the explicit squared distance each lie
     # within (p+2)*eps*(|x_i|^2 + |x_j|^2) of the true one; gradual
     # underflow adds far less than tiny. Twice that also covers squared

@@ -16,13 +16,14 @@ import contextlib
 import errno
 import os
 import sys
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 
-from .config import MenConfig, config_from_mapping, parse_kv_lines
+from .config import MenConfig, config_from_mapping, parse_kv_lines, parse_value
 from .datasets import ingest
-from .errors import DataError, MenError, NumericalError
+from .errors import DataError, NumericalError
 from .evaluation import (
     SplitSpec,
     evaluate,
@@ -36,14 +37,8 @@ from .pipeline import fit, project
 
 __all__ = ["main", "main_entry"]
 
-# evaluation keys of the config file, with their defaults; every other key
-# belongs to MenConfig
-_EVAL_DEFAULTS = {
-    "seed": "0",
-    "repeats": "5",
-    "per_class_train": "5",
-    "dim_grid": "1,2",
-}
+# evaluation keys of the config file; every other key belongs to MenConfig
+_EVAL_KEYS = {f.name for f in fields(SplitSpec)} | {"dim_grid"}
 
 
 def _load_config_file(path: str | None) -> dict[str, str]:
@@ -60,15 +55,12 @@ def _load_config_file(path: str | None) -> dict[str, str]:
 
 
 def _split_config(mapping: dict[str, str], args) -> tuple[MenConfig, dict[str, str]]:
-    eval_map = dict(_EVAL_DEFAULTS)
-    eval_map.update((k, v) for k, v in mapping.items() if k in _EVAL_DEFAULTS)
-    cfg = config_from_mapping({k: v for k, v in mapping.items() if k not in _EVAL_DEFAULTS})
+    eval_map = {k: v for k, v in mapping.items() if k in _EVAL_KEYS}
+    cfg = config_from_mapping({k: v for k, v in mapping.items() if k not in _EVAL_KEYS})
     if args.d is not None:
         cfg = cfg.with_overrides(d=args.d)
     if args.K is not None:
         cfg = cfg.with_overrides(K=args.K)
-    if getattr(args, "seed", None) is not None:
-        eval_map["seed"] = str(args.seed)
     return cfg, eval_map
 
 
@@ -147,14 +139,13 @@ def _cmd_project(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     cfg, eval_map = _split_config(_load_config_file(args.config), args)
-    try:
-        seed = int(eval_map["seed"])
-        repeats = int(eval_map["repeats"])
-        per_class_train = int(eval_map["per_class_train"])
-        dim_grid = [int(v) for v in eval_map["dim_grid"].split(",") if v.strip() != ""]
-    except ValueError as exc:
-        raise DataError(f"bad evaluation config value ({exc})", stage="config") from exc
-    split = SplitSpec(per_class_train=per_class_train, seed=seed, repeats=repeats)
+    dim_grid = parse_value(
+        "dim_grid", eval_map.pop("dim_grid", "1,2"),
+        lambda text: [int(v) for v in text.split(",") if v.strip() != ""],
+    )
+    split = config_from_mapping(eval_map, SplitSpec)
+    if args.seed is not None:
+        split = replace(split, seed=args.seed)
     out_dir = Path(args.out)
     with _output_directories(out_dir):
         result = evaluate(ingest(args.data), cfg, split, dim_grid)
@@ -265,9 +256,6 @@ def main(argv=None) -> int:
         return 1
     except NumericalError as exc:
         print(f"error: stage={exc.stage or 'numerical'} reason={exc}", file=sys.stderr)
-        return 2
-    except MenError as exc:
-        print(f"error: stage={exc.stage or 'internal'} reason={exc}", file=sys.stderr)
         return 2
 
 

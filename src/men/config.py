@@ -14,7 +14,7 @@ from functools import partial
 
 from .errors import DataError
 
-__all__ = ["MenConfig", "config_to_lines", "config_from_mapping", "parse_kv_lines"]
+__all__ = ["MenConfig", "config_to_lines", "config_from_mapping", "parse_kv_lines", "parse_value"]
 
 
 @dataclass(frozen=True)
@@ -106,13 +106,6 @@ def _parse_optional(parse, text: str):
 
 
 _PARSERS = {"float": float, "int": int, "bool": _parse_bool}
-# key -> coercion function, read off MenConfig's annotations (strings under
-# the __future__ import) in field order
-_SCHEMA = {
-    f.name: partial(_parse_optional, _PARSERS[f.type.removesuffix(" | None")])
-    if f.type.endswith(" | None") else _PARSERS[f.type]
-    for f in fields(MenConfig)
-}
 
 
 def _format_value(value) -> str:
@@ -146,20 +139,32 @@ def parse_kv_lines(lines) -> dict[str, str]:
     return out
 
 
-def config_from_mapping(mapping: dict[str, str]) -> MenConfig:
-    """Build a MenConfig from a string mapping, coercing per field type.
+def parse_value(key: str, text: str, parse):
+    """parse(text); a failure raises DataError (stage config) naming the key."""
+    try:
+        return parse(text)
+    except (ValueError, TypeError) as exc:
+        message = f"bad value for config key {key}: {text!r} ({exc})"
+        raise DataError(message, stage="config") from exc
+
+
+def config_from_mapping(mapping: dict[str, str], cls=MenConfig):
+    """Build a `cls` (a dataclass of float, int and bool fields, any of them
+    optional) from a string mapping, coercing per field type.
 
     Keys absent from the mapping keep their defaults. Unknown keys and
     values that do not parse raise DataError (stage config) naming the key.
     """
+    # key -> coercion function, read off the annotations (strings under the
+    # __future__ import)
+    schema = {
+        f.name: partial(_parse_optional, _PARSERS[f.type.removesuffix(" | None")])
+        if f.type.endswith(" | None") else _PARSERS[f.type]
+        for f in fields(cls)
+    }
     kwargs = {}
     for key, text in mapping.items():
-        if key not in _SCHEMA:
+        if key not in schema:
             raise DataError(f"unknown config key: {key}", stage="config")
-        try:
-            kwargs[key] = _SCHEMA[key](text)
-        except (ValueError, TypeError) as exc:
-            raise DataError(
-                f"bad value for config key {key}: {text!r} ({exc})", stage="config"
-            ) from exc
-    return MenConfig(**kwargs)
+        kwargs[key] = parse_value(key, text, schema[key])
+    return cls(**kwargs)

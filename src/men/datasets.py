@@ -25,6 +25,8 @@ __all__ = [
     "make_face_like",
 ]
 
+_INT64 = np.iinfo(np.int64)
+
 
 def read_pgm(path) -> np.ndarray:
     """Read an 8-bit binary graymap (P5, maxval 255) into a 2-D uint8 array."""
@@ -73,6 +75,17 @@ def write_pgm(path, image: np.ndarray) -> None:
     Path(path).write_bytes(header + image.tobytes())
 
 
+def _parse_label(path: Path, lineno: int, text: str) -> int:
+    """The integer label on line `lineno` of `path`; it must fit in int64."""
+    try:
+        label = int(text)
+    except ValueError:
+        label = None
+    if label is None or not _INT64.min <= label <= _INT64.max:
+        raise DataError(f"{path}:{lineno}: bad label {text.strip()!r}")
+    return label
+
+
 def _ingest_csv(path: Path) -> SampleSet:
     rows: list[list[float]] = []
     labels: list[int] = []
@@ -95,12 +108,7 @@ def _ingest_csv(path: Path) -> SampleSet:
                 rows.append([float(v) for v in parts[:-1]])
             except ValueError as exc:
                 raise DataError(f"{path}:{lineno}: bad feature value ({exc})") from exc
-            try:
-                labels.append(int(parts[-1]))
-            except ValueError as exc:
-                raise DataError(
-                    f"{path}:{lineno}: bad label {parts[-1]!r} (integer required)"
-                ) from exc
+            labels.append(_parse_label(path, lineno, parts[-1]))
     if not rows:
         raise DataError(f"{path}: no samples")
     return SampleSet.compacted(np.asarray(rows, dtype=np.float64), labels)
@@ -129,12 +137,7 @@ def _manifest_entries(path: Path):
             if "," not in line:
                 raise DataError(f"{path}:{lineno}: expected image-path,label")
             image_path, label_text = line.rsplit(",", 1)
-            try:
-                label = int(label_text.strip())
-            except ValueError as exc:
-                raise DataError(
-                    f"{path}:{lineno}: bad label {label_text.strip()!r}"
-                ) from exc
+            label = _parse_label(path, lineno, label_text)
             yield (path.parent / image_path.strip()).resolve(), label
 
 

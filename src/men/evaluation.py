@@ -36,20 +36,21 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SplitSpec:
-    """Per-class training count, base seed, and number of repeats.
+    """Per-class training count, base seed and repeats: the config's evaluation keys.
 
     Repeat r uses numpy's PCG64 generator seeded with seed + r, so splits
     are reproducible and documented.
     """
 
-    per_class_train: int
+    per_class_train: int = 5
     seed: int = 0
     repeats: int = 5
 
     def __post_init__(self):
-        for name in ("per_class_train", "repeats"):
-            if getattr(self, name) < 1:
-                raise DataError(f"{name} must be >= 1, got {getattr(self, name)}", stage="config")
+        for name, low in (("per_class_train", 1), ("seed", 0), ("repeats", 1)):
+            value = getattr(self, name)
+            if value < low:
+                raise DataError(f"{name} must be >= {low}, got {value}", stage="config")
 
 
 @dataclass

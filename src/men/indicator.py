@@ -23,12 +23,9 @@ RANK_TOL = 1e-10
 
 @dataclass
 class IndicatorMatrix:
-    """values: n x d targets; centers: c x d projected class centers;
-    basis: p x d orthonormal eigenvectors."""
+    """values: n x d targets, row j the projected center of sample j's class."""
 
     values: np.ndarray
-    centers: np.ndarray
-    basis: np.ndarray
 
 
 def orient_columns(basis: np.ndarray) -> None:
@@ -44,9 +41,8 @@ def class_centers(samples: SampleSet) -> tuple[np.ndarray, np.ndarray]:
     """Per-class mean rows and class proportions (summing to 1)."""
     sizes = samples.class_sizes()
     centers = np.zeros((samples.c, samples.p))
-    with np.errstate(over="ignore", invalid="ignore"):  # weighted_center_pca rejects it
-        for k in range(samples.c):
-            centers[k] = samples.data[samples.labels == k].mean(axis=0)
+    for k in range(samples.c):
+        centers[k] = samples.data[samples.labels == k].mean(axis=0)
     return centers, sizes / samples.n
 
 
@@ -94,9 +90,4 @@ def build_indicator(samples: SampleSet, d: int, *, center: bool = False) -> Indi
     """Assemble the n x d indicator matrix: row j is its class's projected center."""
     centers, weights = class_centers(samples)
     basis, _ = weighted_center_pca(centers, weights, d, center=center)
-    projected = centers @ basis
-    return IndicatorMatrix(
-        values=projected[samples.labels],
-        centers=projected,
-        basis=basis,
-    )
+    return IndicatorMatrix(values=(centers @ basis)[samples.labels])

@@ -92,19 +92,16 @@ def pca_preprocess(
     when p > n that matrix is tall, and LAPACK reduces it by QR first
     (Chan's R-SVD), faster than the SVD of the wide data. The basis is a
     fresh p x retain array, copied after the centered data are freed.
-    Raises DataError when centering overflows and NumericalError when the
-    SVD does not converge.
+    The reduced data form a new SampleSet, so they meet its entry bound or
+    raise DataError. Raises NumericalError when the SVD does not converge.
     """
     limit = min(samples.n - 1, samples.p)
     if not 1 <= retain <= limit:
         raise DataError(
             f"pca_retain={retain} outside [1, {limit}] for {samples.n} x {samples.p} data"
         )
-    with np.errstate(over="ignore", invalid="ignore"):
-        mean = samples.data.mean(axis=0)
-        centered = samples.data - mean
-    if not np.isfinite(centered).all():
-        raise DataError("centering the data overflows; rescale the features")
+    mean = samples.data.mean(axis=0)
+    centered = samples.data - mean
     try:
         basis = np.linalg.svd(centered.T, full_matrices=False)[0][:, :retain]
     except np.linalg.LinAlgError as exc:
@@ -203,19 +200,11 @@ def fit(
 
 def project(model: ProjectionMatrix, samples: SampleSet) -> np.ndarray:
     """Embed samples: apply the stored centering/PCA, then the projection."""
-    if model.pca_basis is not None:
-        expected = model.pca_basis.shape[0]
-        if samples.p != expected:
-            raise DataError(
-                f"feature dimension {samples.p} does not match the model's raw "
-                f"dimension {expected}"
-            )
-        reduced = (samples.data - model.pca_mean) @ model.pca_basis
-    else:
-        if samples.p != model.values.shape[0]:
-            raise DataError(
-                f"feature dimension {samples.p} does not match the model's "
-                f"dimension {model.values.shape[0]}"
-            )
-        reduced = samples.data
+    basis = model.pca_basis
+    expected = (model.values if basis is None else basis).shape[0]
+    if samples.p != expected:
+        raise DataError(
+            f"feature dimension {samples.p} does not match the model's dimension {expected}"
+        )
+    reduced = samples.data if basis is None else (samples.data - model.pca_mean) @ basis
     return reduced @ model.values

@@ -50,11 +50,10 @@ def patches_and_oracle(samples, k1, k2, kappa):
     """build_patches and oracle_patches; build_patches warns exactly when it clamps."""
     sizes = samples.class_sizes()
     clamps = bool(((k1 > sizes - 1) | (k2 > samples.n - sizes)).any())
-    with np.errstate(over="ignore"):  # both rank overflowing distances as inf
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            got = build_patches(samples, k1, k2, kappa)
-        want = oracle_patches(samples, k1, k2, kappa)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got = build_patches(samples, k1, k2, kappa)
+    want = oracle_patches(samples, k1, k2, kappa)
     assert len(caught) == clamps and all("k1/k2 clamped" in str(w.message) for w in caught)
     return got, want
 
@@ -74,8 +73,10 @@ def selector_problem(kind, seed, n, p, c, fortran, kmax=None):
         data[nudge] = np.nextafter(data[nudge], np.where(rng.random(nudge.sum()) < 0.5, -1, 1))
     elif kind == "offset":
         data += 1e6  # |x_i|^2 + |x_j|^2 - 2 x_i.x_j cancels to rounding noise
+    elif kind == "large":
+        data[rng.random(n) < 0.5] *= 1e150  # squared norms near 1e302, within SampleSet's bound
     elif kind == "huge":
-        data[rng.random(n) < 0.5] *= 1e160  # squared norms overflow to inf
+        data[rng.random(n) < 0.5] *= 1e160  # squared norms would overflow
     elif kind == "tiny":
         data *= 3e-162  # squared entries underflow to a few subnormal units or to 0
     samples = SampleSet(np.asfortranarray(data) if fortran else data, labels)
@@ -99,6 +100,20 @@ class TestSampleSet:
     def test_rejects_tiny(self):
         with pytest.raises(DataError):
             SampleSet(np.zeros((1, 2)), np.array([0]))
+
+    @pytest.mark.parametrize(
+        "data, labels, message",
+        [
+            (np.zeros(4), np.zeros(4), "data must be 2-D, got shape (4,)"),
+            (np.zeros((3, 2)), np.zeros(2), "labels must have length 3, got shape (2,)"),
+            (np.zeros((3, 2)), np.array([0, -1, 0]), "labels must be nonnegative"),
+            (np.full((3, 2), 1e160), np.zeros(3), "data has nonfinite entries or |x| > "),
+        ],
+        ids=["1-d", "label-length", "negative-label", "beyond-bound"],
+    )
+    def test_rejects_malformed(self, data, labels, message):
+        with pytest.raises(DataError, match=re.escape(message)):
+            SampleSet(data, labels)
 
     def test_compacted_and_subset_renumber_labels(self):
         s = SampleSet.compacted(np.arange(6.0).reshape(3, 2), [5, 9, 5])
@@ -136,6 +151,19 @@ class TestBuildPatch:
         patch = build_patch(s, 0, k1=1, k2=1, kappa=1.0)
         assert patch.same_class == [1]  # indices 1 and 2 tie at distance 1
 
+    @pytest.mark.parametrize(
+        "i, k1, k2, message",
+        [
+            (6, 1, 1, "sample index 6 out of range [0, 6)"),
+            (-1, 1, 1, "sample index -1 out of range [0, 6)"),
+            (0, 0, 0, "need k1 >= 0, k2 >= 0 and k1+k2 >= 1, got k1=0 k2=0"),
+        ],
+        ids=["index-past-end", "negative-index", "no-neighbours"],
+    )
+    def test_rejects_bad_arguments(self, i, k1, k2, message):
+        with pytest.raises(DataError, match=re.escape(message)):
+            build_patch(line_samples(), i, k1, k2, kappa=1.0)
+
     def test_insufficient_same_class(self):
         s = SampleSet(np.array([[0.0], [1.0], [2.0]]), np.array([0, 1, 1]))
         with pytest.raises(DataError, match="class 0"):
@@ -160,7 +188,7 @@ class TestBuildPatch:
 class TestBuildPatches:
     @settings(max_examples=60, deadline=None)
     @given(
-        kind=st.sampled_from(["random", "duplicates", "near-ties", "offset", "huge", "tiny"]),
+        kind=st.sampled_from(["random", "duplicates", "near-ties", "offset", "large", "tiny"]),
         seed=st.integers(0, 2**32 - 1),
         n=st.integers(2, 24),
         p=st.integers(1, 12),
@@ -174,11 +202,15 @@ class TestBuildPatches:
             (w.center, w.same_class, w.diff_class, w.kappa) for w in want
         ]
 
-    @pytest.mark.parametrize("kind", ["duplicates", "near-ties", "offset", "huge", "tiny"])
+    @pytest.mark.parametrize("kind", ["duplicates", "near-ties", "offset", "large", "huge", "tiny"])
     def test_stress_kinds_at_size(self, kind):
         # more rows than the Hypothesis problems and at most 9 neighbours per
         # group, so the filter drops most candidates; p > 8 takes numpy's
         # pairwise summation path
+        if kind == "huge":  # SampleSet rejects data whose distances could overflow
+            with pytest.raises(DataError, match="nonfinite entries or"):
+                selector_problem(kind, 11, 90, 17, 3, False, kmax=9)
+            return
         samples, k1, k2 = selector_problem(kind, 11, 90, 17, 3, False, kmax=9)
         got, want = patches_and_oracle(samples, k1, k2, 1.0)
         assert [(g.same_class, g.diff_class) for g in got] == [

@@ -89,8 +89,9 @@ class TestFitCommand:
             (b"alpha=abc", "alpha"),
             (b"alpha 2", "key=value"),
             (b"alpha=\xff", "UTF-8"),
+            (b"lambda1=-1", "lambda1 must be >= 0"),
         ],
-        ids=["unknown-key", "bad-value", "missing-equals", "not-utf8"],
+        ids=["unknown-key", "bad-value", "missing-equals", "not-utf8", "negative-lambda1"],
     )
     def test_config_errors_exit_one(self, workspace, capsys, line, named):
         tmp, data, config = workspace
@@ -137,6 +138,29 @@ class TestFitCommand:
         ])
         assert rc == 1
         assert "no such file" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "data, config, error",
+        [
+            ("big.csv", "men.cfg", "stage=input reason={tmp}/big.csv:2: bad label '{big}'"),
+            ("big.txt", "men.cfg", "stage=input reason={tmp}/big.txt:1: bad label '{big}'"),
+            ("data.csv", "missing.cfg",
+             "stage=config reason=config file not found: {tmp}/missing.cfg"),
+        ],
+        ids=["csv-label-past-int64", "manifest-label-past-int64", "missing-config"],
+    )
+    def test_input_errors_name_their_place(self, workspace, capsys, data, config, error):
+        tmp, _, _ = workspace
+        big = "99999999999999999999999"
+        (tmp / "big.csv").write_text(f"1,2,0\n3,4,{big}\n")
+        (tmp / "big.txt").write_text(f"a.pgm,{big}\nb.pgm,0\n")
+        rc = main([
+            "fit", "--data", str(tmp / data), "--config", str(tmp / config),
+            "--model", str(tmp / "out" / "m.men"),
+        ])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {error.format(tmp=tmp, big=big)}\n"
+        assert not (tmp / "out").exists()
 
     def test_numerical_failure_exits_two(self, workspace, capsys, monkeypatch):
         import men.cli as cli_module
@@ -432,8 +456,7 @@ class TestFileSystemFaults:
         assert (tmp / "kept").is_dir()
 
     def test_overflowing_column_sums_exit_one(self, tmp_path, capsys):
-        # finite entries whose column sum overflows; the SVD of the NaN-filled
-        # centered data would never return
+        # finite entries whose column sum overflows: ingest rejects them
         rows = np.random.default_rng(5).normal(size=(6, 10))
         rows[1:3, 0] = 1.7e308
         labels = [0, 0, 0, 1, 1, 1]
@@ -449,7 +472,7 @@ class TestFileSystemFaults:
         ])
         assert rc == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: stage=preprocess reason=")
+        assert err.startswith("error: stage=input reason=data has nonfinite entries or")
         assert err.count("\n") == 1
         assert not (tmp_path / "out").exists()
 
@@ -507,7 +530,11 @@ class TestUsage:
 class TestProcess:
     def test_module_exit_codes_and_error_line(self, workspace):
         tmp, data, config = workspace
-        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        env = dict(
+            os.environ,
+            PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"),
+            PYTHONWARNINGS="error",
+        )
 
         def run(*argv):
             return subprocess.run(
@@ -524,6 +551,16 @@ class TestProcess:
         assert missing.returncode == 1
         assert len(missing.stderr.splitlines()) == 1
         assert missing.stderr.startswith("error: stage=")
+        # entries near the float64 limit: rejected at ingest, with no warning
+        # from a later stage's overflow
+        huge = tmp / "huge.csv"
+        huge.write_text("".join(f"{1.7e308 * (-1) ** i!r},{i % 3},{i % 2}\n" for i in range(8)))
+        config.write_text(CONFIG.replace("pca_retain=0", "pca_retain=0\nk1=1\nk2=1"))
+        overflow = run("fit", "--data", str(huge), "--config", str(config),
+                       "--model", str(tmp / "h.men"))
+        assert overflow.returncode == 1, overflow.stderr
+        assert len(overflow.stderr.splitlines()) == 1
+        assert overflow.stderr.startswith("error: stage=input reason=data has nonfinite entries")
 
 
 class TestEvaluateCommand:
@@ -566,7 +603,13 @@ class TestEvaluateCommand:
         assert rc == 1
         assert "dim_grid" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("line", ["repeats=0", "dim_grid=0,1", "per_class_train=10"])
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "repeats=0", "dim_grid=0,1", "per_class_train=10",
+            "repeats=abc", "dim_grid=1,x", "seed=-1",
+        ],
+    )
     def test_bad_evaluation_value_is_config_stage(self, workspace, capsys, line):
         tmp, data, config = workspace
         config.write_text(CONFIG + line + "\n")
@@ -577,6 +620,7 @@ class TestEvaluateCommand:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error: stage=config reason=")
+        assert line.split("=")[0] in err
         assert err.count("\n") == 1
 
     def test_seed_override_changes_split(self, workspace):

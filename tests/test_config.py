@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from men.config import _SCHEMA, MenConfig, config_from_mapping, config_to_lines, parse_kv_lines
+from men.config import MenConfig, config_from_mapping, config_to_lines, parse_kv_lines
 from men.errors import DataError
+from men.evaluation import SplitSpec
 
 
 class TestValidation:
@@ -27,6 +28,7 @@ class TestValidation:
             dict(K=0),
             dict(pca_retain=-2),
             dict(eig_floor=-1e-3),
+            dict(lambda1=-1.0),
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -96,7 +98,13 @@ class TestKvParsing:
         assert config_from_mapping({"pca_retain": "0"}).pca_retain == 0
 
     def test_schema_is_the_field_list(self):
-        assert list(_SCHEMA) == [f.name for f in fields(MenConfig)]
+        mapping = parse_kv_lines(config_to_lines(MenConfig()))
+        assert list(mapping) == [f.name for f in fields(MenConfig)]
+        assert config_from_mapping(mapping) == MenConfig()
+        split = {"per_class_train": "3", "seed": "7", "repeats": "2"}
+        assert config_from_mapping(split, SplitSpec) == SplitSpec(3, 7, 2)
+        with pytest.raises(DataError, match="unknown config key: K"):
+            config_from_mapping({"K": "3"}, SplitSpec)
         assert config_from_mapping({"lambda1": "auto"}).lambda1 is None
         assert config_from_mapping({"lambda1": " 0.5 "}).lambda1 == 0.5
         assert config_from_mapping({"pca_retain": "None"}).pca_retain is None

@@ -51,6 +51,29 @@ class TestIngestCsv:
         with pytest.raises(DataError, match="d.csv:2"):
             ingest(path)
 
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            ("1\n2\n", "d.csv:1: need features plus a label column$"),
+            ("1,2,0\nx,4,1\n", "d.csv:2: bad feature value"),
+            ("\n  \n\n", "d.csv: no samples$"),
+            ("1,2,0\n3,4,99999999999999999999999\n",
+             "d.csv:2: bad label '99999999999999999999999'$"),
+            ("1,2,0\n3,4,-9223372036854775809\n", "d.csv:2: bad label '-9223372036854775809'$"),
+        ],
+        ids=["label-only", "text-feature", "blank-lines", "label-past-int64", "label-below-int64"],
+    )
+    def test_malformed_csv_names_line(self, tmp_path, content, message):
+        path = tmp_path / "d.csv"
+        path.write_text(content)
+        with pytest.raises(DataError, match=message):
+            ingest(path)
+
+    def test_int64_label_extremes(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("1,2,9223372036854775807\n3,4,-9223372036854775808\n")
+        assert np.array_equal(ingest(path).labels, [1, 0])
+
     def test_noncompact_labels_remapped(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("1,2,5\n3,4,9\n5,6,5\n")
@@ -132,13 +155,53 @@ class TestGraymaps:
             (b"P5\n2 2\n255", "truncated pixel data"),
             (b"P5\n-2 -2\n255\n\x00\x00\x00\x00", "bad graymap size -2x-2"),
             (b"P5\n100000 100000\n255\n\x00\x00\x00\x00", "truncated pixel data"),
+            (b"P6\n2 2\n255\n\x00\x00\x00\x00", "not a binary graymap"),
+            (b"P5\n2 2", "truncated graymap header"),
+            (b"P5\nwide 2\n255\n\x00\x00\x00\x00", "bad graymap header"),
+            (b"P5\n2 2\n65535\n" + bytes(8), r"only 8-bit graymaps supported \(maxval 65535\)"),
         ],
-        ids=["ends-after-maxval", "negative-size", "short-pixel-block"],
+        ids=[
+            "ends-after-maxval", "negative-size", "short-pixel-block", "no-magic",
+            "ends-in-header", "text-size", "16-bit",
+        ],
     )
     def test_malformed_graymap_names_path(self, tmp_path, content, reason):
         (tmp_path / "bad.pgm").write_bytes(content)
         with pytest.raises(DataError, match=f"bad.pgm: {reason}"):
             read_pgm(tmp_path / "bad.pgm")
+
+    def test_header_comment_is_skipped(self, tmp_path):
+        (tmp_path / "c.pgm").write_bytes(b"P5\n# made by hand\n2 1 # width, height\n255\n\x07\x09")
+        assert np.array_equal(read_pgm(tmp_path / "c.pgm"), [[7, 9]])
+
+    def test_write_rejects_non_2d(self, tmp_path):
+        with pytest.raises(DataError, match=r"graymap image must be 2-D, got shape \(4,\)"):
+            write_pgm(tmp_path / "v.pgm", np.zeros(4, dtype=np.uint8))
+
+    @pytest.mark.parametrize(
+        "name, message",
+        [
+            ("flat", "flat: no class subdirectories$"),
+            ("classes", "c1: empty class directory$"),
+            ("nocomma.txt", "nocomma.txt:2: expected image-path,label$"),
+            ("comments.txt", "comments.txt: no entries$"),
+            ("big.txt", "big.txt:1: bad label '99999999999999999999999'$"),
+        ],
+        ids=["no-class-dirs", "empty-class-dir", "manifest-without-comma",
+             "manifest-of-comments", "manifest-label-past-int64"],
+    )
+    def test_malformed_image_inputs_named(self, tmp_path, name, message):
+        write_pgm(tmp_path / "img.pgm", np.zeros((2, 2), dtype=np.uint8))
+        (tmp_path / "flat").mkdir()
+        write_pgm(tmp_path / "flat" / "img.pgm", np.zeros((2, 2), dtype=np.uint8))
+        (tmp_path / "classes" / "c0").mkdir(parents=True)
+        (tmp_path / "classes" / "c1").mkdir()
+        write_pgm(tmp_path / "classes" / "c0" / "a.pgm", np.zeros((2, 2), dtype=np.uint8))
+        (tmp_path / "nocomma.txt").write_text("img.pgm,0\nimg.pgm 1\n")
+        (tmp_path / "comments.txt").write_text("# no images yet\n\n# still none\n")
+        (tmp_path / "big.txt").write_text("img.pgm,99999999999999999999999\nimg.pgm,0\n")
+        with pytest.raises(DataError, match=message):
+            ingest(tmp_path / name)
 
     def test_mismatched_shapes(self, tmp_path):
         d = tmp_path / "c0"
@@ -193,6 +256,10 @@ class TestNnClassify:
         train = np.array([[1.0], [1.0]])
         labels = np.array([1, 0])
         assert nn_classify(train, labels, np.array([[1.0]]))[0] == 1
+
+    def test_width_mismatch_error(self):
+        with pytest.raises(DataError, match="embedding dimensions differ: train 2, test 3"):
+            nn_classify(np.zeros((2, 2)), np.zeros(2, dtype=int), np.zeros((1, 3)))
 
     def test_empty_training_error(self):
         with pytest.raises(DataError, match="empty"):

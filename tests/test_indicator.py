@@ -99,14 +99,14 @@ class TestBuildIndicator:
         for j in range(s.n):
             assert_allclose(ind.values[j], centers[s.labels[j]] @ eta, atol=1e-12)
             # exact copy of the class's projected center
-            assert np.array_equal(ind.values[j], ind.centers[s.labels[j]])
+            assert np.array_equal(ind.values[j], (centers @ eta)[s.labels[j]])
 
     def test_basis_orthonormal(self):
         rng = np.random.default_rng(4)
         labels = np.repeat(np.arange(4), 4)
         s = SampleSet(rng.normal(size=(16, 8)) + 2.0 * labels[:, None], labels)
-        ind = build_indicator(s, 3)
-        assert_allclose(ind.basis.T @ ind.basis, np.eye(3), atol=1e-10)
+        basis, _ = weighted_center_pca(*class_centers(s), 3)
+        assert_allclose(basis.T @ basis, np.eye(3), atol=1e-10)
 
     def test_projected_variance_is_maximal(self):
         rng = np.random.default_rng(5)
@@ -133,12 +133,12 @@ class TestBuildIndicator:
         assert ind.values.shape == (12, 3)
 
     def test_cancelling_overflow_raises_data_error(self):
-        # one contiguous column: the class sum pairs +inf with -inf, a NaN mean
-        data = np.zeros((16, 1))
-        data[:4, 0] = [1.7e308, 1.7e308, -1.7e308, -1.7e308]
-        s = SampleSet(data, np.repeat([0, 1], 8))
-        with pytest.raises(DataError, match="overflows"):
-            build_indicator(s, 1)
+        # raw centers, which no SampleSet bounds: the weighted mean cancels
+        # to 0, but each center's square overflows the moment
+        centers = np.array([[1.7e308], [-1.7e308]])
+        for center in (False, True):
+            with pytest.raises(DataError, match="overflows"):
+                weighted_center_pca(centers, np.array([0.5, 0.5]), 1, center=center)
 
     def test_centered_variant(self):
         rng = np.random.default_rng(7)

@@ -297,6 +297,12 @@ class TestGramUpdate:
             assert np.abs(gram @ inv - np.eye(m + 1)).max() <= 1e-8
             assert_allclose(inv, np.linalg.inv(gram), atol=1e-8)
 
+    def test_tiny_pivots_raise(self):
+        with pytest.raises(NumericalError, match="squared norm 0.000e"):
+            gram_update(None, np.empty(0), 0.0)
+        with pytest.raises(NumericalError, match="downdate pivot 0.000e"):
+            gram_downdate(np.array([[0.0, 1.0], [1.0, 1.0]]), 0)
+
     def test_downdate_matches_reduced_inverse(self):
         rng = np.random.default_rng(7)
         X = rng.normal(size=(20, 6))
@@ -432,6 +438,74 @@ class TestSolveColumn:
                     <= 1e-8 * scale
                 )
         assert drops > 0 and conts > 0  # the stress actually hit those branches
+
+
+class TestFallbacksAndTerminations:
+    def test_forced_downdate_refactorization(self, monkeypatch):
+        # the test_engineered_drop path, once as is and once with every
+        # downdate replaced by inverting G[A, A]
+        import men.lars as lars_module
+
+        rng = np.random.default_rng(0)
+        prob = plain_problem(rng.normal(size=(12, 8)), rng.normal(size=12))
+        _, plain = solve_column(prob, 13)
+
+        def refuse(gram_inv, pos):
+            raise NumericalError("forced")
+
+        refactored = []
+        original = lars_module._refactor_gram_inverse
+
+        def counting(problem, active):
+            refactored.append(list(active))
+            return original(problem, active)
+
+        monkeypatch.setattr(lars_module, "gram_downdate", refuse)
+        monkeypatch.setattr(lars_module, "_refactor_gram_inverse", counting)
+        w, forced = solve_column(prob, 13)
+        drops = [bp for bp in forced.breakpoints if bp.event == "drop"]
+        assert drops and len(refactored) == len(drops)
+        assert [(bp.event, bp.variable) for bp in forced.breakpoints] == [
+            (bp.event, bp.variable) for bp in plain.breakpoints
+        ]
+        scale = max(1.0, forced.breakpoints[0].c_hat)
+        for got, want in zip(forced.breakpoints, plain.breakpoints):
+            assert_allclose(got.coefficients, want.coefficients, rtol=0, atol=1e-10 * scale)
+            viol = kkt_violation(prob.xstar, prob.ystar, got.coefficients, got.c_hat)
+            assert viol <= 1e-8 * scale
+        assert np.array_equal(w, forced.final_coefficients())
+
+    def test_singular_active_gram_names_lambda2(self):
+        # an exact duplicate column without ridge rows: the Schur pivot
+        # vanishes, and so does the re-factorization's
+        from men.config import MenConfig
+        from men.transform import build_augmented
+
+        rng = np.random.default_rng(0)
+        X = rng.normal(size=(10, 4))
+        X[:, 2] = X[:, 0]
+        cfg = MenConfig(alpha=0.0, lambda2=0.0)
+        prob = build_augmented(X, rng.normal(size=10), np.zeros((10, 10)), cfg)
+        with pytest.raises(NumericalError, match="lambda2 > 0") as info:
+            solve_column(prob, 4)
+        assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
+
+    def test_stops_when_no_variable_is_left(self, monkeypatch):
+        # without the least-squares stop, a budget K > p ends when every
+        # variable is active and extend_active has nothing to add
+        import men.lars as lars_module
+
+        monkeypatch.setattr(lars_module, "EARLY_STOP_REL", 0.0)
+        rng = np.random.default_rng(0)
+        prob = plain_problem(rng.normal(size=(12, 5)), rng.normal(size=12))
+        w, path = solve_column(prob, 8)
+        assert [bp.event for bp in path.breakpoints] == ["init"] + ["enter"] * 5
+        assert path.breakpoints[-1].c_hat > 0.0
+        assert_allclose(w, np.linalg.lstsq(prob.xstar, prob.ystar, rcond=None)[0], atol=1e-10)
+
+    def test_rejects_empty_budget(self):
+        with pytest.raises(NumericalError, match="K must be >= 1, got 0"):
+            solve_column(plain_problem(np.eye(2), [1.0, 2.0]), 0)
 
 
 def pipeline_problem(d=3):

@@ -106,7 +106,7 @@ class TestPcaPreprocess:
         monkeypatch.setattr(np.linalg, "svd", never)
         data = np.random.default_rng(4).normal(size=(6, 10))
         data[1:3, 0] = 1.7e308
-        with pytest.raises(DataError, match="overflows"):
+        with pytest.raises(DataError, match="nonfinite entries or"):
             pca_preprocess(SampleSet(data, np.repeat([0, 1], 3)), 1)
 
     def test_lossless_at_full_rank(self):
@@ -198,6 +198,16 @@ class TestFit:
         for trace in report.objective_traces:
             assert all(a - b > -1e-12 for a, b in zip(trace, trace[1:]))
 
+    def test_check_monotone_rejects_an_increase(self):
+        s = labelled_gaussians(np.random.default_rng(8))
+        _, report = fit(s, MenConfig(d=2, K=5, pca_retain=0))
+        report.check_monotone()
+        last = report.paths[1].breakpoints[-1]
+        last.objective = report.paths[1].breakpoints[0].objective + 1.0
+        with pytest.raises(NumericalError, match="objective increased by .* in column 1") as info:
+            report.check_monotone()
+        assert info.value.stage == "solve"
+
     def test_sparsity_bound_and_report(self):
         rng = np.random.default_rng(9)
         s = labelled_gaussians(rng, n_per_class=12, p=9)
@@ -253,11 +263,26 @@ class TestFit:
     def test_overflowing_sums_fail_with_stage(self):
         data = np.random.default_rng(24).normal(size=(6, 10))
         data[:, 0] = 1.7e308  # every sum overflows, every difference is exact
-        s = SampleSet(data, np.repeat([0, 1], 3))
-        for pca_retain, stage in ((None, "preprocess"), (0, "indicator")):
-            with pytest.raises(DataError, match="overflows") as info:
-                fit(s, MenConfig(d=1, K=2, k1=1, k2=1, pca_retain=pca_retain))
-            assert info.value.stage == stage
+        with pytest.raises(DataError, match="nonfinite entries or") as info:
+            SampleSet(data, np.repeat([0, 1], 3))
+        assert info.value.stage is None  # the CLI reports it as stage=input
+
+    def test_data_at_the_bound(self):
+        # entries of +-sqrt(max / (4 n p)) pass SampleSet and every stage
+        # without PCA, warning-free; one beyond fails. PCA packs the energy
+        # of 10 equal columns into one, past the reduced data's bound
+        n, p = 6, 10
+        limit = np.sqrt(np.finfo(np.float64).max / (4 * n * p))
+        data = np.array([1.0, -1.0] * 3)[:, None] * np.full((n, p), limit)
+        labels = np.repeat([0, 1], 3)
+        with pytest.raises(DataError, match="nonfinite entries or"):
+            SampleSet(np.nextafter(data, 2 * data), labels)
+        s = SampleSet(data, labels)
+        model, _ = fit(s, MenConfig(d=1, K=2, k1=1, k2=1, pca_retain=0))
+        assert np.isfinite(model.values).all() and np.count_nonzero(model.values) >= 1
+        with pytest.raises(DataError, match="nonfinite entries or") as info:
+            fit(s, MenConfig(d=1, K=2, k1=1, k2=1))
+        assert info.value.stage == "preprocess"
 
     @pytest.mark.parametrize(
         "routine, stage", [("svd", "preprocess"), ("eigh", "indicator")]
@@ -315,6 +340,17 @@ class TestProject:
         wrong = SampleSet(rng.normal(size=(4, s.p + 1)), np.array([0, 0, 1, 1]))
         with pytest.raises(DataError, match="dimension"):
             project(model, wrong)
+
+    def test_pca_model_takes_raw_width(self):
+        rng = np.random.default_rng(16)
+        s = labelled_gaussians(rng, n_per_class=4, p=30)
+        model, _ = fit(s, MenConfig(d=1, K=2))  # auto PCA keeps n - 1 = 11 components
+        assert model.values.shape[0] == 11
+        reduced_width = SampleSet(rng.normal(size=(4, 11)), np.array([0, 0, 1, 1]))
+        message = "feature dimension 11 does not match the model's dimension 30"
+        with pytest.raises(DataError, match=message):
+            project(model, reduced_width)
+        assert project(model, s).shape == (s.n, 1)
 
     def test_pca_centering_applied(self):
         rng = np.random.default_rng(17)
