@@ -10,10 +10,11 @@ L = D - S of one signed neighbour graph: S holds the edge weights,
 symmetrised, and D their row sums. The alignment matrix is built from
 that edge list by one scatter.
 
-Neighbours are found by a GEMM distance filter and an exact re-rank of
-the kept candidates by explicit-difference Euclidean distance, ties broken
-by ascending index. SampleSet bounds every entry, so neither distance can
-overflow and the filter's rounding bound always holds.
+Neighbours are found a block of rows at a time, with no per-sample loop:
+a GEMM distance filter (one row-wise partition per group) and one lexsort
+re-rank of the kept candidates by explicit-difference Euclidean distance,
+ties broken by ascending index. SampleSet bounds every entry, so neither
+distance can overflow and the filter's rounding bound always holds.
 """
 
 from __future__ import annotations
@@ -27,6 +28,10 @@ import numpy as np
 from .errors import DataError
 
 __all__ = ["SampleSet", "Patch", "build_patch", "build_patches", "accumulate_alignment"]
+
+# squared distances per block of rows in build_patches (1 MB of float64):
+# its memory stays a few blocks, not n x n, even when the filter keeps every pair
+BLOCK_ENTRIES = 2**17
 
 
 @dataclass
@@ -83,9 +88,6 @@ class SampleSet:
     def class_sizes(self) -> np.ndarray:
         return np.bincount(self.labels, minlength=self.c)
 
-    def class_members(self, label: int) -> np.ndarray:
-        return np.flatnonzero(self.labels == label)
-
     @classmethod
     def compacted(cls, data, labels) -> "SampleSet":
         """A SampleSet with integer labels renumbered 0..c-1 in ascending order."""
@@ -107,7 +109,7 @@ class Patch:
     kappa: float
 
 
-def _distances(x: np.ndarray, i: int, rows) -> np.ndarray:
+def _distances(x: np.ndarray, i, rows) -> np.ndarray:
     diff = x[rows] - x[i]
     return np.sqrt((diff * diff).sum(axis=1))
 
@@ -147,24 +149,53 @@ def build_patch(samples: SampleSet, i: int, k1: int, k2: int, kappa: float) -> P
     )
 
 
-def _select(x, i, group, row, err, count) -> list[int]:
-    """The `count` members of `group` nearest to sample i, ranked as build_patch does."""
-    if count == 0:
-        return []
-    d2, err = row[group], err[group]
-    top = np.argpartition(d2, count - 1)[:count]
-    keep = group[d2 <= d2[top].max() + err[top].max() + err]
-    return _nearest(keep, _distances(x, i, keep), count)
+def _ranked_neighbours(x, sq, bound, labels, counts, rows: slice) -> list[list[int]]:
+    """Per row of the block, its same-class then its other-class neighbour list."""
+    n, counts = x.shape[0], counts[rows]
+    centers = np.arange(n)[rows]
+    local = np.arange(centers.size)
+    d2 = x[rows] @ x.T
+    d2 *= -2.0
+    d2 += sq[rows, None]
+    d2 += sq
+    outside = labels[rows, None] != labels
+    buf, keep, pairs = np.empty_like(d2), np.empty_like(outside), []
+    for group, k in enumerate(counts.T):
+        if group:
+            np.logical_not(outside, out=outside)
+        outside[local, centers] = True  # a sample is in neither of its groups
+        np.copyto(buf, d2)
+        np.copyto(buf, np.inf, where=outside)
+        buf.partition(np.unique(k[k > 0]) - 1, axis=1)
+        kth = buf[local, np.maximum(k - 1, 0)]
+        np.less_equal(d2, np.where(k > 0, kth + bound[rows], -np.inf)[:, None], out=keep)
+        np.copyto(keep, False, where=outside)
+        row, col = np.divmod(np.flatnonzero(keep), n)  # far faster than a 2-D nonzero
+        pairs.append((2 * row + group, col))
+    del d2, buf, keep, outside
+    segment, cols = (np.concatenate(part) for part in zip(*pairs))
+    # n pairs at a time, so no gathered difference is larger than x
+    chunks = [slice(start, start + n) for start in range(0, cols.size, n)]
+    dist = np.concatenate([_distances(x, centers[segment[c] // 2], cols[c]) for c in chunks])
+    order = np.lexsort((cols, dist, segment))
+    segment, cols = segment[order], cols[order]  # one run per row and group, ascending
+    rank = np.arange(segment.size) - np.searchsorted(segment, segment)
+    chosen = cols[rank < counts.ravel()[segment]].tolist()
+    ends = np.cumsum(counts).tolist()
+    return [chosen[a:b] for a, b in zip([0, *ends], ends)]
 
 
 def build_patches(samples: SampleSet, k1: int, k2: int, kappa: float) -> list[Patch]:
     """Every sample's patch, with k1 and k2 clamped to what its class can supply.
 
     Patch i equals build_patch(samples, i, min(k1, size - 1), min(k2, n - size),
-    kappa) for the size of its class; a clamp warns. The GEMM squared distances
-    keep, per group, the candidates within their rounding bound of the k-th
-    smallest; only those are ranked exactly. SampleSet's entry bound keeps
-    every squared distance finite, so the rounding bound holds in every row.
+    kappa) for the size of its class; a clamp warns. Rows are taken in blocks
+    of at most BLOCK_ENTRIES GEMM squared distances. Per group (same class,
+    other classes), one in-place partition of a copy with the entries outside
+    the group at +inf finds every row's k-th smallest, and the entries within
+    a rounding bound of it are kept. One lexsort on (row, group, distance,
+    index) ranks the kept pairs by explicit-difference distance, and each row
+    takes its first k per group.
     """
     if k1 < 0 or k2 < 0:
         raise DataError(f"need k1 >= 0 and k2 >= 0, got k1={k1} k2={k2}")
@@ -178,27 +209,19 @@ def build_patches(samples: SampleSet, k1: int, k2: int, kappa: float) -> list[Pa
     clamped = np.count_nonzero(((k1s != k1) | (k2s != k2))[labels])
     if clamped:
         warnings.warn(f"k1/k2 clamped for {clamped} of {n} samples (small classes)", stacklevel=2)
+    counts = np.column_stack([k1s, k2s])[labels]  # per sample and group
     sq = np.einsum("ij,ij->i", x, x)
-    d2 = x @ x.T  # the only n x n array; it is freed on return, before L
-    d2 *= -2.0
-    d2 += sq[:, None]
-    d2 += sq
     # To first order the GEMM and the explicit squared distance each lie
     # within (p+2)*eps*(|x_i|^2 + |x_j|^2) of the true one; gradual
-    # underflow adds far less than tiny. Twice that also covers squared
-    # distances whose square roots round to a tie.
-    scale, eps, tiny = 4.0 * (samples.p + 2), np.finfo(float).eps, np.finfo(float).tiny
-    members = [samples.class_members(c) for c in range(samples.c)]
-    others = [np.flatnonzero(labels != c) for c in range(samples.c)]
-    patches = []
-    for i in range(n):
-        label = labels[i]
-        err = scale * (eps * (sq[i] + sq) + tiny)
-        same = members[label][members[label] != i]
-        groups = ((same, k1s[label]), (others[label], k2s[label]))
-        nearest = (_select(x, i, group, d2[i], err, k) for group, k in groups)
-        patches.append(Patch(i, *nearest, float(kappa)))
-    return patches
+    # underflow adds far less than tiny. Twice that, at the largest |x_j|^2,
+    # covers the k-th candidate's error, any other's, and rounding to a tie.
+    eps, tiny = np.finfo(float).eps, np.finfo(float).tiny
+    bound = 8.0 * (samples.p + 2) * (eps * (sq + sq.max()) + tiny)
+    step = max(1, BLOCK_ENTRIES // n)
+    ranked = []
+    for start in range(0, n, step):
+        ranked += _ranked_neighbours(x, sq, bound, labels, counts, slice(start, start + step))
+    return [Patch(i, *ranked[2 * i : 2 * i + 2], float(kappa)) for i in range(n)]
 
 
 def accumulate_alignment(samples: SampleSet, patches) -> np.ndarray:

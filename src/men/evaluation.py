@@ -79,8 +79,7 @@ def split_indices(
     rng = np.random.default_rng(spec.seed + repeat)
     train, test = [], []
     for k in range(samples.c):
-        members = samples.class_members(k)
-        perm = rng.permutation(members)
+        perm = rng.permutation(np.flatnonzero(samples.labels == k))
         train.extend(perm[: spec.per_class_train].tolist())
         test.extend(perm[spec.per_class_train :].tolist())
     return np.sort(np.asarray(train)), np.sort(np.asarray(test))

@@ -108,7 +108,7 @@ def build_a(L: np.ndarray, cfg: MenConfig) -> tuple[np.ndarray, np.ndarray]:
     For alpha = 0 the pair is (ones, I). Raises DataError unless L is a
     finite, exactly symmetric square matrix, and NumericalError when the
     condition number of alpha L + beta I, max|alpha lambda + beta| /
-    min|alpha lambda + beta|, reaches 1e14.
+    min|alpha lambda + beta|, reaches 1e14 or eigh(L) fails.
     """
     L = np.asarray(L, dtype=np.float64)
     square = L.ndim == 2 and L.size > 0 and np.array_equal(L, L.T)
@@ -120,7 +120,10 @@ def build_a(L: np.ndarray, cfg: MenConfig) -> tuple[np.ndarray, np.ndarray]:
         )
     if cfg.alpha == 0.0:
         return np.ones(L.shape[0]), np.eye(L.shape[0])
-    eigvals, eigvecs = np.linalg.eigh(L)
+    try:
+        eigvals, eigvecs = np.linalg.eigh(L)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"alignment matrix eigh failed: {exc}", stage="transform") from exc
     shifted = cfg.alpha * eigvals + cfg.beta
     spread = np.abs(shifted)
     cond = spread.max() / spread.min() if spread.min() > 0.0 else np.inf

@@ -1,6 +1,7 @@
 """Patch construction and the alignment matrix of the signed neighbour graph."""
 
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -9,11 +10,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
+from men import alignment
 from men.alignment import SampleSet, accumulate_alignment, build_patch, build_patches
 from men.datasets import make_informative_classes
 from men.errors import DataError
 
 from oracles import dense_alignment
+from test_pipeline import evaluate_face_train
+
+KINDS = ["random", "duplicates", "near-ties", "offset", "large", "tiny"]
 
 
 def line_samples():
@@ -56,6 +61,19 @@ def patches_and_oracle(samples, k1, k2, kappa):
     want = oracle_patches(samples, k1, k2, kappa)
     assert len(caught) == clamps and all("k1/k2 clamped" in str(w.message) for w in caught)
     return got, want
+
+
+def assert_matches_oracle(samples, k1, k2, kappa=0.5):
+    got, want = patches_and_oracle(samples, k1, k2, kappa)
+    assert [(g.center, g.same_class, g.diff_class, g.kappa) for g in got] == [
+        (w.center, w.same_class, w.diff_class, w.kappa) for w in want
+    ]
+
+
+def shuffled(samples, seed):
+    """The same samples in a random row order, so labels are unsorted."""
+    perm = np.random.default_rng(seed).permutation(samples.n)
+    return SampleSet(samples.data[perm], samples.labels[perm])
 
 
 def selector_problem(kind, seed, n, p, c, fortran, kmax=None):
@@ -188,19 +206,69 @@ class TestBuildPatch:
 class TestBuildPatches:
     @settings(max_examples=60, deadline=None)
     @given(
-        kind=st.sampled_from(["random", "duplicates", "near-ties", "offset", "large", "tiny"]),
+        kind=st.sampled_from(KINDS),
         seed=st.integers(0, 2**32 - 1),
         n=st.integers(2, 24),
         p=st.integers(1, 12),
         c=st.integers(1, 4),
         fortran=st.booleans(),
+        shuffle=st.booleans(),
     )
-    def test_matches_per_sample_oracle(self, kind, seed, n, p, c, fortran):
+    def test_matches_per_sample_oracle(self, kind, seed, n, p, c, fortran, shuffle):
         samples, k1, k2 = selector_problem(kind, seed, n, p, min(c, n), fortran)
-        got, want = patches_and_oracle(samples, k1, k2, 0.5)
-        assert [(g.center, g.same_class, g.diff_class, g.kappa) for g in got] == [
-            (w.center, w.same_class, w.diff_class, w.kappa) for w in want
-        ]
+        assert_matches_oracle(shuffled(samples, seed) if shuffle else samples, k1, k2)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        kind=st.sampled_from(KINDS),
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(4, 40),
+        p=st.integers(1, 12),
+        c=st.integers(2, 20),
+    )
+    def test_matches_oracle_with_many_small_classes(self, kind, seed, n, p, c):
+        # up to n/2 classes of unequal sizes: per-sample counts differ, and
+        # the smaller classes clamp k1 (a class of one to zero)
+        samples, k1, k2 = selector_problem(kind, seed, n, p, min(c, n // 2), False)
+        assert_matches_oracle(shuffled(samples, seed), k1, k2)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        kind=st.sampled_from(KINDS),
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 30),
+        p=st.integers(1, 12),
+        c=st.integers(2, 6),
+    )
+    def test_matches_oracle_without_same_class_neighbours(self, kind, seed, n, p, c):
+        samples, _, k2 = selector_problem(kind, seed, n, p, min(c, n), False)
+        assert_matches_oracle(shuffled(samples, seed), 0, max(k2, 1))
+
+    @pytest.mark.parametrize("rows_per_block", [1, 7])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_row_blocks_match_oracle(self, monkeypatch, kind, rows_per_block):
+        # blocks of a few rows, as data with n^2 > BLOCK_ENTRIES get, select
+        # as one block does
+        samples, k1, k2 = selector_problem(kind, 12, 60, 9, 4, False, kmax=9)
+        monkeypatch.setattr(alignment, "BLOCK_ENTRIES", rows_per_block * samples.n)
+        assert_matches_oracle(shuffled(samples, 12), k1, k2)
+
+    @pytest.mark.parametrize("n_per_class, offset", [(120, 0.0), (60, 1e6)], ids=["plain", "offset"])
+    def test_peak_memory_bounded(self, n_per_class, offset):
+        # one block of rows is alive at a time, so the peak is a few blocks
+        # (16 MB), not n x n (11.5 MB at n = 1200); the offset cancels every
+        # GEMM distance to rounding noise, so the filter keeps nearly all pairs
+        samples = make_informative_classes(
+            n_per_class, 200, list(range(0, 40, 4)), n_classes=10, separation=1.0, seed=3
+        )
+        samples = SampleSet(samples.data + offset, samples.labels)
+        tracemalloc.start()
+        try:
+            build_patches(samples, 3, 3, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * alignment.BLOCK_ENTRIES * 8
 
     @pytest.mark.parametrize("kind", ["duplicates", "near-ties", "offset", "large", "huge", "tiny"])
     def test_stress_kinds_at_size(self, kind):
@@ -344,6 +412,12 @@ class TestAccumulateAlignment:
             with pytest.warns(UserWarning, match="clamped"):
                 patches = build_patches(s, k1, k2, 1.0)
             assert_array_equal(accumulate_alignment(s, patches), dense_alignment(s.n, patches))
+
+    def test_evaluate_face_alignment_bytes(self):
+        # 60 classes of 4: k1 = 3 takes each sample's whole class
+        s = evaluate_face_train()
+        got = accumulate_alignment(s, build_patches(s, 3, 3, 1.0))
+        assert got.tobytes() == accumulate_alignment(s, oracle_patches(s, 3, 3, 1.0)).tobytes()
 
     @pytest.mark.parametrize("kappa", [1.0, 0.37])
     def test_pipeline_patches_give_the_oracles_alignment_bytes(self, kappa):

@@ -285,14 +285,20 @@ class TestFit:
         assert info.value.stage == "preprocess"
 
     @pytest.mark.parametrize(
-        "routine, stage", [("svd", "preprocess"), ("eigh", "indicator")]
+        "routine, stage", [("svd", "preprocess"), ("eigh", "indicator"), ("eigh", "transform")]
     )
     def test_decomposition_failure_is_numerical(self, monkeypatch, routine, stage):
-        def failing(*args, **kwargs):
+        s = labelled_gaussians(np.random.default_rng(25))
+        real = getattr(np.linalg, routine)
+
+        def failing(a, *args, **kwargs):
+            # the indicator stage's eigh runs first; the transform case fails
+            # only the eigh of the n x n alignment matrix
+            if stage == "transform" and np.shape(a) != (s.n, s.n):
+                return real(a, *args, **kwargs)
             raise np.linalg.LinAlgError("did not converge")
 
         monkeypatch.setattr(np.linalg, routine, failing)
-        s = labelled_gaussians(np.random.default_rng(25))
         with pytest.raises(NumericalError, match="did not converge") as info:
             fit(s, MenConfig(d=1, K=2))
         assert info.value.stage == stage
