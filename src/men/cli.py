@@ -254,6 +254,9 @@ def main(argv=None) -> int:
     except OSError as exc:  # a path that is missing, a directory, or unreadable
         print(f"error: stage=io reason={exc}", file=sys.stderr)
         return 1
+    except Warning as exc:  # raised, not printed, under -W error / PYTHONWARNINGS=error
+        print(f"error: stage=warning reason={exc}", file=sys.stderr)
+        return 1
     except NumericalError as exc:
         print(f"error: stage={exc.stage or 'numerical'} reason={exc}", file=sys.stderr)
         return 2

@@ -164,10 +164,12 @@ def fit(
     )
 
     def _transform():
-        factor = spectral_factor(build_a(align, cfg), cfg.eig_floor)
-        # all d target columns share one design; the factor is dropped
-        # here so it is not held through the column solves
-        return build_augmented(work.data, indicator.values, align, cfg, factor=factor)
+        nonlocal align
+        eig, align = build_a(align, cfg), None  # L is freed once its eigh is done
+        # all d target columns share one design; U and the factor are
+        # dropped here so they are not held through the column solves
+        factor = spectral_factor(eig, cfg.eig_floor)
+        return build_augmented(work.data, indicator.values, None, cfg, factor=factor)
 
     shared = staged("transform", _transform)
     if work.p > shared.n_effective and cfg.lambda2 < 1e-6:

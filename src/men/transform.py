@@ -5,15 +5,16 @@ Z = M X W with M = beta (alpha L + beta I)^{-1}, leaving a quadratic form
 in the projection column. Its matrix A = alpha M L M + beta (M - I)^2 + I
 shares the eigenvectors of the symmetric L, so one eigendecomposition
 gives A = I + alpha beta L (alpha L + beta I)^{-1} = U diag(f(lambda)) U^T
-with f(lambda) = 1 + alpha beta lambda / (alpha lambda + beta). A is kept
-in that spectral form and never formed: build_a returns (f(lambda), U) and
-spectral_factor takes the square root from it, so one eigh(L) does the
-whole stage. The negative eigenvalues of L (different-class pushes) can
-make f negative, so A is generally indefinite; eigenvalues below a
-relative floor are clamped, and the transformed response then lives in
-the retained subspace only. Appending ridge rows to the factor gives an
-ordinary penalized least-squares design (xstar, ystar) for the LARS
-engine, which all d projection columns share along with its Gram matrix.
+with f(lambda) = 1 + alpha beta lambda / (alpha lambda + beta). Neither A
+nor its square root is formed: build_a returns (f(lambda), U), and the
+design is built in that eigenbasis from U^T X and U^T y, so one eigh(L)
+does the whole stage and no n' x n array exists. The negative eigenvalues
+of L (different-class pushes) can make f negative, so A is generally
+indefinite; eigenvalues below a relative floor are clamped, and the
+transformed response then lives in the retained subspace only. Ridge rows
+appended to the design give an ordinary penalized least-squares problem
+(xstar, ystar) for the LARS engine, shared by all d projection columns
+along with its Gram matrix.
 """
 
 from __future__ import annotations
@@ -40,17 +41,18 @@ COND_LIMIT = 1e14
 
 @dataclass
 class SpectralFactor:
-    """Eigen square root of A = U diag(f) U^T restricted to retained rows.
+    """Square root of A = U diag(f) U^T on its retained eigenvalues, in U.
 
-    root:               n' x n, sqrt(f) U^T over retained eigenvalues
-    response_transform: n' x n, 1/sqrt(f) U^T (adjoint-inverse of root
-                        on the retained subspace; applied to responses)
-    eigenvalues:        retained eigenvalues, descending
-    n_dropped:          eigenvalues discarded by the relative floor
+    root:        length n', sqrt(f) over the retained eigenvalues, descending
+    retained:    their column indices into basis
+    basis:       U from build_a, n x n (a reference, not a copy)
+    eigenvalues: retained eigenvalues, descending
+    n_dropped:   eigenvalues discarded by the relative floor
     """
 
     root: np.ndarray
-    response_transform: np.ndarray
+    retained: np.ndarray
+    basis: np.ndarray
     eigenvalues: np.ndarray
     n_dropped: int
 
@@ -136,10 +138,9 @@ def build_a(L: np.ndarray, cfg: MenConfig) -> tuple[np.ndarray, np.ndarray]:
     return 1.0 + cfg.alpha * cfg.beta * eigvals / shifted, eigvecs
 
 
-def spectral_factor(
-    eig: tuple[np.ndarray, np.ndarray], eig_floor: float
-) -> SpectralFactor:
-    """Factor A = U diag(f) U^T as root^T root from its eigenpairs (f, U).
+def spectral_factor(eig: tuple[np.ndarray, np.ndarray], eig_floor: float) -> SpectralFactor:
+    """Factor A = U diag(f) U^T as R^T R, R = diag(root) U[:, retained]^T,
+    from its eigenpairs (f, U); R itself is not formed.
 
     `eig` is the pair build_a returns. Eigenvalues smaller than eig_floor
     times the largest are discarded (they would make the inverse square
@@ -171,12 +172,8 @@ def spectral_factor(
             stage="transform",
         )
     kept = vals[retained]
-    rows = vecs[:, retained].T
-    sqrt_vals = np.sqrt(kept)[:, None]
     return SpectralFactor(
-        root=sqrt_vals * rows,
-        response_transform=rows / sqrt_vals,
-        eigenvalues=kept,
+        root=np.sqrt(kept), retained=retained, basis=vecs, eigenvalues=kept,
         n_dropped=int(vals.size - kept.size),
     )
 
@@ -189,27 +186,25 @@ def build_augmented(
     *,
     factor: SpectralFactor | None = None,
 ) -> AugmentedProblem:
-    """Assemble the (n' + p) x p design and its response.
+    """Assemble the (n' + p) x p design and its response in the eigenbasis.
 
-    xstar = (1+lambda2)^{-1/2} [root X ; sqrt(lambda2) I]
-    ystar = [response_transform y ; 0]
+    xstar = (1+lambda2)^{-1/2} [root * (U^T X)[retained] ; sqrt(lambda2) I]
+    ystar = [(U^T y)[retained] / root ; 0]
 
+    The top blocks are R X and R^{-T} y for the factor R of spectral_factor.
     `targets` is one length-n target column, or an n x d matrix whose
     columns then share the one design (see AugmentedProblem.column). A
-    precomputed spectral factor may be passed in.
+    precomputed spectral factor may be passed in; L is then not read.
     """
     X = np.asarray(X, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64)
     if factor is None:
         factor = spectral_factor(build_a(L, cfg), cfg.eig_floor)
-    n_eff = factor.root.shape[0]
-    p = X.shape[1]
+    root, p = factor.root, X.shape[1]
+    rotated_x, rotated_t = ((factor.basis.T @ a)[factor.retained] for a in (X, targets))
     scale = float(np.sqrt(1.0 + cfg.lambda2))
+    ridge = np.sqrt(cfg.lambda2) * np.eye(p)
     # column-major, so reading the columns of an active set is contiguous
-    xstar = np.asfortranarray(
-        np.vstack([factor.root @ X, np.sqrt(cfg.lambda2) * np.eye(p)]) / scale
-    )
-    ystar = np.concatenate(
-        [factor.response_transform @ targets, np.zeros((p,) + targets.shape[1:])]
-    )
-    return AugmentedProblem(xstar=xstar, ystar=ystar, n_effective=n_eff, scale=scale)
+    xstar = np.asfortranarray(np.vstack([root[:, None] * rotated_x, ridge]) / scale)
+    ystar = np.concatenate([(rotated_t.T / root).T, np.zeros((p,) + targets.shape[1:])])
+    return AugmentedProblem(xstar=xstar, ystar=ystar, n_effective=root.size, scale=scale)

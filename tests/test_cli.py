@@ -561,6 +561,18 @@ class TestProcess:
         assert overflow.returncode == 1, overflow.stderr
         assert len(overflow.stderr.splitlines()) == 1
         assert overflow.stderr.startswith("error: stage=input reason=data has nonfinite entries")
+        # classes of 5 and 2 clamp k1/k2; the warning, raised as an error,
+        # is one error line too, and the report directory is not left behind
+        small = tmp / "small.csv"
+        small.write_text("".join(f"{i}.5,{i % 3}.25,{int(i >= 5)}\n" for i in range(7)))
+        config.write_text(CONFIG.replace("d=2\nK=4", "d=1\nK=2"))
+        clamped = run("fit", "--data", str(small), "--config", str(config),
+                      "--model", str(tmp / "s.men"), "--out", str(tmp / "report"))
+        assert clamped.returncode == 1, clamped.stderr
+        assert clamped.stderr.splitlines() == [
+            "error: stage=warning reason=k1/k2 clamped for 7 of 7 samples (small classes)"
+        ]
+        assert not (tmp / "report").exists() and not (tmp / "s.men").exists()
 
 
 class TestEvaluateCommand:

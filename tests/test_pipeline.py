@@ -303,6 +303,20 @@ class TestFit:
             fit(s, MenConfig(d=1, K=2))
         assert info.value.stage == stage
 
+    def test_peak_memory_bounded(self):
+        # a fit without PCA peaks where L and its eigenvectors U are both
+        # alive, inside build_a; L is freed after its eigh, and no n' x n
+        # factor of A is formed, so nothing larger follows
+        s = make_informative_classes(60, 100, range(0, 40, 4), n_classes=10, separation=1.0, seed=3)
+        cfg = MenConfig(pca_retain=0, d=9, K=50)
+        tracemalloc.start()
+        try:
+            fit(s, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.2 * s.n**2 * 8
+
     def test_empty_spectrum_raises(self):
         rng = np.random.default_rng(23)
         s = labelled_gaussians(rng)

@@ -2,7 +2,9 @@
 
 The dense resolvent (eliminate_z), the dense A and its two-eigh square
 root are oracles in tests/oracles.py; build_a and spectral_factor, which
-keep A in spectral form, are checked against them.
+keep A in spectral form, are checked against them. The factor is never
+formed, so it is checked through what the solver reads of the augmented
+problem built from it: xstar^T xstar and xstar^T ystar.
 """
 
 import numpy as np
@@ -47,6 +49,30 @@ def quadratic_objective(X, y, L, cfg, w):
     a = dense_a(L, cfg)
     xw = X @ w
     return float(xw @ a @ xw - 2.0 * xw @ y + cfg.lambda2 * (w @ w))
+
+
+def solver_view(X, y, cfg, factor):
+    """xstar^T xstar and xstar^T ystar of the problem built from `factor`."""
+    problem = build_augmented(X, y, None, cfg, factor=factor)
+    return problem.gram, problem.xty
+
+
+def oracle_view(X, y, cfg, A):
+    """The same two products from the dense two-eigh square root of A,
+    with the dropped-eigenvalue count."""
+    root, response, n_dropped = dense_spectral_factor(A, cfg.eig_floor)
+    p = X.shape[1]
+    xstar = np.vstack([root @ X, np.sqrt(cfg.lambda2) * np.eye(p)]) / np.sqrt(1.0 + cfg.lambda2)
+    ystar = np.concatenate([response @ y, np.zeros((p,) + y.shape[1:])])
+    return xstar.T @ xstar, xstar.T @ ystar, n_dropped
+
+
+def assert_solver_view(X, y, cfg, factor, A, tol):
+    gram, xty, n_dropped = oracle_view(X, y, cfg, A)
+    assert factor.n_dropped == n_dropped
+    actual = solver_view(X, y, cfg, factor)
+    assert max_rel(actual[0], gram) <= tol
+    assert max_rel(actual[1], xty) <= tol
 
 
 def augmented_objective(problem, w):
@@ -144,11 +170,14 @@ class TestBuildA:
             assert max_rel(dense_a(L, cfg), dense_build_a(L, cfg)) <= 1e-12
 
     def test_one_eigendecomposition(self, monkeypatch):
-        # the whole transform stage, build_a then spectral_factor, takes
-        # one eigh of L and never forms the dense A
+        # the whole transform stage, build_a, spectral_factor and
+        # build_augmented, takes one eigh of L and never forms the dense A
         rng = np.random.default_rng(13)
         L = random_symmetric(rng, 6)
+        X = rng.normal(size=(6, 3))
+        y = rng.normal(size=6)
         cfg = MenConfig()
+        gram, xty, n_dropped = oracle_view(X, y, cfg, dense_build_a(L, cfg))
         calls = []
         eigh = np.linalg.eigh
 
@@ -163,9 +192,11 @@ class TestBuildA:
         monkeypatch.setattr(np.linalg, "solve", forbidden)
         monkeypatch.setattr(np.linalg, "cond", forbidden)
         monkeypatch.setattr(np.linalg, "svd", forbidden)
-        fac = spectral_factor(build_a(L, cfg), cfg.eig_floor)
+        problem = build_augmented(X, y, L, cfg)
         assert calls == [(6, 6)]
-        assert fac.root.shape[1] == 6
+        assert problem.n_effective == 6 - n_dropped
+        assert max_rel(problem.gram, gram) <= 1e-12
+        assert max_rel(problem.xty, xty) <= 1e-12
 
     def test_condition_limit(self):
         cfg = MenConfig(alpha=1.0, beta=1.0)
@@ -198,15 +229,26 @@ class TestBuildA:
 
 class TestSpectralFactor:
     def test_identity(self):
+        rng = np.random.default_rng(9)
+        X, y = rng.normal(size=(3, 2)), rng.normal(size=3)
         fac = spectral_factor(np.linalg.eigh(np.eye(3)), 1e-10)
         assert fac.n_dropped == 0
-        assert_allclose(fac.root.T @ fac.root, np.eye(3), atol=1e-12)
-        assert_allclose(fac.response_transform.T @ fac.root, np.eye(3), atol=1e-12)
+        gram, xty = solver_view(X, y, MenConfig(lambda2=0.0), fac)
+        assert_allclose(gram, X.T @ X, atol=1e-12)
+        assert_allclose(xty, X.T @ y, atol=1e-12)
+        assert_solver_view(X, y, MenConfig(), fac, np.eye(3), 1e-12)
 
     def test_diagonal(self):
-        fac = spectral_factor(np.linalg.eigh(np.diag([4.0, 1.0])), 1e-10)
-        assert_allclose(np.abs(fac.root), np.diag([2.0, 1.0]), atol=1e-12)
+        rng = np.random.default_rng(10)
+        X, y = rng.normal(size=(2, 2)), rng.normal(size=2)
+        a = np.diag([4.0, 1.0])
+        fac = spectral_factor(np.linalg.eigh(a), 1e-10)
+        assert_allclose(fac.root, [2.0, 1.0], atol=1e-12)
         assert_allclose(fac.eigenvalues, [4.0, 1.0])
+        gram, xty = solver_view(X, y, MenConfig(lambda2=0.0), fac)
+        assert_allclose(gram, X.T @ a @ X, atol=1e-12)
+        assert_allclose(xty, X.T @ y, atol=1e-12)
+        assert_solver_view(X, y, MenConfig(), fac, a, 1e-12)
 
     def test_negative_eigenvalues_dropped(self):
         rng = np.random.default_rng(2)
@@ -216,19 +258,27 @@ class TestSpectralFactor:
         assert eigvals.min() < 0 < eigvals.max()
         fac = spectral_factor(np.linalg.eigh(sym), 1e-10)
         assert fac.n_dropped == np.sum(eigvals < 1e-10 * eigvals.max())
-        clamped = sum(
-            val * np.outer(vec, vec)
-            for val, vec in zip(fac.eigenvalues, fac.root / np.sqrt(fac.eigenvalues)[:, None])
-        )
-        assert_allclose(fac.root.T @ fac.root, clamped, atol=1e-10)
+        # the design sees A clamped to its retained eigenpairs, and the
+        # response its projection onto their span
+        X, y = rng.normal(size=(6, 4)), rng.normal(size=6)
+        vecs = fac.basis[:, fac.retained]
+        gram, xty = solver_view(X, y, MenConfig(lambda2=0.0), fac)
+        assert_allclose(gram, X.T @ (vecs * fac.eigenvalues) @ vecs.T @ X, atol=1e-10)
+        assert_allclose(xty, X.T @ vecs @ vecs.T @ y, atol=1e-10)
+        assert_solver_view(X, y, MenConfig(), fac, sym, 1e-10)
 
     def test_psd_keeps_everything(self):
         rng = np.random.default_rng(3)
         m = rng.normal(size=(5, 5))
         a = m @ m.T + 0.5 * np.eye(5)
-        fac = spectral_factor(np.linalg.eigh(0.5 * (a + a.T)), 1e-10)
+        a = 0.5 * (a + a.T)
+        fac = spectral_factor(np.linalg.eigh(a), 1e-10)
         assert fac.n_dropped == 0
-        assert_allclose(fac.root.T @ fac.root, 0.5 * (a + a.T), atol=1e-10)
+        X, y = rng.normal(size=(5, 3)), rng.normal(size=5)
+        gram, xty = solver_view(X, y, MenConfig(lambda2=0.0), fac)
+        assert_allclose(gram, X.T @ a @ X, atol=1e-10)
+        assert_allclose(xty, X.T @ y, atol=1e-10)
+        assert_solver_view(X, y, MenConfig(), fac, a, 1e-10)
 
     def test_all_negative_error(self):
         with pytest.raises(NumericalError, match="no positive") as info:
@@ -241,21 +291,21 @@ class TestSpectralFactor:
             spectral_factor(np.linalg.eigh(np.diag([3.0, 2.0, 1.0])), floor)
         assert info.value.stage == "transform"
 
-    @pytest.mark.parametrize("cfg", [MenConfig(), MenConfig(alpha=0.3, beta=7.0)])
+    @pytest.mark.parametrize(
+        "cfg", [MenConfig(), MenConfig(alpha=0.3, beta=7.0), MenConfig(alpha=0.0)]
+    )
     def test_matches_two_eigh_oracle(self, cfg):
-        # the factor from build_a's eigenpairs against a second eigh of
-        # the dense A: same clamp, same A on the retained subspace, same
-        # projector onto it
+        # the design and response built from build_a's eigenpairs against
+        # a second eigh of the dense A: same clamp, same A on the retained
+        # subspace, same projector onto it, for one target and for several
         L = alignment_matrix()
+        X = make_informative_classes(12, 6, [0, 2, 4], n_classes=4, separation=1.0, seed=12).data
         fac = spectral_factor(build_a(L, cfg), cfg.eig_floor)
-        root, response, n_dropped = dense_spectral_factor(
-            dense_build_a(L, cfg), cfg.eig_floor
-        )
-        assert fac.n_dropped == n_dropped
-        assert max_rel(fac.root.T @ fac.root, root.T @ root) <= 1e-12
-        assert (
-            max_rel(fac.root.T @ fac.response_transform, root.T @ response) <= 1e-12
-        )
+        if cfg.alpha == 0.0:
+            assert np.array_equal(fac.basis, np.eye(L.shape[0]))
+        targets = np.random.default_rng(14).normal(size=(L.shape[0], 3))
+        for y in (targets[:, 0], targets):
+            assert_solver_view(X, y, cfg, fac, dense_build_a(L, cfg), 1e-12)
 
     @pytest.mark.parametrize(
         "eig",
