@@ -200,6 +200,7 @@ def build_patches(samples: SampleSet, k1: int, k2: int, kappa: float) -> list[Pa
     if k1 < 0 or k2 < 0:
         raise DataError(f"need k1 >= 0 and k2 >= 0, got k1={k1} k2={k2}")
     x, n, labels, sizes = samples.data, samples.n, samples.labels, samples.class_sizes()
+    k1, k2 = min(k1, n), min(k2, n)  # past n a count clamps as n does, and fits int64
     k1s, k2s = np.minimum(k1, sizes - 1), np.minimum(k2, n - sizes)  # per class
     empty = (k1s + k2s < 1)[labels]
     if empty.any():

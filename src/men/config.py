@@ -19,17 +19,16 @@ __all__ = ["MenConfig", "config_to_lines", "config_from_mapping", "parse_kv_line
 
 @dataclass(frozen=True)
 class MenConfig:
-    """Hyperparameters of a single fit.
+    """Hyperparameters of a single fit; the fit reads every one.
 
     alpha      weight of the manifold-alignment term (>= 0)
     beta       weight of the linearization term (> 0)
     kappa      within-patch push/pull trade-off (>= 0)
     lambda2    ridge weight of the elastic net penalty (>= 0)
-    lambda1    conceptual l1 weight, kept in config files and saved
-               models; never used numerically (sparsity is governed by K)
     k1, k2     same-class / different-class neighbours per patch
     d          number of projection columns
-    K          entry-event budget per column (each column has <= K nonzeros)
+    K          entry-event budget per column (each column has <= K nonzeros);
+               stopping the LARS path there takes the place of an l1 weight
     pca_retain PCA preprocessing dimensions: None = auto (min(n-1, p)),
                0 = no preprocessing
     eig_floor  relative eigenvalue clamp for the spectral factorization
@@ -45,7 +44,6 @@ class MenConfig:
     beta: float = 100.0
     kappa: float = 1.0
     lambda2: float = 0.01
-    lambda1: float | None = None
     k1: int = 3
     k2: int = 3
     d: int = 2
@@ -62,9 +60,9 @@ class MenConfig:
 
     def _invalid(self) -> str | None:
         """Why the hyperparameters are unusable, or None when they are fine."""
-        for name in ("alpha", "beta", "kappa", "lambda2", "lambda1", "eig_floor"):
+        for name in ("alpha", "beta", "kappa", "lambda2", "eig_floor"):
             value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
+            if not math.isfinite(value):
                 return f"{name} must be finite, got {value}"
         if self.alpha < 0:
             return f"alpha must be >= 0, got {self.alpha}"
@@ -74,8 +72,6 @@ class MenConfig:
             return f"kappa must be >= 0, got {self.kappa}"
         if self.lambda2 < 0:
             return f"lambda2 must be >= 0, got {self.lambda2}"
-        if self.lambda1 is not None and self.lambda1 < 0:
-            return f"lambda1 must be >= 0, got {self.lambda1}"
         if self.k1 < 0 or self.k2 < 0:
             return f"k1 and k2 must be >= 0, got k1={self.k1} k2={self.k2}"
         if self.d < 1:

@@ -133,18 +133,21 @@ def evaluate(
     if not dim_grid or min(dim_grid) < 1:
         raise DataError(f"dim_grid needs entries >= 1, got {dim_grid}", stage="config")
     fit_cfg = cfg.with_overrides(d=max(dim_grid))
-    rates = np.empty((split.repeats, len(dim_grid)))
+    rows = []  # one row of rates per repeat; no repeats-sized buffer before the first fit
     for r in range(split.repeats):
         train_idx, test_idx = split_indices(samples, split, r)
         train = samples.subset(train_idx)
         model, _ = fit(train, fit_cfg)
         train_embed = project(model, train)
         test_embed = project(model, samples.subset(test_idx))
-        for gi, d in enumerate(dim_grid):
+        row = []
+        for d in dim_grid:
             predicted = nn_classify(
                 train_embed[:, :d], samples.labels[train_idx], test_embed[:, :d]
             )
-            rates[r, gi] = float(np.mean(predicted == samples.labels[test_idx]))
+            row.append(float(np.mean(predicted == samples.labels[test_idx])))
+        rows.append(row)
+    rates = np.array(rows)  # repeats x len(dim_grid) float64, as EvalResult documents
     mean_rates = rates.mean(axis=0)
     best_gi = int(np.argmax(mean_rates))
     box = np.column_stack(

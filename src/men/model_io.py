@@ -123,7 +123,9 @@ def load_model(path) -> ProjectionMatrix:
         raise reader.fail("not a model file (bad magic)")
     config_bytes = reader.take(reader.read_count("config length"))
     try:
-        cfg = config_from_mapping(parse_kv_lines(config_bytes.decode("utf-8").splitlines()))
+        mapping = parse_kv_lines(config_bytes.decode("utf-8").splitlines())
+        mapping.pop("lambda1", None)  # a retired key, never read by a fit; older files carry it
+        cfg = config_from_mapping(mapping)
     except (UnicodeDecodeError, DataError) as exc:
         raise reader.fail(f"bad config block ({exc})") from exc
     mean_len = reader.read_count("mean length")

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import time
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -123,6 +124,19 @@ def _column_cosines(values: np.ndarray) -> np.ndarray:
     return cos
 
 
+@contextmanager
+def _stage(name: str, timings: dict[str, float]):
+    """Tag an untagged MenError from the body with stage `name`; on success time it."""
+    start = time.perf_counter()
+    try:
+        yield
+    except MenError as exc:
+        if exc.stage is None:
+            exc.stage = name
+        raise
+    timings[name] = time.perf_counter() - start
+
+
 def fit(
     samples: SampleSet, cfg: MenConfig, *, threads: int = 1
 ) -> tuple[ProjectionMatrix, FitReport]:
@@ -133,62 +147,32 @@ def fit(
     it, and ROADMAP item 1's benchmark commit deletes it.
     """
     timings: dict[str, float] = {}
-
-    def staged(name, fn):
-        start = time.perf_counter()
-        try:
-            result = fn()
-        except MenError as exc:
-            if exc.stage is None:
-                exc.stage = name
-            raise
-        timings[name] = time.perf_counter() - start
-        return result
-
-    def _preprocess():
-        retain = cfg.pca_retain
-        if retain is None:
-            retain = min(samples.n - 1, samples.p)
-        if retain == 0:
-            return samples, None, None
-        return pca_preprocess(samples, retain)
-
-    work, basis, mean = staged("preprocess", _preprocess)
-    align = staged(
-        "alignment",
-        lambda: accumulate_alignment(work, build_patches(work, cfg.k1, cfg.k2, cfg.kappa)),
-    )
-    indicator = staged(
-        "indicator",
-        lambda: build_indicator(work, cfg.d, center=cfg.center_class_means),
-    )
-
-    def _transform():
-        nonlocal align
-        eig, align = build_a(align, cfg), None  # L is freed once its eigh is done
-        # all d target columns share one design; U and the factor are
-        # dropped here so they are not held through the column solves
+    with _stage("preprocess", timings):
+        retain = min(samples.n - 1, samples.p) if cfg.pca_retain is None else cfg.pca_retain
+        work, basis, mean = pca_preprocess(samples, retain) if retain else (samples, None, None)
+    with _stage("alignment", timings):
+        align = accumulate_alignment(work, build_patches(work, cfg.k1, cfg.k2, cfg.kappa))
+    with _stage("indicator", timings):
+        indicator = build_indicator(work, cfg.d, center=cfg.center_class_means)
+    with _stage("transform", timings):
+        eig = build_a(align, cfg)
+        del align  # L is freed once its eigh is done
+        # all d target columns share one design
         factor = spectral_factor(eig, cfg.eig_floor)
-        return build_augmented(work.data, indicator.values, None, cfg, factor=factor)
-
-    shared = staged("transform", _transform)
+        shared = build_augmented(work.data, indicator.values, None, cfg, factor=factor)
+        del eig, factor  # so U is not held through the column solves
     if work.p > shared.n_effective and cfg.lambda2 < 1e-6:
         warnings.warn(
             "more variables than retained spectral rows with lambda2 < 1e-6; "
             "set lambda2 >= 1e-6 to keep active-set Gram matrices well conditioned",
             stacklevel=2,
         )
-
-    def _solve_one(problem):
-        wstar, path = solve_column(problem, cfg.K)
-        column = report_column(
-            wstar, problem, double_shrinkage_correction=cfg.double_shrinkage_correction
-        )
-        return column, path
-
-    solved = staged("solve", lambda: [_solve_one(shared.column(t)) for t in range(cfg.d)])
-
-    values = np.column_stack([column for column, _ in solved])
+    with _stage("solve", timings):
+        solved = [solve_column(shared.column(t), cfg.K) for t in range(cfg.d)]
+        values = np.column_stack([
+            report_column(w, shared, double_shrinkage_correction=cfg.double_shrinkage_correction)
+            for w, _ in solved
+        ])
     paths = [path for _, path in solved]
     model = ProjectionMatrix(values=values, pca_basis=basis, pca_mean=mean, config=cfg)
     report = FitReport(

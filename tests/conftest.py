@@ -1,11 +1,11 @@
 """Settings shared by every test.
 
 Hypothesis's pytest plugin trips a `mypy_extensions.TypedDict`
-DeprecationWarning while it reports a failing example. Under `-W error`
-that warning ends the session in INTERNALERROR and hides the example, and
-a command-line `-W error` outranks an ini `filterwarnings` entry. A
-per-test mark outranks both, so every collected test ignores that one
-warning and nothing else.
+DeprecationWarning while it reports a failing example. Under `-W error`,
+or the ini's `filterwarnings = ["error"]`, that warning ends the session in
+INTERNALERROR and hides the example, and a command-line `-W error`
+outranks an ini `filterwarnings` entry. A per-test mark outranks both, so
+every collected test ignores that one warning and nothing else.
 """
 
 import pytest

@@ -285,6 +285,18 @@ class TestBuildPatches:
             (w.same_class, w.diff_class) for w in want
         ]
 
+    @pytest.mark.parametrize("huge", [2**63, 10**20])
+    @pytest.mark.parametrize("which", ["k1", "k2"])
+    def test_counts_past_int64_clamp_like_n(self, which, huge):
+        # a count no int64 holds clamps to the class, as any count past n does
+        samples = random_samples(np.random.default_rng(4), 15, 3, 3)
+        counts = {"k1": 2, "k2": 2}
+        with pytest.warns(UserWarning, match="k1/k2 clamped for 15 of 15 samples"):
+            got = build_patches(samples, **{**counts, which: huge}, kappa=0.5)
+        with pytest.warns(UserWarning, match="k1/k2 clamped for 15 of 15 samples"):
+            want = build_patches(samples, **{**counts, which: samples.n}, kappa=0.5)
+        assert got == want
+
     @pytest.mark.parametrize("k1, k2", [(-1, 1), (1, -1)])
     def test_rejects_negative_counts(self, k1, k2):
         s = SampleSet(np.arange(5.0)[:, None], np.array([0, 0, 1, 1, 1]))

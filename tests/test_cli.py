@@ -1,18 +1,26 @@
 """Command-line behaviour: exit codes, outputs, determinism."""
 
+import contextlib
+import io
 import os
 import subprocess
 import sys
+import tempfile
+import warnings
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from men.cli import main
+from men.config import MenConfig
 from men.datasets import make_informative_classes
 from men.errors import NumericalError
-from men.evaluation import nn_classify
+from men.evaluation import SplitSpec, nn_classify
 from men.model_io import load_model
 from men.pipeline import project
 
@@ -89,9 +97,13 @@ class TestFitCommand:
             (b"alpha=abc", "alpha"),
             (b"alpha 2", "key=value"),
             (b"alpha=\xff", "UTF-8"),
-            (b"lambda1=-1", "lambda1 must be >= 0"),
+            (b"kappa=-1", "kappa must be >= 0"),
+            (b"lambda1=none", "unknown config key: lambda1"),
         ],
-        ids=["unknown-key", "bad-value", "missing-equals", "not-utf8", "negative-lambda1"],
+        ids=[
+            "unknown-key", "bad-value", "missing-equals", "not-utf8", "negative-kappa",
+            "retired-lambda1",
+        ],
     )
     def test_config_errors_exit_one(self, workspace, capsys, line, named):
         tmp, data, config = workspace
@@ -106,6 +118,20 @@ class TestFitCommand:
         assert named in err
         assert "\n" not in err.strip()
         assert not (tmp / "m.men").exists()
+
+    @pytest.mark.parametrize("key", ["k1", "k2"])
+    def test_counts_past_int64_clamp(self, workspace, key):
+        # 10**20 clamps as a count of n = 30 does: with a warning, to the same model
+        tmp, data, config = workspace
+        for name, value in (("huge", 10**20), ("n", 30)):
+            config.write_text(CONFIG + f"{key}={value}\n")
+            with pytest.warns(UserWarning, match="k1/k2 clamped"):
+                rc = main([
+                    "fit", "--data", str(data), "--config", str(config),
+                    "--model", str(tmp / f"{name}.men"), "--out", str(tmp / f"{name}.report"),
+                ])
+            assert rc == 0
+        assert np.array_equal(load_model(tmp / "huge.men").values, load_model(tmp / "n.men").values)
 
     def test_byte_identical_reruns(self, workspace):
         tmp, data, config = workspace
@@ -635,6 +661,38 @@ class TestEvaluateCommand:
         assert line.split("=")[0] in err
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("key", ["k1", "k2"])
+    def test_counts_past_int64_clamp(self, workspace, key):
+        tmp, data, config = workspace
+        for name, value in (("huge", 10**20), ("n", 30)):
+            config.write_text(CONFIG + f"{key}={value}\n")
+            with pytest.warns(UserWarning, match="k1/k2 clamped"):
+                rc = main([
+                    "evaluate", "--data", str(data), "--config", str(config),
+                    "--out", str(tmp / name),
+                ])
+            assert rc == 0
+        huge, n = ((tmp / name / "results.csv").read_text() for name in ("huge", "n"))
+        assert huge == n
+
+    def test_huge_repeats_fail_at_the_first_fit(self, workspace, capsys):
+        # nothing is sized by repeats before the first fit, which fails
+        # because 3 class centres have rank 3 < d = 4
+        tmp, data, config = workspace
+        config.write_text(
+            CONFIG.replace("repeats=2", "repeats=100000000000000000000")
+            .replace("dim_grid=1,2", "dim_grid=1,4")
+        )
+        rc = main([
+            "evaluate", "--data", str(data), "--config", str(config),
+            "--out", str(tmp / "eval"),
+        ])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: stage=indicator reason=d=4 exceeds the numerical rank 3")
+        assert err.count("\n") == 1
+        assert not (tmp / "eval").exists()
+
     def test_seed_override_changes_split(self, workspace):
         tmp, data, config = workspace
         outs = []
@@ -728,3 +786,47 @@ class TestExportCommands:
         assert files == ["path_col000.csv", "path_col001.csv"]
         header = (tmp / "paths" / "path_col000.csv").read_text().splitlines()[0]
         assert header.startswith("loop,event,variable,l1_norm,C_hat,w0")
+
+
+# the config keys, the retired lambda1 and an unknown key, with values at and past
+# every parser's edge: beyond int64 either way, negative, nonfinite, overflowing,
+# not a number, empty, and auto
+CONTRACT_KEYS = [f.name for f in fields(MenConfig) + fields(SplitSpec)] + [
+    "dim_grid", "lambda1", "mystery",
+]
+CONTRACT_VALUES = [
+    "100000000000000000000", "-100000000000000000000", "9223372036854775808", "-1",
+    "-0.5", "inf", "-inf", "nan", "1e400", "1e-300", "abc", "", "auto", "0", "1", "2",
+    "0.5", "true",
+]
+# a valid repeats value runs that many fits, so repeats stays small
+REPEATS_VALUES = [v for v in CONTRACT_VALUES if not v.isdigit() or int(v) <= 2]
+config_lines = st.lists(
+    st.tuples(st.sampled_from([k for k in CONTRACT_KEYS if k != "repeats"]),
+              st.sampled_from(CONTRACT_VALUES))
+    | st.tuples(st.just("repeats"), st.sampled_from(REPEATS_VALUES)),
+    max_size=4,
+).map(lambda pairs: "".join(f"{key}={value}\n" for key, value in pairs))
+
+
+@settings(max_examples=150, deadline=None)
+@given(command=st.sampled_from(["fit", "evaluate", "export-paths"]), extra=config_lines)
+def test_cli_contract_over_generated_config(command, extra):
+    # every run exits 0, 1 or 2 without a traceback; a failure is one error line
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        write_dataset(tmp / "data.csv", n_per_class=8, p=5)
+        (tmp / "men.cfg").write_text(CONFIG + extra)
+        argv = [command, "--data", str(tmp / "data.csv"), "--config", str(tmp / "men.cfg")]
+        argv += ["--model", str(tmp / "m.men")] if command == "fit" else ["--out", str(tmp / "out")]
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(err):
+            warnings.simplefilter("error")  # a warning is an error line, as under -W error
+            rc = main(argv)
+    assert rc in (0, 1, 2)
+    if rc:
+        assert len(err.getvalue().splitlines()) == 1, err.getvalue()
+        assert err.getvalue().startswith("error: stage="), err.getvalue()
+    else:
+        assert err.getvalue() == ""

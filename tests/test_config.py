@@ -28,7 +28,7 @@ class TestValidation:
             dict(K=0),
             dict(pca_retain=-2),
             dict(eig_floor=-1e-3),
-            dict(lambda1=-1.0),
+            dict(k2=-1),
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -36,7 +36,7 @@ class TestValidation:
             MenConfig(**kwargs)
 
     @pytest.mark.parametrize(
-        "name", ["alpha", "beta", "kappa", "lambda2", "lambda1", "eig_floor"]
+        "name", ["alpha", "beta", "kappa", "lambda2", "eig_floor"]
     )
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
     def test_rejects_nonfinite(self, name, value):
@@ -88,13 +88,11 @@ class TestKvParsing:
                 "double_shrinkage_correction": "true",
                 "center_class_means": "0",
                 "pca_retain": "auto",
-                "lambda1": "none",
             }
         )
         assert cfg.double_shrinkage_correction is True
         assert cfg.center_class_means is False
         assert cfg.pca_retain is None
-        assert cfg.lambda1 is None
         assert config_from_mapping({"pca_retain": "0"}).pca_retain == 0
 
     def test_schema_is_the_field_list(self):
@@ -105,9 +103,11 @@ class TestKvParsing:
         assert config_from_mapping(split, SplitSpec) == SplitSpec(3, 7, 2)
         with pytest.raises(DataError, match="unknown config key: K"):
             config_from_mapping({"K": "3"}, SplitSpec)
-        assert config_from_mapping({"lambda1": "auto"}).lambda1 is None
-        assert config_from_mapping({"lambda1": " 0.5 "}).lambda1 == 0.5
-        assert config_from_mapping({"pca_retain": "None"}).pca_retain is None
+        assert config_from_mapping({"pca_retain": " None "}).pca_retain is None
+        assert config_from_mapping({"pca_retain": ""}).pca_retain is None
+        assert config_from_mapping({"eig_floor": " 0.5 "}).eig_floor == 0.5
+        with pytest.raises(DataError, match="unknown config key: lambda1"):
+            config_from_mapping({"lambda1": "none"})
 
 
 class TestRoundTrip:
@@ -116,7 +116,7 @@ class TestRoundTrip:
             alpha=0.1234567890123456,
             beta=17.25,
             lambda2=1e-9,
-            lambda1=2.5,
+            kappa=2.5,
             pca_retain=12,
             double_shrinkage_correction=True,
         )
@@ -150,7 +150,6 @@ men_configs = st.builds(
     beta=_weights(positive=True),
     kappa=_weights(),
     lambda2=_weights(),
-    lambda1=st.none() | _weights(),
     k1=_big_ints,
     k2=_big_ints,
     d=_big_ints.filter(lambda v: v >= 1),

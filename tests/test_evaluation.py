@@ -300,6 +300,14 @@ class TestEvaluate:
         with pytest.raises(DataError, match="dim_grid"):
             evaluate(s, FIT_CFG, SplitSpec(per_class_train=3), [])
 
+    def test_huge_repeats_reach_the_first_fit(self):
+        # no repeats x len(dim_grid) buffer: the first fit's indicator error is what surfaces
+        s = make_informative_classes(6, 6, [0, 1], n_classes=2, seed=9)
+        spec = SplitSpec(per_class_train=3, repeats=10**20)
+        with pytest.raises(DataError, match="d=3 exceeds the numerical rank 2") as info:
+            evaluate(s, FIT_CFG.with_overrides(k1=2, k2=2), spec, [1, 3])
+        assert info.value.stage == "indicator"
+
     def test_boxplot_five_numbers(self):
         s = make_informative_classes(10, 8, [0, 1, 2], n_classes=3, seed=10)
         result = evaluate(s, FIT_CFG, SplitSpec(per_class_train=6, seed=1, repeats=4), [1, 2])

@@ -525,6 +525,27 @@ class TestModelIo:
                 load_model(path)
 
 
+    @pytest.mark.parametrize("lambda1", ["none", "0.5"])
+    def test_loads_files_with_a_lambda1_line(self, tmp_path, lambda1):
+        # files written while MenConfig had a lambda1 field carry it after
+        # lambda2; it never reached a fit, so the loader drops it
+        cfg = MenConfig(alpha=0.5, kappa=0.75, lambda2=0.25, d=2, K=3)
+        model, _ = fit(labelled_gaussians(np.random.default_rng(24), p=12), cfg)
+        save_model(model, tmp_path / "new.men")
+        data = (tmp_path / "new.men").read_bytes()
+        end = 12 + int(np.frombuffer(data[4:12], dtype="<i8")[0])
+        lines = data[12:end].decode().splitlines(keepends=True)
+        assert [line.split("=")[0] for line in lines[3:5]] == ["lambda2", "k1"]
+        block = "".join([*lines[:4], f"lambda1={lambda1}\n", *lines[4:]]).encode()
+        old = data[:4] + np.array([len(block)], dtype="<i8").tobytes() + block + data[end:]
+        (tmp_path / "old.men").write_bytes(old)
+        loaded = load_model(tmp_path / "old.men")
+        assert np.array_equal(loaded.values, model.values)
+        assert np.array_equal(loaded.pca_basis, model.pca_basis)
+        assert np.array_equal(loaded.pca_mean, model.pca_mean)
+        assert field_reprs(loaded.config) == field_reprs(cfg) and len(field_reprs(cfg)) == 12
+
+
 def _saved_pca_model() -> bytes:
     model, _ = fit(labelled_gaussians(np.random.default_rng(23)), MenConfig(d=2, K=3))
     with tempfile.TemporaryDirectory() as tmp:
