@@ -6,7 +6,7 @@ by column with a least angle regression engine, yielding a K-sparse
 projection matrix.
 """
 
-from .alignment import Patch, SampleSet, accumulate_alignment, build_patch, build_patches
+from .alignment import Edges, SampleSet, accumulate_alignment, build_patch, build_patches
 from .config import MenConfig
 from .datasets import ingest, make_face_like, make_informative_classes
 from .errors import DataError, MenError, NumericalError
@@ -23,6 +23,7 @@ __all__ = [
     "AugmentedProblem",
     "CoefficientPath",
     "DataError",
+    "Edges",
     "EvalResult",
     "FitReport",
     "IndicatorMatrix",
@@ -30,7 +31,6 @@ __all__ = [
     "MenConfig",
     "MenError",
     "NumericalError",
-    "Patch",
     "ProjectionMatrix",
     "SampleSet",
     "SplitSpec",

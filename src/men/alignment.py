@@ -7,8 +7,8 @@ left with none. A patch pulls same-class neighbours toward the center
 (edge weight 1) and pushes different-class ones away (edge weight
 -kappa). Summed over patches, the part matrices are the Laplacian
 L = D - S of one signed neighbour graph: S holds the edge weights,
-symmetrised, and D their row sums. The alignment matrix is built from
-that edge list by one scatter.
+symmetrised, and D their row sums. Both selections return that graph as
+Edges arrays, and the alignment matrix is built from them by one scatter.
 
 Neighbours are found a block of rows at a time, with no per-sample loop:
 a GEMM distance filter (one row-wise partition per group) and one lexsort
@@ -19,15 +19,16 @@ distance can overflow and the filter's rounding bound always holds.
 
 from __future__ import annotations
 
+import contextlib
 import warnings
 from dataclasses import dataclass
-from itertools import chain
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DataError
 
-__all__ = ["SampleSet", "Patch", "build_patch", "build_patches", "accumulate_alignment"]
+__all__ = ["SampleSet", "Edges", "build_patch", "build_patches", "accumulate_alignment"]
 
 # squared distances per block of rows in build_patches (1 MB of float64):
 # its memory stays a few blocks, not n x n, even when the filter keeps every pair
@@ -51,7 +52,7 @@ class SampleSet:
 
     def __post_init__(self):
         self.data = np.ascontiguousarray(self.data, dtype=np.float64)
-        self.labels = np.asarray(self.labels, dtype=np.int64)
+        self.labels = _int64_labels(self.labels)
         if self.data.ndim != 2:
             raise DataError(f"data must be 2-D, got shape {self.data.shape}")
         n, p = self.data.shape
@@ -91,7 +92,7 @@ class SampleSet:
     @classmethod
     def compacted(cls, data, labels) -> "SampleSet":
         """A SampleSet with integer labels renumbered 0..c-1 in ascending order."""
-        _, compact = np.unique(np.asarray(labels, dtype=np.int64), return_inverse=True)
+        _, compact = np.unique(_int64_labels(labels), return_inverse=True)
         return cls(data, compact)
 
     def subset(self, indices) -> "SampleSet":
@@ -99,14 +100,26 @@ class SampleSet:
         return SampleSet.compacted(self.data[idx], self.labels[idx])
 
 
-@dataclass
-class Patch:
-    """One sample with its selected same-class and different-class neighbours."""
+def _int64_labels(labels) -> np.ndarray:
+    """The labels as int64; DataError unless each is an integer within int64."""
+    # ragged lists, text and Python ints past int64 raise; fractions, NaN and
+    # floats past int64 cast to another value
+    with contextlib.suppress(TypeError, ValueError, OverflowError), np.errstate(invalid="ignore"):
+        given = np.asarray(labels)
+        labels = given.astype(np.int64)
+        if np.array_equal(labels, given):
+            return labels
+    raise DataError("labels must be integers within int64")
 
-    center: int
-    same_class: list[int]
-    diff_class: list[int]
-    kappa: float
+
+class Edges(NamedTuple):
+    """Signed neighbour-graph edges, ordered by center, same-class before
+    other-class, nearest first. Indices are int64; a weight (float64) is 1
+    for a same-class neighbour and -kappa for an other-class one."""
+
+    centers: np.ndarray
+    neighbours: np.ndarray
+    weights: np.ndarray
 
 
 def _distances(x: np.ndarray, i, rows) -> np.ndarray:
@@ -114,13 +127,13 @@ def _distances(x: np.ndarray, i, rows) -> np.ndarray:
     return np.sqrt((diff * diff).sum(axis=1))
 
 
-def _nearest(candidates: np.ndarray, dist: np.ndarray, count: int) -> list[int]:
+def _nearest(candidates: np.ndarray, dist: np.ndarray, count: int) -> np.ndarray:
     # stable sort on distance keeps ascending-index order among ties
-    return candidates[np.argsort(dist, kind="stable")][:count].tolist()
+    return candidates[np.argsort(dist, kind="stable")][:count]
 
 
-def build_patch(samples: SampleSet, i: int, k1: int, k2: int, kappa: float) -> Patch:
-    """Select the k1 nearest same-label and k2 nearest other-label samples.
+def build_patch(samples: SampleSet, i: int, k1: int, k2: int, kappa: float) -> Edges:
+    """Sample i's edges to its k1 nearest same-label and k2 nearest other-label samples.
 
     Distances are Euclidean; ties are broken by ascending sample index.
     Raises DataError when a group has fewer candidates than requested.
@@ -133,24 +146,19 @@ def build_patch(samples: SampleSet, i: int, k1: int, k2: int, kappa: float) -> P
     same = np.flatnonzero((samples.labels == label) & (np.arange(samples.n) != i))
     diff = np.flatnonzero(samples.labels != label)
     if same.size < k1:
-        raise DataError(
-            f"class {label} has only {same.size} other members; k1={k1} requested"
-        )
+        raise DataError(f"class {label} has only {same.size} other members; k1={k1} requested")
     if diff.size < k2:
-        raise DataError(
-            f"only {diff.size} samples outside class {label}; k2={k2} requested"
-        )
+        raise DataError(f"only {diff.size} samples outside class {label}; k2={k2} requested")
     dist = _distances(samples.data, i, slice(None))
-    return Patch(
-        center=i,
-        same_class=_nearest(same, dist[same], k1),
-        diff_class=_nearest(diff, dist[diff], k2),
-        kappa=float(kappa),
+    return Edges(
+        np.full(k1 + k2, i, dtype=np.int64),
+        np.concatenate([_nearest(same, dist[same], k1), _nearest(diff, dist[diff], k2)]),
+        np.repeat([1.0, -float(kappa)], [k1, k2]),
     )
 
 
-def _ranked_neighbours(x, sq, bound, labels, counts, rows: slice) -> list[list[int]]:
-    """Per row of the block, its same-class then its other-class neighbour list."""
+def _ranked_neighbours(x, sq, bound, labels, counts, kappa, rows: slice) -> Edges:
+    """The block's edges: per row, its same-class then its other-class neighbours."""
     n, counts = x.shape[0], counts[rows]
     centers = np.arange(n)[rows]
     local = np.arange(centers.size)
@@ -180,22 +188,22 @@ def _ranked_neighbours(x, sq, bound, labels, counts, rows: slice) -> list[list[i
     order = np.lexsort((cols, dist, segment))
     segment, cols = segment[order], cols[order]  # one run per row and group, ascending
     rank = np.arange(segment.size) - np.searchsorted(segment, segment)
-    chosen = cols[rank < counts.ravel()[segment]].tolist()
-    ends = np.cumsum(counts).tolist()
-    return [chosen[a:b] for a, b in zip([0, *ends], ends)]
+    segment, cols = (a[rank < counts.ravel()[segment]] for a in (segment, cols))
+    return Edges(centers[segment // 2], cols, np.where(segment % 2, -float(kappa), 1.0))
 
 
-def build_patches(samples: SampleSet, k1: int, k2: int, kappa: float) -> list[Patch]:
-    """Every sample's patch, with k1 and k2 clamped to what its class can supply.
+def build_patches(samples: SampleSet, k1: int, k2: int, kappa: float) -> list[Edges]:
+    """Every sample's edges, with k1 and k2 clamped to what its class can supply.
 
-    Patch i equals build_patch(samples, i, min(k1, size - 1), min(k2, n - size),
-    kappa) for the size of its class; a clamp warns. Rows are taken in blocks
-    of at most BLOCK_ENTRIES GEMM squared distances. Per group (same class,
-    other classes), one in-place partition of a copy with the entries outside
-    the group at +inf finds every row's k-th smallest, and the entries within
-    a rounding bound of it are kept. One lexsort on (row, group, distance,
-    index) ranks the kept pairs by explicit-difference distance, and each row
-    takes its first k per group.
+    One Edges per block of rows. Concatenated, they equal the edges of
+    build_patch(samples, i, min(k1, size - 1), min(k2, n - size), kappa) for
+    i = 0..n-1, with size that of sample i's class; a clamp warns. A block
+    holds at most BLOCK_ENTRIES GEMM squared distances. Per group (same
+    class, other classes), one in-place partition of a copy with the entries
+    outside the group at +inf finds every row's k-th smallest, and the
+    entries within a rounding bound of it are kept. One lexsort on (row,
+    group, distance, index) ranks the kept pairs by explicit-difference
+    distance, and each row takes its first k per group.
     """
     if k1 < 0 or k2 < 0:
         raise DataError(f"need k1 >= 0 and k2 >= 0, got k1={k1} k2={k2}")
@@ -219,36 +227,25 @@ def build_patches(samples: SampleSet, k1: int, k2: int, kappa: float) -> list[Pa
     eps, tiny = np.finfo(float).eps, np.finfo(float).tiny
     bound = 8.0 * (samples.p + 2) * (eps * (sq + sq.max()) + tiny)
     step = max(1, BLOCK_ENTRIES // n)
-    ranked = []
-    for start in range(0, n, step):
-        ranked += _ranked_neighbours(x, sq, bound, labels, counts, slice(start, start + step))
-    return [Patch(i, *ranked[2 * i : 2 * i + 2], float(kappa)) for i in range(n)]
+    rows = (slice(start, start + step) for start in range(0, n, step))
+    return [_ranked_neighbours(x, sq, bound, labels, counts, kappa, block) for block in rows]
 
 
-def accumulate_alignment(samples: SampleSet, patches) -> np.ndarray:
+_NO_EDGES = Edges(np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0))
+
+
+def accumulate_alignment(samples: SampleSet, edges) -> np.ndarray:
     """The n x n alignment matrix L = D - S of the signed neighbour graph.
 
-    Every patch contributes an edge from its center to each neighbour,
-    weight 1 for same-class and -kappa for other-class ones; this equals
-    summing S_i^T L_i S_i over the patches' part matrices.
+    `edges` is any iterable of Edges; this equals summing S_i^T L_i S_i over
+    the part matrices of the patches the edges' centers make.
     """
     n = samples.n
-    patches = list(patches)
-    # fromiter streams the values: no per-patch tuple or float outlives the
-    # call on an interpreter freelist, which would add to peak memory
-    groups = [g for p in patches for g in (p.same_class, p.diff_class)]
-    counts = np.fromiter(map(len, groups), np.int64, len(groups))
-    neighbours = np.fromiter(chain.from_iterable(groups), np.int64, int(counts.sum()))
-    signed = np.fromiter((w for p in patches for w in (1.0, -p.kappa)), float, len(groups))
-    weights = np.repeat(signed, counts)
-    owner = np.repeat(np.arange(len(groups)) // 2, counts)
-    centers = np.fromiter((p.center for p in patches), np.int64, len(patches))
-    bad = (centers < 0) | (centers >= n)
-    bad[owner[(neighbours < 0) | (neighbours >= n)]] = True
+    rows, neighbours, weights = map(np.concatenate, zip(_NO_EDGES, *edges))
+    bad = (rows < 0) | (rows >= n) | (neighbours < 0) | (neighbours >= n)
     if bad.any():
-        center = patches[int(np.argmax(bad))].center
+        center = rows[np.argmax(bad)]
         raise DataError(f"patch at center {center} references sample outside [0, {n})")
-    rows = centers[owner]
     out = np.zeros((n, n))
     np.add.at(
         out,

@@ -58,9 +58,9 @@ def _split_config(mapping: dict[str, str], args) -> tuple[MenConfig, dict[str, s
     eval_map = {k: v for k, v in mapping.items() if k in _EVAL_KEYS}
     cfg = config_from_mapping({k: v for k, v in mapping.items() if k not in _EVAL_KEYS})
     if args.d is not None:
-        cfg = cfg.with_overrides(d=args.d)
+        cfg = replace(cfg, d=args.d)
     if args.K is not None:
-        cfg = cfg.with_overrides(K=args.K)
+        cfg = replace(cfg, K=args.K)
     return cfg, eval_map
 
 

@@ -9,7 +9,7 @@ is locale-independent and reconstructs the exact float64.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from functools import partial
 
 from .errors import DataError
@@ -83,9 +83,6 @@ class MenConfig:
         if self.eig_floor < 0:
             return f"eig_floor must be >= 0, got {self.eig_floor}"
         return None
-
-    def with_overrides(self, **kwargs) -> "MenConfig":
-        return replace(self, **kwargs)
 
 
 def _parse_bool(text: str) -> bool:

@@ -9,7 +9,7 @@ coefficient-path CSVs, and rate/boxplot CSVs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -132,7 +132,7 @@ def evaluate(
     dim_grid = [int(d) for d in dim_grid]
     if not dim_grid or min(dim_grid) < 1:
         raise DataError(f"dim_grid needs entries >= 1, got {dim_grid}", stage="config")
-    fit_cfg = cfg.with_overrides(d=max(dim_grid))
+    fit_cfg = replace(cfg, d=max(dim_grid))
     rows = []  # one row of rates per repeat; no repeats-sized buffer before the first fit
     for r in range(split.repeats):
         train_idx, test_idx = split_indices(samples, split, r)

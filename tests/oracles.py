@@ -82,24 +82,26 @@ def lasso_objective(X, y, w, lam):
     return 0.5 * float(r @ r) + lam * float(np.abs(w).sum())
 
 
-def dense_alignment(n, patches):
-    """Sum of S_i^T L_i S_i built with explicit dense selection matrices."""
+def dense_alignment(n, edges):
+    """Sum of S_i^T L_i S_i built with explicit dense selection matrices,
+    one patch per center of each Edges: that center's neighbours, with
+    their weights w (1 same-class, -kappa other-class)."""
     total = np.zeros((n, n))
-    for patch in patches:
-        idx = [patch.center, *patch.same_class, *patch.diff_class]
-        size = len(idx)
-        k1 = len(patch.same_class)
-        k2 = len(patch.diff_class)
-        w = np.concatenate([np.ones(k1), -patch.kappa * np.ones(k2)])
-        li = np.zeros((size, size))
-        li[0, 0] = w.sum()
-        li[0, 1:] = -w
-        li[1:, 0] = -w
-        li[1:, 1:] = np.diag(w)
-        s = np.zeros((size, n))
-        for row, col in enumerate(idx):
-            s[row, col] = 1.0
-        total += s.T @ li @ s
+    for block in edges:
+        for center in np.unique(block.centers):
+            mine = block.centers == center
+            idx = [center, *block.neighbours[mine]]
+            w = block.weights[mine]
+            size = len(idx)
+            li = np.zeros((size, size))
+            li[0, 0] = w.sum()
+            li[0, 1:] = -w
+            li[1:, 0] = -w
+            li[1:, 1:] = np.diag(w)
+            s = np.zeros((size, n))
+            for row, col in enumerate(idx):
+                s[row, col] = 1.0
+            total += s.T @ li @ s
     return total
 
 

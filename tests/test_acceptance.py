@@ -5,6 +5,7 @@ lines on the terminal (they also appear in captured output).
 """
 
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -344,7 +345,7 @@ def test_c10_complexity_sanity():
     t_base = time.perf_counter() - start
     assert all(nz <= 50 for nz in model.sparsity)
     start = time.perf_counter()
-    fit(samples, cfg.with_overrides(K=100))
+    fit(samples, replace(cfg, K=100))
     t_double = time.perf_counter() - start
     ratio = t_double / max(t_base, 0.05)
     report(

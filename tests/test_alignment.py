@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from men import alignment
-from men.alignment import SampleSet, accumulate_alignment, build_patch, build_patches
+from men.alignment import Edges, SampleSet, accumulate_alignment, build_patch, build_patches
 from men.datasets import make_informative_classes
 from men.errors import DataError
 
@@ -63,11 +63,29 @@ def patches_and_oracle(samples, k1, k2, kappa):
     return got, want
 
 
+def concatenated(edges):
+    """The given Edges as one, in order."""
+    return Edges(*map(np.concatenate, zip(*edges)))
+
+
+def assert_edges_equal(got, want):
+    """Equal edges, with int64 indices and float64 weights, once each list
+    is concatenated: block boundaries may differ."""
+    got, want = concatenated(got), concatenated(want)
+    assert [field.dtype for field in got] == [np.int64, np.int64, np.float64]
+    for g, w in zip(got, want):
+        assert_array_equal(g, w, strict=True)
+
+
+def assert_edges(edges, centers, neighbours, weights):
+    want = Edges(np.array(centers, np.int64), np.array(neighbours, np.int64), np.array(weights))
+    assert_edges_equal([edges], [want])
+
+
 def assert_matches_oracle(samples, k1, k2, kappa=0.5):
     got, want = patches_and_oracle(samples, k1, k2, kappa)
-    assert [(g.center, g.same_class, g.diff_class, g.kappa) for g in got] == [
-        (w.center, w.same_class, w.diff_class, w.kappa) for w in want
-    ]
+    assert_edges_equal(got, want)
+    return got
 
 
 def shuffled(samples, seed):
@@ -126,12 +144,34 @@ class TestSampleSet:
             (np.zeros((3, 2)), np.zeros(2), "labels must have length 3, got shape (2,)"),
             (np.zeros((3, 2)), np.array([0, -1, 0]), "labels must be nonnegative"),
             (np.full((3, 2), 1e160), np.zeros(3), "data has nonfinite entries or |x| > "),
+            (np.zeros((4, 2)), [0.2, 0.7, 1.0, 1.9], "labels must be integers within int64"),
+            (np.zeros((2, 2)), [0, np.nan], "labels must be integers within int64"),
+            (np.zeros((2, 2)), [0, 1e30], "labels must be integers within int64"),
+            (np.zeros((2, 2)), [0, 2**63], "labels must be integers within int64"),
+            (np.zeros((2, 2)), [0, 10**20], "labels must be integers within int64"),
+            (np.zeros((2, 2)), ["0", "1"], "labels must be integers within int64"),
+            (np.zeros((2, 2)), [[0], [1, 1]], "labels must be integers within int64"),
         ],
-        ids=["1-d", "label-length", "negative-label", "beyond-bound"],
+        ids=[
+            "1-d", "label-length", "negative-label", "beyond-bound", "fractional-labels",
+            "nan-label", "huge-float-label", "label-past-int64", "label-past-uint64",
+            "text-labels", "ragged-labels",
+        ],
     )
     def test_rejects_malformed(self, data, labels, message):
-        with pytest.raises(DataError, match=re.escape(message)):
-            SampleSet(data, labels)
+        # no label is truncated or wrapped, and no cast warning escapes
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match=re.escape(message)):
+                SampleSet(data, labels)
+
+    def test_compacted_rejects_fractional_labels(self):
+        with pytest.raises(DataError, match="labels must be integers within int64"):
+            SampleSet.compacted(np.zeros((4, 2)), [0.5, 0.6, 1.5, 2.5])
+
+    def test_accepts_integral_labels_of_any_type(self):
+        for labels in ([0.0, 1.0, 1.0], np.array([0, 1, 1], dtype=object), [False, True, True]):
+            assert SampleSet(np.zeros((3, 2)), labels).labels.tolist() == [0, 1, 1]
 
     def test_compacted_and_subset_renumber_labels(self):
         s = SampleSet.compacted(np.arange(6.0).reshape(3, 2), [5, 9, 5])
@@ -144,15 +184,11 @@ class TestSampleSet:
 class TestBuildPatch:
     def test_single_candidates(self):
         s = SampleSet(np.array([[0.0], [1.0], [2.0]]), np.array([0, 0, 1]))
-        patch = build_patch(s, 0, k1=1, k2=1, kappa=1.0)
-        assert patch.same_class == [1]
-        assert patch.diff_class == [2]
+        assert_edges(build_patch(s, 0, k1=1, k2=1, kappa=0.5), [0, 0], [1, 2], [1.0, -0.5])
 
     def test_forced_membership(self):
         s = SampleSet(np.array([[0.0], [1.0], [2.0]]), np.array([0, 1, 1]))
-        patch = build_patch(s, 0, k1=0, k2=2, kappa=1.0)
-        assert patch.same_class == []
-        assert sorted(patch.diff_class) == [1, 2]
+        assert_edges(build_patch(s, 0, k1=0, k2=2, kappa=1.0), [0, 0], [1, 2], [-1.0, -1.0])
 
     def test_line_nearest_neighbours(self):
         # brute-force oracle: sort candidates by (distance, index)
@@ -160,14 +196,14 @@ class TestBuildPatch:
         patch = build_patch(s, 2, k1=2, k2=1, kappa=1.0)
         same = sorted([0, 1], key=lambda j: (abs(j - 2), j))
         diff = sorted([3, 4, 5], key=lambda j: (abs(j - 2), j))
-        assert patch.same_class == same == [1, 0]
-        assert patch.diff_class == diff[:1] == [3]
+        assert same + diff[:1] == [1, 0, 3]
+        assert_edges(patch, [2, 2, 2], same + diff[:1], [1.0, 1.0, -1.0])
 
     def test_tie_breaks_ascending_index(self):
         data = np.array([[0.0], [1.0], [-1.0], [5.0]])
         s = SampleSet(data, np.array([0, 0, 0, 1]))
         patch = build_patch(s, 0, k1=1, k2=1, kappa=1.0)
-        assert patch.same_class == [1]  # indices 1 and 2 tie at distance 1
+        assert_edges(patch, [0, 0], [1, 3], [1.0, -1.0])  # indices 1 and 2 tie at distance 1
 
     @pytest.mark.parametrize(
         "i, k1, k2, message",
@@ -198,7 +234,7 @@ class TestBuildPatch:
         # (1.75 against 1.5), and no metric can be chosen by name
         data = np.array([[0.0, 0.0], [1.0, 0.75], [1.5, 0.0], [9.0, 9.0]])
         s = SampleSet(data, np.array([0, 0, 0, 1]))
-        assert build_patch(s, 0, k1=1, k2=1, kappa=1.0).same_class == [1]
+        assert_edges(build_patch(s, 0, k1=1, k2=1, kappa=1.0), [0, 0], [1, 3], [1.0, -1.0])
         with pytest.raises(TypeError):
             build_patch(s, 0, 1, 1, 1.0, metric="manhattan")
 
@@ -251,7 +287,8 @@ class TestBuildPatches:
         # as one block does
         samples, k1, k2 = selector_problem(kind, 12, 60, 9, 4, False, kmax=9)
         monkeypatch.setattr(alignment, "BLOCK_ENTRIES", rows_per_block * samples.n)
-        assert_matches_oracle(shuffled(samples, 12), k1, k2)
+        got = assert_matches_oracle(shuffled(samples, 12), k1, k2)
+        assert len(got) == -(-samples.n // rows_per_block)  # one Edges per block
 
     @pytest.mark.parametrize("n_per_class, offset", [(120, 0.0), (60, 1e6)], ids=["plain", "offset"])
     def test_peak_memory_bounded(self, n_per_class, offset):
@@ -281,9 +318,7 @@ class TestBuildPatches:
             return
         samples, k1, k2 = selector_problem(kind, 11, 90, 17, 3, False, kmax=9)
         got, want = patches_and_oracle(samples, k1, k2, 1.0)
-        assert [(g.same_class, g.diff_class) for g in got] == [
-            (w.same_class, w.diff_class) for w in want
-        ]
+        assert_edges_equal(got, want)
 
     @pytest.mark.parametrize("huge", [2**63, 10**20])
     @pytest.mark.parametrize("which", ["k1", "k2"])
@@ -295,7 +330,7 @@ class TestBuildPatches:
             got = build_patches(samples, **{**counts, which: huge}, kappa=0.5)
         with pytest.warns(UserWarning, match="k1/k2 clamped for 15 of 15 samples"):
             want = build_patches(samples, **{**counts, which: samples.n}, kappa=0.5)
-        assert got == want
+        assert_edges_equal(got, want)
 
     @pytest.mark.parametrize("k1, k2", [(-1, 1), (1, -1)])
     def test_rejects_negative_counts(self, k1, k2):
@@ -320,7 +355,7 @@ class TestBuildPatches:
 
 def patch_block(samples, patch):
     """The patch's own part matrix, read back from a one-patch alignment."""
-    idx = [patch.center, *patch.same_class, *patch.diff_class]
+    idx = [patch.centers[0], *patch.neighbours]
     return accumulate_alignment(samples, [patch])[np.ix_(idx, idx)]
 
 
@@ -401,15 +436,25 @@ class TestAccumulateAlignment:
     def test_out_of_range_patch(self):
         s = SampleSet(np.zeros((3, 1)) + np.arange(3)[:, None], np.array([0, 0, 1]))
         patch = build_patch(s, 0, 1, 1, 1.0)
-        patch.same_class = [7]
+        patch.neighbours[0] = 7
         with pytest.raises(DataError, match="outside"):
             accumulate_alignment(s, [patch])
+
+    def test_out_of_range_center(self):
+        s = SampleSet(np.arange(3.0)[:, None], np.array([0, 0, 1]))
+        edges = Edges(np.array([0, 3]), np.array([1, 2]), np.array([1.0, -1.0]))
+        with pytest.raises(DataError, match=r"center 3 references sample outside \[0, 3\)"):
+            accumulate_alignment(s, [edges])
+
+    def test_no_edges_give_zeros(self):
+        s = SampleSet(np.arange(3.0)[:, None], np.array([0, 0, 1]))
+        assert accumulate_alignment(s, []).tobytes() == np.zeros((3, 3)).tobytes()
 
     def test_negative_index_names_first_bad_center(self):
         s = SampleSet(np.arange(4.0)[:, None], np.array([0, 0, 1, 1]))
         patches = [build_patch(s, i, 1, 1, 1.0) for i in range(4)]
-        patches[2].diff_class = [-1]
-        patches[3].same_class = [9]
+        patches[2].neighbours[1] = -1
+        patches[3].neighbours[0] = 9
         with pytest.raises(DataError, match=r"center 2 references sample outside \[0, 4\)"):
             accumulate_alignment(s, patches)
 
@@ -439,13 +484,14 @@ class TestAccumulateAlignment:
         assert got.tobytes() == accumulate_alignment(s, oracle_patches(s, 4, 6, kappa)).tobytes()
 
     def test_patch_order_irrelevant(self):
+        # any order of the edges, so of the patches too, scatters the same L
         rng = np.random.default_rng(6)
         s = SampleSet(rng.normal(size=(30, 3)), np.repeat(np.arange(3), 10))
-        patches = build_patches(s, 3, 3, 0.37)
-        base = accumulate_alignment(s, patches)
+        edges = concatenated(build_patches(s, 3, 3, 0.37))
+        base = accumulate_alignment(s, [edges])
         for _ in range(3):
-            shuffled = [patches[i] for i in rng.permutation(len(patches))]
-            assert_array_equal(accumulate_alignment(s, shuffled), base)
+            order = rng.permutation(edges.centers.size)
+            assert_array_equal(accumulate_alignment(s, [Edges(*(f[order] for f in edges))]), base)
 
 
 class TestAlignmentProperties:
@@ -467,7 +513,8 @@ class TestAlignmentProperties:
         patches = random_patches(rng, s)
         base = accumulate_alignment(s, patches)
         for patch in patches:
-            patch.diff_class = patch.diff_class[::-1]
+            other = patch.weights < 0  # kappa = 1: the other-class edges
+            patch.neighbours[other] = patch.neighbours[other][::-1]
         assert_array_equal(accumulate_alignment(s, patches), base)
 
     def test_symmetry(self):

@@ -5,7 +5,9 @@ wrappers; a refactor that drops or renames one of them would make every
 traced benchmark run fail with an AttributeError. `perfbench/workloads.py`
 calls the package as `men.<name>(...)`; a refactor that drops a parameter
 one of those calls passes would make every benchmark round fail with a
-TypeError.
+TypeError. Its correctness check rebuilds each column's lasso problem from
+the public stage functions; a change to what those functions take or
+return would fail every round's check.
 """
 
 import ast
@@ -14,6 +16,7 @@ import inspect
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import men
@@ -21,19 +24,19 @@ import men
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def wrapped_names() -> dict[str, str]:
-    """spans.WRAPPED, imported without writing bytecode into perfbench/."""
+def perfbench_module(name: str):
+    """perfbench/<name>.py, imported without writing bytecode into perfbench/."""
     saved = sys.dont_write_bytecode
     sys.dont_write_bytecode = True
     sys.path.insert(0, str(PERFBENCH))
     try:
-        return dict(importlib.import_module("spans").WRAPPED)
+        return importlib.import_module(name)
     finally:
         sys.path.remove(str(PERFBENCH))
         sys.dont_write_bytecode = saved
 
 
-WRAPPED = wrapped_names()
+WRAPPED = dict(perfbench_module("spans").WRAPPED)
 
 
 def test_tracer_wraps_something():
@@ -76,3 +79,26 @@ def test_workload_call_binds(call):
     signature = inspect.signature(target)
     # a call that unpacks * or ** can only be checked for the arguments it names
     (signature.bind_partial if unpacks else signature.bind)(*positional, **keywords)
+
+
+@pytest.mark.parametrize("pca_retain", [None, 0], ids=["pca", "no-pca"])
+def test_rebuilt_problems_match_the_fit(monkeypatch, pca_retain):
+    # the check's independent rebuild (per-sample build_patch) and the fit's
+    # own stages give every column the same design, bit for bit
+    samples = men.make_informative_classes(8, 12, [0, 1, 2], n_classes=3, seed=5)
+    cfg = men.MenConfig(d=2, K=4, pca_retain=pca_retain)
+    designs = []
+    build_augmented = men.pipeline.build_augmented
+
+    def recorded(*args, **kwargs):
+        problem = build_augmented(*args, **kwargs)
+        designs.append(problem.xstar)
+        return problem
+
+    monkeypatch.setattr(men.pipeline, "build_augmented", recorded)
+    men.fit(samples, cfg)
+    problems = perfbench_module("workloads").rebuilt_problems(men, samples, cfg)
+    assert len(designs) == 1 and len(problems) == cfg.d
+    for problem in problems:
+        assert problem.xstar.shape == designs[0].shape
+        assert problem.xstar.tobytes() == designs[0].tobytes()

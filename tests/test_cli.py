@@ -809,24 +809,75 @@ config_lines = st.lists(
 ).map(lambda pairs: "".join(f"{key}={value}\n" for key, value in pairs))
 
 
-@settings(max_examples=150, deadline=None)
-@given(command=st.sampled_from(["fit", "evaluate", "export-paths"]), extra=config_lines)
-def test_cli_contract_over_generated_config(command, extra):
-    # every run exits 0, 1 or 2 without a traceback; a failure is one error line
-    with tempfile.TemporaryDirectory() as tmp:
-        tmp = Path(tmp)
-        write_dataset(tmp / "data.csv", n_per_class=8, p=5)
-        (tmp / "men.cfg").write_text(CONFIG + extra)
-        argv = [command, "--data", str(tmp / "data.csv"), "--config", str(tmp / "men.cfg")]
-        argv += ["--model", str(tmp / "m.men")] if command == "fit" else ["--out", str(tmp / "out")]
-        out, err = io.StringIO(), io.StringIO()
-        with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
-                contextlib.redirect_stderr(err):
-            warnings.simplefilter("error")  # a warning is an error line, as under -W error
-            rc = main(argv)
+def assert_cli_contract(command, tmp, data_text, config_text):
+    """`command` on the given CSV and config text, with warnings as errors, exits
+    0, 1 or 2 without a traceback; a failure is one error line."""
+    (tmp / "data.csv").write_text(data_text)
+    (tmp / "men.cfg").write_text(config_text)
+    argv = [command, "--data", str(tmp / "data.csv"), "--config", str(tmp / "men.cfg")]
+    argv += ["--model", str(tmp / "m.men")] if command == "fit" else ["--out", str(tmp / "out")]
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")  # a warning is an error line, as under -W error
+        rc = main(argv)
     assert rc in (0, 1, 2)
     if rc:
         assert len(err.getvalue().splitlines()) == 1, err.getvalue()
         assert err.getvalue().startswith("error: stage="), err.getvalue()
     else:
         assert err.getvalue() == ""
+
+
+@settings(max_examples=150, deadline=None)
+@given(command=st.sampled_from(["fit", "evaluate", "export-paths"]), extra=config_lines)
+def test_cli_contract_over_generated_config(command, extra):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        write_dataset(tmp / "data.csv", n_per_class=8, p=5)
+        assert_cli_contract(command, tmp, (tmp / "data.csv").read_text(), CONFIG + extra)
+
+
+# CSV fields at and past the parsers' edges: text, empty, the float limit and
+# past it, nonfinite, labels past int64 either way, negative and "1.0"-style
+CSV_VALUES = [
+    "abc", "", " ", "1e308", "-1e308", "1e400", "-1e400", "nan", "inf", "0", "1", "2",
+    "-1", "1.0", "2.5", "9223372036854775807", "9223372036854775808",
+    "-9223372036854775809", "100000000000000000000",
+]
+# edits of a valid 24-row, 5-feature file (6 fields a row, the label last):
+# set a field, drop one (a ragged row), add one, or insert a blank line
+csv_edits = st.lists(
+    st.tuples(
+        st.sampled_from(["set", "drop", "add", "blank"]),
+        st.integers(0, 23),
+        st.integers(0, 5),
+        st.sampled_from(CSV_VALUES),
+    ),
+    max_size=4,
+)
+
+
+def edited_csv(text, edits):
+    rows = [line.split(",") for line in text.splitlines()]
+    for op, r, c, value in edits:
+        row = rows[r % len(rows)]
+        if op == "set" and row:
+            row[c % len(row)] = value
+        elif op == "drop" and row:
+            del row[c % len(row)]
+        elif op == "add":
+            row.insert(c % (len(row) + 1), value)
+        elif op == "blank":
+            rows.insert(r % (len(rows) + 1), [])
+    return "".join(",".join(row) + "\n" for row in rows)
+
+
+@settings(max_examples=100, deadline=None)
+@given(command=st.sampled_from(["fit", "evaluate", "export-paths"]), edits=csv_edits)
+def test_cli_contract_over_generated_csv(command, edits):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        write_dataset(tmp / "data.csv", n_per_class=8, p=5)
+        text = edited_csv((tmp / "data.csv").read_text(), edits)
+        assert_cli_contract(command, tmp, text, CONFIG)

@@ -1,6 +1,6 @@
 """Config validation, key=value parsing, and serialization round-trips."""
 
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given, settings
@@ -44,10 +44,14 @@ class TestValidation:
             MenConfig(**{name: value})
         assert info.value.stage == "config"
 
-    def test_with_overrides(self):
-        cfg = MenConfig().with_overrides(d=5, K=7)
+    def test_replace_validates(self):
+        # the CLI's --d/--K and evaluate's fit width go through replace
+        cfg = replace(MenConfig(), d=5, K=7)
         assert (cfg.d, cfg.K) == (5, 7)
         assert MenConfig().d == 2  # original untouched
+        with pytest.raises(DataError, match="d must be >= 1, got 0") as info:
+            replace(MenConfig(), d=0)
+        assert info.value.stage == "config"
 
 
 class TestKvParsing:

@@ -1,5 +1,7 @@
 """Ingestion, splits, 1-NN scoring, the protocol, and the exporters."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -273,7 +275,7 @@ class TestEvaluate:
         result = evaluate(s, FIT_CFG, spec, [2])
         train_idx, test_idx = split_indices(s, spec, 0)
         train = s.subset(train_idx)
-        model, _ = fit(train, FIT_CFG.with_overrides(d=2))
+        model, _ = fit(train, replace(FIT_CFG, d=2))
         pred = nn_classify(
             project(model, train),
             s.labels[train_idx],
@@ -305,7 +307,7 @@ class TestEvaluate:
         s = make_informative_classes(6, 6, [0, 1], n_classes=2, seed=9)
         spec = SplitSpec(per_class_train=3, repeats=10**20)
         with pytest.raises(DataError, match="d=3 exceeds the numerical rank 2") as info:
-            evaluate(s, FIT_CFG.with_overrides(k1=2, k2=2), spec, [1, 3])
+            evaluate(s, replace(FIT_CFG, k1=2, k2=2), spec, [1, 3])
         assert info.value.stage == "indicator"
 
     def test_boxplot_five_numbers(self):
@@ -322,8 +324,7 @@ class TestEvaluate:
 class TestExportBases:
     def _model(self, tmp_path, **overrides):
         s = make_informative_classes(8, 16, [0, 1, 2], n_classes=3, seed=11)
-        cfg = FIT_CFG.with_overrides(**overrides) if overrides else FIT_CFG
-        model, report = fit(s, cfg)
+        model, report = fit(s, replace(FIT_CFG, **overrides))
         return model, report
 
     def test_constant_column_mid_gray(self, tmp_path):
@@ -375,7 +376,7 @@ class TestExportBases:
 class TestExportPaths:
     def test_k_one_two_rows(self, tmp_path):
         s = make_informative_classes(8, 10, [0, 1, 2], n_classes=3, seed=13)
-        _, report = fit(s, FIT_CFG.with_overrides(d=1, K=1))
+        _, report = fit(s, replace(FIT_CFG, d=1, K=1))
         out = export_paths(report, tmp_path)
         lines = out[0].read_text().strip().splitlines()
         assert len(lines) == 3  # header, init row, one enter row
@@ -384,7 +385,7 @@ class TestExportPaths:
 
     def test_l1_column_consistent(self, tmp_path):
         s = make_informative_classes(8, 10, [0, 1, 2], n_classes=3, seed=14)
-        _, report = fit(s, FIT_CFG.with_overrides(d=2, K=5))
+        _, report = fit(s, replace(FIT_CFG, d=2, K=5))
         for cpath in report.paths:
             for line in path_csv_lines(cpath)[1:]:
                 fields = line.split(",")
@@ -394,14 +395,14 @@ class TestExportPaths:
 
     def test_replay_reproduces_final(self, tmp_path):
         s = make_informative_classes(8, 10, [0, 1, 2], n_classes=3, seed=15)
-        model, report = fit(s, FIT_CFG.with_overrides(d=1, K=6))
+        model, report = fit(s, replace(FIT_CFG, d=1, K=6))
         cpath = report.paths[0]
         final = replay_path(cpath)
         assert_allclose(final, cpath.final_coefficients(), atol=1e-10)
 
     def test_coefficients_zero_before_enter(self, tmp_path):
         s = make_informative_classes(8, 10, [0, 1, 2], n_classes=3, seed=16)
-        _, report = fit(s, FIT_CFG.with_overrides(d=1, K=6))
+        _, report = fit(s, replace(FIT_CFG, d=1, K=6))
         rows = path_csv_lines(report.paths[0])[1:]
         seen = set()
         for line in rows:

@@ -2,6 +2,7 @@
 
 import tempfile
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -231,7 +232,7 @@ class TestFit:
         s = labelled_gaussians(rng)
         cfg = MenConfig(d=1, K=3, lambda2=0.5, pca_retain=0)
         plain, _ = fit(s, cfg)
-        corrected, _ = fit(s, cfg.with_overrides(double_shrinkage_correction=True))
+        corrected, _ = fit(s, replace(cfg, double_shrinkage_correction=True))
         # same solved coefficients, reported on the two scale conventions
         assert_allclose(corrected.values, plain.values * 1.5, atol=1e-12)
 
