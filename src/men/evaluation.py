@@ -211,19 +211,25 @@ def path_csv_lines(path: CoefficientPath) -> list[str]:
     """CSV rows for one coefficient path.
 
     Schema: loop, event, variable, l1_norm, C_hat, then one column per
-    coefficient.
+    coefficient. Only the active values are formatted; every other
+    coefficient is +0.0, written as the constant "0.0".
     """
     p = path.n_variables
     header = "loop,event,variable,l1_norm,C_hat," + ",".join(
         f"w{j}" for j in range(p)
     )
     lines = [header]
+    fields = ["0.0"] * p
     for bp in path.breakpoints:
-        coeffs = ",".join(map(repr, bp.coefficients.tolist()))
+        active = bp.active.tolist()
+        for j, value in zip(active, bp.values.tolist()):
+            fields[j] = repr(value)
         lines.append(
             f"{bp.loop},{bp.event},{bp.variable},{repr(bp.l1_norm)},"
-            f"{repr(bp.c_hat)},{coeffs}"
+            f"{repr(bp.c_hat)},{','.join(fields)}"
         )
+        for j in active:
+            fields[j] = "0.0"
     return lines
 
 

@@ -116,16 +116,30 @@ class LarsState:
         return self.index[: self.m].tolist()
 
 
-@dataclass
+@dataclass(slots=True)
 class Breakpoint:
+    """The path state at the end of one segment, stored sparsely.
+
+    `active` holds the active variables' int64 indices in entry order and
+    `values` their coefficients; every other coefficient of the length-`p`
+    vector is +0.0, so `coefficients` rebuilds the dense vector exactly.
+    """
+
     loop: int
     event: str
     variable: int
-    coefficients: np.ndarray
+    active: np.ndarray
+    values: np.ndarray
+    p: int
     c_hat: float
     l1_norm: float
     objective: float
-    active: tuple[int, ...]
+
+    @property
+    def coefficients(self) -> np.ndarray:
+        dense = np.zeros(self.p)
+        dense[self.active] = self.values
+        return dense
 
 
 @dataclass
@@ -344,16 +358,19 @@ def _record(
     event: str,
     variable: int,
 ) -> None:
+    index = state.index[: state.m]
     path.breakpoints.append(
         Breakpoint(
             loop=state.loop,
             event=event,
             variable=variable,
-            coefficients=state.coeffs.copy(),
+            active=index.astype(np.int64),
+            values=state.coeffs[index],
+            p=state.coeffs.size,
             c_hat=state.c_hat,
+            # over the dense vector: a sum over the values alone may round differently
             l1_norm=float(np.abs(state.coeffs).sum()),
             objective=_objective(problem, state),
-            active=tuple(state.active),
         )
     )
 

@@ -210,15 +210,16 @@ def check_breakpoints(problem, path, *, rel_tol=1e-8, terminal_rel=1e-12):
         corr = problem.xstar.T @ (problem.ystar - problem.xstar @ bp.coefficients)
         if bp.c_hat <= terminal_rel * c0:
             continue
-        if bp.active:
-            active = np.abs(corr[list(bp.active)])
+        if bp.active.size:
+            active = np.abs(corr[bp.active])
             spread = active.max() - active.min()
             assert spread <= rel_tol * bp.c_hat, (
                 f"equicorrelation spread {spread:.3e} at loop {bp.loop} "
                 f"(c_hat {bp.c_hat:.3e})"
             )
-        inactive = [j for j in range(corr.size) if j not in bp.active]
-        if inactive and bp.active:
+        inactive = np.ones(corr.size, dtype=bool)
+        inactive[bp.active] = False
+        if inactive.any() and bp.active.size:
             excess = np.abs(corr[inactive]).max() - bp.c_hat
             assert excess <= rel_tol * bp.c_hat, (
                 f"inactive correlation exceeds c_hat by {excess:.3e} at loop {bp.loop}"
@@ -233,3 +234,18 @@ def replay_path(path):
     for prev, cur in zip(path.breakpoints, path.breakpoints[1:]):
         coeffs = coeffs + (cur.coefficients - prev.coefficients)
     return coeffs
+
+
+def dense_path_csv_lines(path):
+    """Path CSV rows formatted from each breakpoint's dense coefficient
+    vector, one repr per coefficient."""
+    p = path.n_variables
+    header = "loop,event,variable,l1_norm,C_hat," + ",".join(f"w{j}" for j in range(p))
+    lines = [header]
+    for bp in path.breakpoints:
+        coeffs = ",".join(map(repr, bp.coefficients.tolist()))
+        lines.append(
+            f"{bp.loop},{bp.event},{bp.variable},{repr(bp.l1_norm)},"
+            f"{repr(bp.c_hat)},{coeffs}"
+        )
+    return lines

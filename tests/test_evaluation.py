@@ -25,9 +25,11 @@ from men.evaluation import (
     path_csv_lines,
     split_indices,
 )
+from men.lars import solve_column
 from men.pipeline import fit, project
 
-from oracles import exhaustive_nn, replay_path
+from oracles import dense_path_csv_lines, exhaustive_nn, replay_path
+from test_lars import lasso_drop_problem, plain_problem, random_problem
 
 
 FIT_CFG = MenConfig(alpha=0.01, kappa=0.5, lambda2=1.0, d=2, K=6, pca_retain=0)
@@ -399,6 +401,19 @@ class TestExportPaths:
         cpath = report.paths[0]
         final = replay_path(cpath)
         assert_allclose(final, cpath.final_coefficients(), atol=1e-10)
+
+    @pytest.mark.parametrize("kind", ["drops", "budget", "init-only"])
+    def test_lines_match_dense_formatter(self, kind):
+        if kind == "drops":
+            _, path = solve_column(lasso_drop_problem(), 13)
+            assert any(bp.event == "drop" for bp in path.breakpoints)
+        elif kind == "budget":
+            _, path = solve_column(random_problem(np.random.default_rng(5), 20, 12), 4)
+            assert [bp.event for bp in path.breakpoints] == ["init"] + ["enter"] * 4
+        else:
+            _, path = solve_column(plain_problem(np.eye(3), np.zeros(3)), 3)
+            assert len(path.breakpoints) == 1
+        assert path_csv_lines(path) == dense_path_csv_lines(path)
 
     def test_coefficients_zero_before_enter(self, tmp_path):
         s = make_informative_classes(8, 10, [0, 1, 2], n_classes=3, seed=16)

@@ -1,5 +1,7 @@
 """The path solver: correlations, directions, steps, drops, Gram updates."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -42,6 +44,13 @@ def plain_problem(X, y, scale=1.0):
 
 def random_problem(rng, n, p):
     return plain_problem(rng.normal(size=(n, p)), rng.normal(size=n))
+
+
+def lasso_drop_problem():
+    """A seeded 12 x 8 problem whose unrestricted path (K = 13) contains a
+    lasso drop."""
+    rng = np.random.default_rng(0)
+    return plain_problem(rng.normal(size=(12, 8)), rng.normal(size=12))
 
 
 class TestCorrelations:
@@ -246,13 +255,10 @@ class TestLarsStep:
         assert len(path.breakpoints) == 1
 
     def test_engineered_drop(self):
-        # seed chosen so the unrestricted path contains a lasso drop; the
-        # dropped coefficient is exactly zero at the breakpoint and the
+        # the dropped coefficient is exactly zero at the breakpoint and the
         # state matches the coordinate-descent solution at lambda = c_hat
-        rng = np.random.default_rng(0)
-        X = rng.normal(size=(12, 8))
-        y = rng.normal(size=12)
-        prob = plain_problem(X, y)
+        prob = lasso_drop_problem()
+        X, y = prob.xstar, prob.ystar
         _, path = solve_column(prob, 13)
         drops = [bp for bp in path.breakpoints if bp.event == "drop"]
         assert drops, "expected at least one drop event"
@@ -442,12 +448,11 @@ class TestSolveColumn:
 
 class TestFallbacksAndTerminations:
     def test_forced_downdate_refactorization(self, monkeypatch):
-        # the test_engineered_drop path, once as is and once with every
-        # downdate replaced by inverting G[A, A]
+        # the lasso drop path, once as is and once with every downdate
+        # replaced by inverting G[A, A]
         import men.lars as lars_module
 
-        rng = np.random.default_rng(0)
-        prob = plain_problem(rng.normal(size=(12, 8)), rng.normal(size=12))
+        prob = lasso_drop_problem()
         _, plain = solve_column(prob, 13)
 
         def refuse(gram_inv, pos):
@@ -648,9 +653,7 @@ class TestActiveBlocks:
 
     def test_full_blocks_with_drops(self, monkeypatch):
         # K >= p: the blocks hold every variable, and this path drops
-        rng = np.random.default_rng(0)
-        prob = plain_problem(rng.normal(size=(12, 8)), rng.normal(size=12))
-        events = self.solve_checked(monkeypatch, prob, 13)
+        events = self.solve_checked(monkeypatch, lasso_drop_problem(), 13)
         assert "drop" in events and events.count("enter") - events.count("drop") == 8
 
     def test_single_slot(self, monkeypatch):
@@ -688,3 +691,60 @@ class TestActiveBlocks:
         for t in range(2):
             self.solve_checked(monkeypatch, shared.column(t), 6)
         assert refactored
+
+
+def drop_fixture_paths():
+    return [solve_column(lasso_drop_problem(), 13)[1]]
+
+
+def pca_free_fit_paths():
+    from men.config import MenConfig
+    from men.datasets import make_informative_classes
+    from men.pipeline import fit
+
+    samples = make_informative_classes(12, 10, [0, 1, 2], n_classes=4, seed=21)
+    return fit(samples, MenConfig(d=3, K=10, pca_retain=0))[1].paths
+
+
+class TestBreakpointRecords:
+    @pytest.mark.parametrize("paths", [drop_fixture_paths, pca_free_fit_paths])
+    def test_sparse_record_is_exact(self, paths):
+        for path in paths():
+            prev = []
+            for bp in path.breakpoints:
+                assert bp.active.dtype == np.int64 and bp.values.dtype == np.float64
+                # entry order: the survivors keep their order and a newcomer
+                # comes last (a drop segment may also have entered one)
+                active = bp.active.tolist()
+                kept = [j for j in prev if not (bp.event == "drop" and j == bp.variable)]
+                assert active[: len(kept)] == kept
+                new = active[len(kept) :]
+                if bp.event == "enter":
+                    assert new == [bp.variable]
+                else:
+                    assert len(new) <= (bp.event == "drop")
+                prev = active
+                dense = bp.coefficients
+                assert dense.shape == (path.n_variables,)
+                assert np.array_equal(dense[bp.active], bp.values)
+                off = np.ones(path.n_variables, dtype=bool)
+                off[bp.active] = False
+                assert not dense[off].any() and not np.signbit(dense[off]).any()
+                assert bp.l1_norm == float(np.abs(dense).sum())
+
+    def test_path_memory_is_independent_of_p(self):
+        # a dense record of every breakpoint would hold 16 kB each here
+        rng = np.random.default_rng(3)
+        p, K = 2000, 10
+        prob = random_problem(rng, 40, p)
+        prob.gram, prob.xty  # formed before tracing, as a fit shares them
+        tracemalloc.start()
+        try:
+            w, path = solve_column(prob, K)
+            del w
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(path.breakpoints) == K + 1
+        assert held <= len(path.breakpoints) * (16 * K + 512) + 4096
+

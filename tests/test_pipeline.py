@@ -645,8 +645,8 @@ def small_labelled_fits(draw):
 
 def _breakpoint_bytes(report):
     return [
-        [(bp.loop, bp.event, bp.variable, bp.coefficients.tobytes(), bp.c_hat, bp.l1_norm,
-          bp.objective, bp.active) for bp in path.breakpoints]
+        [(bp.loop, bp.event, bp.variable, bp.coefficients.tobytes(), bp.active.tobytes(),
+          bp.values.tobytes(), bp.c_hat, bp.l1_norm, bp.objective) for bp in path.breakpoints]
         for path in report.paths
     ]
 
