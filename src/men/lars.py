@@ -8,16 +8,16 @@ solution path).
 
 The solver works on the covariance form of the problem (Efron, Hastie,
 Johnstone & Tibshirani 2004, Least Angle Regression, section 7): the
-Gram matrix G = xstar^T xstar and b = xstar^T ystar. Correlations are
-c = b - G[:, A] w_A, the equiangular projections a = G[:, A] delta, and
-an entering variable j reads G[A, j] and G[j, j], so no step touches the
-(n' + p) x p design. The elastic-net augmented design is the same for
-every projection column, so a fit forms G once and all d columns share
-it (AugmentedProblem.column); only b differs. The design is read once
-per breakpoint, for the objective from an exact residual over the active
-columns. The active-set Gram inverse is maintained incrementally: a
-Schur-complement bordering step on entry, a complementary-block downdate
-on removal, with inversion of G[A, A] as the fallback.
+Gram matrix G = xstar^T xstar + ridge I and b = xstar^T ystar. Correlations
+are c = b - G[:, A] w_A, the equiangular projections a = G[:, A] delta,
+and an entering variable j reads G[A, j] and G[j, j], so no step touches
+the n' x p design. The design is the same for every projection column, so
+a fit forms G once and all d columns share it (AugmentedProblem.column);
+only b differs. The design is read once per breakpoint, for the objective
+from an exact residual over the active columns. The active-set Gram
+inverse is maintained incrementally: a Schur-complement bordering step on
+entry, a complementary-block downdate on removal, with inversion of
+G[A, A] as the fallback.
 
 No segment gathers from G or the design: the state keeps the active
 rows of G and active columns of the design in blocks (LarsState), and
@@ -75,8 +75,8 @@ class Direction:
     """Equiangular move for the current active set.
 
     delta:      signed per-unit coefficient increments over the active set
-    a:          G[:, A] delta, the projections xstar^T u of every variable
-                on the unit equiangular vector u = xstar[:, A] delta
+    a:          G[:, A] delta, the projections of every augmented column
+                on the unit equiangular vector they span over A
     normalizer: common inner product of signed active columns with u
     """
 
@@ -154,14 +154,14 @@ class CoefficientPath:
 
 
 def correlations(problem: AugmentedProblem, coeffs: np.ndarray) -> np.ndarray:
-    """Current correlation vector xstar^T (ystar - xstar coeffs).
+    """Current correlation vector xstar^T (ystar - xstar coeffs) - ridge coeffs.
 
-    This is the negative objective gradient up to a dropped constant
-    factor of two. The residual form is the reference the solver's
-    covariance-form correlations are checked against.
+    This is the negative objective gradient (ridge rows included) up to a
+    dropped constant factor of two. The residual form is the reference
+    the solver's covariance-form correlations are checked against.
     """
     residual = problem.ystar - problem.xstar @ coeffs
-    return problem.xstar.T @ residual
+    return problem.xstar.T @ residual - problem.ridge * coeffs
 
 
 def _update_correlations(state: LarsState, problem: AugmentedProblem) -> None:
@@ -238,7 +238,7 @@ def _refactor_gram_inverse(problem: AugmentedProblem, active: list[int]) -> np.n
     except np.linalg.LinAlgError as exc:
         raise NumericalError(
             "active-set Gram matrix is singular; set lambda2 > 0 so the ridge "
-            "rows keep the augmented columns independent"
+            "term keeps the augmented columns independent"
         ) from exc
 
 
@@ -345,10 +345,11 @@ def drop_length(state: LarsState, d: Direction) -> tuple[float, int]:
 
 
 def _objective(problem: AugmentedProblem, state: LarsState) -> float:
-    """Squared residual norm, from the design's active columns (exact
-    rather than the cancellation-prone y'y - 2 b'w + w'Gw)."""
-    residual = problem.ystar - state.cols[:, : state.m] @ state.coeffs[state.index[: state.m]]
-    return float(residual @ residual)
+    """Squared residual norm of the augmented data, exact over the active
+    columns (not the cancellation-prone y'y - 2 b'w + w'Gw) plus ridge ||w_A||^2."""
+    values = state.coeffs[state.index[: state.m]]
+    residual = problem.ystar - state.cols[:, : state.m] @ values
+    return float(residual @ residual) + problem.ridge * float(values @ values)
 
 
 def _record(

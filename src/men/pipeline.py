@@ -161,7 +161,7 @@ def fit(
         factor = spectral_factor(eig, cfg.eig_floor)
         shared = build_augmented(work.data, indicator.values, None, cfg, factor=factor)
         del eig, factor  # so U is not held through the column solves
-    if work.p > shared.n_effective and cfg.lambda2 < 1e-6:
+    if work.p > shared.xstar.shape[0] and cfg.lambda2 < 1e-6:
         warnings.warn(
             "more variables than retained spectral rows with lambda2 < 1e-6; "
             "set lambda2 >= 1e-6 to keep active-set Gram matrices well conditioned",

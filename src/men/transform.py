@@ -11,10 +11,9 @@ design is built in that eigenbasis from U^T X and U^T y, so one eigh(L)
 does the whole stage and no n' x n array exists. The negative eigenvalues
 of L (different-class pushes) can make f negative, so A is generally
 indefinite; eigenvalues below a relative floor are clamped, and the
-transformed response then lives in the retained subspace only. Ridge rows
-appended to the design give an ordinary penalized least-squares problem
-(xstar, ystar) for the LARS engine, shared by all d projection columns
-along with its Gram matrix.
+transformed response then lives in the retained subspace only. The
+elastic net's ridge rows (Zou & Hastie 2005, Lemma 1) stay implied, as
+one scalar on the Gram diagonal of the n' x p design all d columns share.
 """
 
 from __future__ import annotations
@@ -43,30 +42,28 @@ COND_LIMIT = 1e14
 class SpectralFactor:
     """Square root of A = U diag(f) U^T on its retained eigenvalues, in U.
 
-    root:        length n', sqrt(f) over the retained eigenvalues, descending
-    retained:    their column indices into basis
-    basis:       U from build_a, n x n (a reference, not a copy)
-    eigenvalues: retained eigenvalues, descending
-    n_dropped:   eigenvalues discarded by the relative floor
+    root:      length n', sqrt(f) over the retained eigenvalues, descending
+    retained:  their column indices into basis
+    basis:     U from build_a, n x n (a reference, not a copy)
+    n_dropped: eigenvalues discarded by the relative floor
     """
 
     root: np.ndarray
     retained: np.ndarray
     basis: np.ndarray
-    eigenvalues: np.ndarray
     n_dropped: int
 
 
-@dataclass
+@dataclass(kw_only=True)
 class AugmentedProblem:
-    """Penalized least-squares design for one or more projection columns.
+    """Elastic-net least-squares problem for one or more projection columns.
 
-    xstar:       (n' + p) x p design; bottom p rows are the scaled ridge block
-    ystar:       length n' + p response, or (n' + p) x d with one column per
-                 target; bottom p rows are zero
-    n_effective: n', the number of retained spectral rows
-    scale:       sqrt(1+lambda2) relating the reported column W to the
-                 solved coefficients (W* = scale * W)
+    xstar: n' x p design (F order), the top block of the augmented data
+    ystar: its length-n' response, or n' x d with one column per target
+    scale: sqrt(1+lambda2) relating the reported column W to the solved
+           coefficients (W* = scale * W)
+    ridge: lambda2/(1+lambda2); the implied ridge rows sqrt(ridge) I under
+           xstar, with zero responses, add it to the Gram diagonal
 
     The covariance form the solver works on, `gram` and `xty`, is formed
     on first use and kept.
@@ -74,8 +71,8 @@ class AugmentedProblem:
 
     xstar: np.ndarray
     ystar: np.ndarray
-    n_effective: int
     scale: float
+    ridge: float
 
     @property
     def n_variables(self) -> int:
@@ -83,8 +80,10 @@ class AugmentedProblem:
 
     @cached_property
     def gram(self) -> np.ndarray:
-        """G = xstar^T xstar (p x p), the same for every target column."""
-        return self.xstar.T @ self.xstar
+        """G = xstar^T xstar + ridge I (p x p), the same for every target column."""
+        gram = self.xstar.T @ self.xstar
+        gram.flat[:: gram.shape[0] + 1] += self.ridge
+        return gram
 
     @cached_property
     def xty(self) -> np.ndarray:
@@ -96,8 +95,8 @@ class AugmentedProblem:
         problem = AugmentedProblem(
             xstar=self.xstar,
             ystar=np.ascontiguousarray(self.ystar[:, t]),
-            n_effective=self.n_effective,
             scale=self.scale,
+            ridge=self.ridge,
         )
         problem.gram = self.gram
         problem.xty = np.ascontiguousarray(self.xty[:, t])
@@ -171,10 +170,9 @@ def spectral_factor(eig: tuple[np.ndarray, np.ndarray], eig_floor: float) -> Spe
             f"eig_floor={eig_floor!r} retains no eigenvalue (largest {top:.3e})",
             stage="transform",
         )
-    kept = vals[retained]
     return SpectralFactor(
-        root=np.sqrt(kept), retained=retained, basis=vecs, eigenvalues=kept,
-        n_dropped=int(vals.size - kept.size),
+        root=np.sqrt(vals[retained]), retained=retained, basis=vecs,
+        n_dropped=int(vals.size - retained.size),
     )
 
 
@@ -186,12 +184,12 @@ def build_augmented(
     *,
     factor: SpectralFactor | None = None,
 ) -> AugmentedProblem:
-    """Assemble the (n' + p) x p design and its response in the eigenbasis.
+    """Assemble the n' x p design, its response and its ridge in the eigenbasis.
 
-    xstar = (1+lambda2)^{-1/2} [root * (U^T X)[retained] ; sqrt(lambda2) I]
-    ystar = [(U^T y)[retained] / root ; 0]
+    xstar = (1+lambda2)^{-1/2} root * (U^T X)[retained], ridge = lambda2/(1+lambda2)
+    ystar = (U^T y)[retained] / root
 
-    The top blocks are R X and R^{-T} y for the factor R of spectral_factor.
+    These are R X, scaled, and R^{-T} y for the factor R of spectral_factor.
     `targets` is one length-n target column, or an n x d matrix whose
     columns then share the one design (see AugmentedProblem.column). A
     precomputed spectral factor may be passed in; L is then not read.
@@ -200,11 +198,12 @@ def build_augmented(
     targets = np.asarray(targets, dtype=np.float64)
     if factor is None:
         factor = spectral_factor(build_a(L, cfg), cfg.eig_floor)
-    root, p = factor.root, X.shape[1]
     rotated_x, rotated_t = ((factor.basis.T @ a)[factor.retained] for a in (X, targets))
     scale = float(np.sqrt(1.0 + cfg.lambda2))
-    ridge = np.sqrt(cfg.lambda2) * np.eye(p)
     # column-major, so reading the columns of an active set is contiguous
-    xstar = np.asfortranarray(np.vstack([root[:, None] * rotated_x, ridge]) / scale)
-    ystar = np.concatenate([(rotated_t.T / root).T, np.zeros((p,) + targets.shape[1:])])
-    return AugmentedProblem(xstar=xstar, ystar=ystar, n_effective=root.size, scale=scale)
+    xstar = np.multiply(factor.root[:, None], rotated_x, out=np.empty(rotated_x.shape, order="F"))
+    xstar /= scale
+    ystar = (rotated_t.T / factor.root).T
+    return AugmentedProblem(
+        xstar=xstar, ystar=ystar, scale=scale, ridge=cfg.lambda2 / (1.0 + cfg.lambda2)
+    )

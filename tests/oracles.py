@@ -197,17 +197,29 @@ def kkt_violation(X, y, w, lam):
     return worst
 
 
+def design(problem):
+    """The elastic net's augmented data of a built problem, written out
+    densely (Zou & Hastie 2005, Lemma 1): the design with sqrt(ridge) I
+    stacked under it, and the response with p zero rows under it."""
+    p = problem.xstar.shape[1]
+    X = np.vstack([problem.xstar, np.sqrt(problem.ridge) * np.eye(p)])
+    y = np.concatenate([problem.ystar, np.zeros((p,) + problem.ystar.shape[1:])])
+    return X, y
+
+
 def check_breakpoints(problem, path, *, rel_tol=1e-8, terminal_rel=1e-12):
-    """Assert equicorrelation and dominance at every non-terminal breakpoint.
+    """Assert equicorrelation and dominance at every non-terminal breakpoint,
+    on the problem's design() written out.
 
     Terminal breakpoints (c_hat below terminal_rel of the initial c_hat,
     i.e. the least-squares stopping region) are skipped: there the
     correlations are pure rounding noise. Returns the number checked.
     """
+    X, y = design(problem)
     c0 = path.breakpoints[0].c_hat
     checked = 0
     for bp in path.breakpoints:
-        corr = problem.xstar.T @ (problem.ystar - problem.xstar @ bp.coefficients)
+        corr = X.T @ (y - X @ bp.coefficients)
         if bp.c_hat <= terminal_rel * c0:
             continue
         if bp.active.size:

@@ -84,21 +84,26 @@ def test_workload_call_binds(call):
 @pytest.mark.parametrize("pca_retain", [None, 0], ids=["pca", "no-pca"])
 def test_rebuilt_problems_match_the_fit(monkeypatch, pca_retain):
     # the check's independent rebuild (per-sample build_patch) and the fit's
-    # own stages give every column the same design, bit for bit
+    # own stages give every column the same design, ridge and scale bit for
+    # bit, and the same response to rounding: the fit rotates its d targets
+    # in one matrix product, the rebuild one target in a matrix-vector product
     samples = men.make_informative_classes(8, 12, [0, 1, 2], n_classes=3, seed=5)
     cfg = men.MenConfig(d=2, K=4, pca_retain=pca_retain)
-    designs = []
+    shared = []
     build_augmented = men.pipeline.build_augmented
 
     def recorded(*args, **kwargs):
-        problem = build_augmented(*args, **kwargs)
-        designs.append(problem.xstar)
-        return problem
+        shared.append(build_augmented(*args, **kwargs))
+        return shared[-1]
 
     monkeypatch.setattr(men.pipeline, "build_augmented", recorded)
     men.fit(samples, cfg)
     problems = perfbench_module("workloads").rebuilt_problems(men, samples, cfg)
-    assert len(designs) == 1 and len(problems) == cfg.d
-    for problem in problems:
-        assert problem.xstar.shape == designs[0].shape
-        assert problem.xstar.tobytes() == designs[0].tobytes()
+    assert len(shared) == 1 and len(problems) == cfg.d
+    for t, problem in enumerate(problems):
+        column = shared[0].column(t)
+        assert problem.xstar.shape == column.xstar.shape
+        assert problem.xstar.tobytes() == column.xstar.tobytes()
+        assert (problem.ridge, problem.scale) == (column.ridge, column.scale)
+        assert problem.ystar.shape == column.ystar.shape
+        np.testing.assert_allclose(problem.ystar, column.ystar, rtol=1e-13, atol=1e-13)

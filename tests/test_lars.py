@@ -25,6 +25,7 @@ from men.transform import AugmentedProblem
 from oracles import (
     cd_lasso,
     check_breakpoints,
+    design,
     fd_gradient,
     kkt_violation,
     lasso_objective,
@@ -33,12 +34,11 @@ from oracles import (
 
 
 def plain_problem(X, y, scale=1.0):
-    X = np.asarray(X, dtype=np.float64)
     return AugmentedProblem(
-        xstar=X,
+        xstar=np.asarray(X, dtype=np.float64),
         ystar=np.asarray(y, dtype=np.float64),
-        n_effective=X.shape[0],
         scale=scale,
+        ridge=0.0,
     )
 
 
@@ -409,7 +409,7 @@ class TestSolveColumn:
 
     def test_full_chain_stress(self):
         # solves on augmented problems from the whole transform chain,
-        # including underdetermined designs (ridge rows keep the Gram
+        # including underdetermined designs (the ridge term keeps the Gram
         # invertible), clamped spectra, drops, and post-drop segments
         from men.config import MenConfig
         from men.transform import build_augmented
@@ -430,6 +430,7 @@ class TestSolveColumn:
             X = rng.normal(size=(n, p))
             y = rng.normal(size=n)
             prob = build_augmented(X, y, L, cfg)
+            xfull, yfull = design(prob)
             k = int(rng.integers(1, p + 3))
             w, path = solve_column(prob, k)
             assert np.count_nonzero(w) <= k
@@ -440,10 +441,34 @@ class TestSolveColumn:
                 drops += bp.event == "drop"
                 conts += bp.event == "cont"
                 assert (
-                    kkt_violation(prob.xstar, prob.ystar, bp.coefficients, bp.c_hat)
+                    kkt_violation(xfull, yfull, bp.coefficients, bp.c_hat)
                     <= 1e-8 * scale
                 )
         assert drops > 0 and conts > 0  # the stress actually hit those branches
+
+    @pytest.mark.parametrize("lambda2", [0.01, 1.0])
+    @pytest.mark.parametrize("n, p", [(20, 8), (8, 20)], ids=["tall", "wide"])
+    def test_implied_ridge_matches_written_out_design(self, n, p, lambda2):
+        # at every breakpoint, the objective and correlations with the ridge
+        # rows implied equal those of the augmented data written out
+        from men.config import MenConfig
+        from men.transform import build_augmented
+
+        rng = np.random.default_rng(31)
+        raw = rng.normal(size=(n, n))
+        L = 0.5 * (raw + raw.T)
+        cfg = MenConfig(alpha=0.2, beta=5.0, lambda2=lambda2)
+        prob = build_augmented(rng.normal(size=(n, p)), rng.normal(size=n), L, cfg)
+        assert (prob.xstar.shape[0] < p) == (n < p)  # the wide case has p > n'
+        X, y = design(prob)
+        _, path = solve_column(prob, p)
+        c0 = path.breakpoints[0].c_hat
+        for bp in path.breakpoints:
+            residual = y - X @ bp.coefficients
+            full = float(residual @ residual)
+            assert abs(bp.objective - full) <= 1e-9 * full
+            gradient = X.T @ residual
+            assert np.abs(correlations(prob, bp.coefficients) - gradient).max() <= 1e-12 * c0
 
 
 class TestFallbacksAndTerminations:

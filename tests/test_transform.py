@@ -17,7 +17,7 @@ from men.datasets import make_informative_classes
 from men.errors import DataError, NumericalError
 from men.transform import build_a, build_augmented, spectral_factor
 
-from oracles import dense_build_a, dense_spectral_factor, eliminate_z
+from oracles import dense_build_a, dense_spectral_factor, design, eliminate_z
 
 
 def random_symmetric(rng, n, scale=1.0):
@@ -76,8 +76,8 @@ def assert_solver_view(X, y, cfg, factor, A, tol):
 
 
 def augmented_objective(problem, w):
-    wstar = problem.scale * w
-    r = problem.ystar - problem.xstar @ wstar
+    xfull, yfull = design(problem)
+    r = yfull - xfull @ (problem.scale * w)
     return float(r @ r)
 
 
@@ -194,7 +194,7 @@ class TestBuildA:
         monkeypatch.setattr(np.linalg, "svd", forbidden)
         problem = build_augmented(X, y, L, cfg)
         assert calls == [(6, 6)]
-        assert problem.n_effective == 6 - n_dropped
+        assert problem.xstar.shape[0] == 6 - n_dropped
         assert max_rel(problem.gram, gram) <= 1e-12
         assert max_rel(problem.xty, xty) <= 1e-12
 
@@ -244,7 +244,7 @@ class TestSpectralFactor:
         a = np.diag([4.0, 1.0])
         fac = spectral_factor(np.linalg.eigh(a), 1e-10)
         assert_allclose(fac.root, [2.0, 1.0], atol=1e-12)
-        assert_allclose(fac.eigenvalues, [4.0, 1.0])
+        assert_allclose(fac.root**2, [4.0, 1.0])
         gram, xty = solver_view(X, y, MenConfig(lambda2=0.0), fac)
         assert_allclose(gram, X.T @ a @ X, atol=1e-12)
         assert_allclose(xty, X.T @ y, atol=1e-12)
@@ -263,7 +263,7 @@ class TestSpectralFactor:
         X, y = rng.normal(size=(6, 4)), rng.normal(size=6)
         vecs = fac.basis[:, fac.retained]
         gram, xty = solver_view(X, y, MenConfig(lambda2=0.0), fac)
-        assert_allclose(gram, X.T @ (vecs * fac.eigenvalues) @ vecs.T @ X, atol=1e-10)
+        assert_allclose(gram, X.T @ (vecs * fac.root**2) @ vecs.T @ X, atol=1e-10)
         assert_allclose(xty, X.T @ vecs @ vecs.T @ y, atol=1e-10)
         assert_solver_view(X, y, MenConfig(), fac, sym, 1e-10)
 
@@ -332,15 +332,18 @@ class TestSpectralFactor:
 
 class TestBuildAugmented:
     def test_ridge_block_shape(self):
+        # the ridge rows stay implied: `ridge` is the square of their
+        # entry, and the Gram matrix is that of the rows written out
         rng = np.random.default_rng(4)
         X = rng.normal(size=(6, 4))
         y = rng.normal(size=6)
         cfg = MenConfig(alpha=0.2, beta=5.0, lambda2=0.3)
         prob = build_augmented(X, y, random_symmetric(rng, 6), cfg)
-        p = 4
-        expected = np.sqrt(cfg.lambda2) / np.sqrt(1.0 + cfg.lambda2) * np.eye(p)
-        assert_allclose(prob.xstar[-p:], expected, atol=1e-14)
-        assert np.array_equal(prob.ystar[-p:], np.zeros(p))
+        entry = np.sqrt(cfg.lambda2) / np.sqrt(1.0 + cfg.lambda2)
+        assert prob.ridge == pytest.approx(entry**2, rel=1e-15)
+        xfull, yfull = design(prob)
+        assert_allclose(prob.gram, xfull.T @ xfull, rtol=1e-13, atol=1e-14)
+        assert_allclose(prob.xty, xfull.T @ yfull, rtol=1e-13, atol=1e-14)
         assert prob.scale == pytest.approx(np.sqrt(1.3))
 
     def test_lambda2_zero_rows_are_zero(self):
@@ -349,7 +352,29 @@ class TestBuildAugmented:
         y = rng.normal(size=5)
         cfg = MenConfig(alpha=0.0, lambda2=0.0)
         prob = build_augmented(X, y, np.zeros((5, 5)), cfg)
-        assert np.array_equal(prob.xstar[-3:], np.zeros((3, 3)))
+        assert prob.ridge == 0.0
+        assert np.array_equal(prob.gram, prob.xstar.T @ prob.xstar)
+
+    @pytest.mark.parametrize("d", [None, 3], ids=["one-target", "three-targets"])
+    def test_design_holds_retained_rows_only(self, d):
+        # n' x p in column-major order and n' response rows, on a spectrum
+        # that the floor clamps
+        samples = make_informative_classes(
+            12, 6, [0, 2, 4], n_classes=4, separation=1.0, seed=12
+        )
+        cfg = MenConfig()
+        factor = spectral_factor(build_a(alignment_matrix(), cfg), cfg.eig_floor)
+        assert factor.n_dropped > 0
+        n_kept = samples.n - factor.n_dropped
+        targets = np.random.default_rng(14).normal(size=(samples.n, d or 1))
+        prob = build_augmented(
+            samples.data, targets if d else targets[:, 0], None, cfg, factor=factor
+        )
+        assert prob.xstar.shape == (n_kept, samples.p)
+        assert prob.xstar.flags.f_contiguous
+        assert prob.ystar.shape == ((n_kept, d) if d else (n_kept,))
+        if d:
+            assert all(prob.column(t).ystar.shape == (n_kept,) for t in range(d))
 
     def test_all_penalties_off_gives_least_squares(self):
         rng = np.random.default_rng(6)
@@ -357,7 +382,7 @@ class TestBuildAugmented:
         y = rng.normal(size=10)
         cfg = MenConfig(alpha=0.0, lambda2=0.0)
         prob = build_augmented(X, y, np.zeros((10, 10)), cfg)
-        w, *_ = np.linalg.lstsq(prob.xstar, prob.ystar, rcond=None)
+        w, *_ = np.linalg.lstsq(*design(prob), rcond=None)
         assert_allclose(w, np.linalg.lstsq(X, y, rcond=None)[0], atol=1e-10)
 
     def test_paired_difference_identity(self):
@@ -377,7 +402,7 @@ class TestBuildAugmented:
             X = rng.normal(size=(n, p))
             y = rng.normal(size=n)
             prob = build_augmented(X, y, L, cfg)
-            assert prob.n_effective == n  # nothing clamped by construction
+            assert prob.xstar.shape[0] == n  # nothing clamped by construction
             w1 = rng.normal(size=p)
             w2 = rng.normal(size=p)
             dq = quadratic_objective(X, y, L, cfg, w1) - quadratic_objective(
