@@ -28,6 +28,9 @@ from .transform import build_a, build_augmented, spectral_factor
 
 __all__ = ["ProjectionMatrix", "FitReport", "pca_preprocess", "fit", "project"]
 
+# rows centred at a time by project: 64 x p_raw doubles, not a copy of the data
+_PROJECT_ROWS = 64
+
 
 @dataclass
 class ProjectionMatrix:
@@ -155,8 +158,8 @@ def fit(
     with _stage("indicator", timings):
         indicator = build_indicator(work, cfg.d, center=cfg.center_class_means)
     with _stage("transform", timings):
-        eig = build_a(align, cfg)
-        del align  # L is freed once its eigh is done
+        eig = build_a(align, cfg, overwrite_l=True)
+        del align  # L's storage now holds U: the eigh made no second n x n array
         # all d target columns share one design
         factor = spectral_factor(eig, cfg.eig_floor)
         shared = build_augmented(work.data, indicator.values, None, cfg, factor=factor)
@@ -192,5 +195,11 @@ def project(model: ProjectionMatrix, samples: SampleSet) -> np.ndarray:
         raise DataError(
             f"feature dimension {samples.p} does not match the model's dimension {expected}"
         )
-    reduced = samples.data if basis is None else (samples.data - model.pca_mean) @ basis
+    if basis is None:
+        return samples.data @ model.values
+    # centred a block of rows at a time, so no centred copy of the data exists
+    reduced = np.empty((samples.n, basis.shape[1]))
+    for start in range(0, samples.n, _PROJECT_ROWS):
+        rows = slice(start, start + _PROJECT_ROWS)
+        np.matmul(samples.data[rows] - model.pca_mean, basis, out=reduced[rows])
     return reduced @ model.values

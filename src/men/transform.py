@@ -8,7 +8,10 @@ gives A = I + alpha beta L (alpha L + beta I)^{-1} = U diag(f(lambda)) U^T
 with f(lambda) = 1 + alpha beta lambda / (alpha lambda + beta). Neither A
 nor its square root is formed: build_a returns (f(lambda), U), and the
 design is built in that eigenbasis from U^T X and U^T y, so one eigh(L)
-does the whole stage and no n' x n array exists. The negative eigenvalues
+does the whole stage and no n' x n array exists. fit hands L over to
+build_a, which then has LAPACK write U into L's own storage, so the solve
+adds no second n x n array; where numpy's in-place eigh kernel is missing,
+build_a falls back to np.linalg.eigh. The negative eigenvalues
 of L (different-class pushes) can make f negative, so A is generally
 indefinite; eigenvalues below a relative floor are clamped, and the
 transformed response then lives in the retained subspace only. The
@@ -25,6 +28,11 @@ import numpy as np
 
 from .config import MenConfig
 from .errors import DataError, NumericalError
+
+try:  # numpy's private gufuncs behind np.linalg, the one route to an in-place eigh
+    from numpy.linalg import _umath_linalg
+except ImportError:
+    _umath_linalg = None
 
 __all__ = [
     "AugmentedProblem",
@@ -103,13 +111,44 @@ class AugmentedProblem:
         return problem
 
 
-def build_a(L: np.ndarray, cfg: MenConfig) -> tuple[np.ndarray, np.ndarray]:
+def _eigh_nonconvergence(err, flag):
+    raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+
+def _eigh(L: np.ndarray, overwrite_l: bool) -> tuple[np.ndarray, np.ndarray]:
+    """np.linalg.eigh(L), or, under overwrite_l and where L allows it, the
+    same eigenpairs with U written over L by numpy's own eigh gufunc."""
+    gufunc = getattr(_umath_linalg, "eigh_lo", None)
+    in_place = L.flags.writeable and (L.flags.c_contiguous or L.flags.f_contiguous)
+    if overwrite_l and in_place and gufunc is not None:
+        eigvals = np.empty(L.shape[0])
+        try:
+            # np.linalg.eigh's own error handling around the same call: the
+            # gufunc reports non-convergence through the invalid flag
+            with np.errstate(call=_eigh_nonconvergence, invalid="call",
+                             over="ignore", divide="ignore", under="ignore"):
+                gufunc(L, out=(eigvals, L), signature="d->dd")
+            return eigvals, L
+        except TypeError:  # no d->dd loop, or no out= for this gufunc
+            pass
+    return np.linalg.eigh(L)
+
+
+def build_a(
+    L: np.ndarray, cfg: MenConfig, *, overwrite_l: bool = False
+) -> tuple[np.ndarray, np.ndarray]:
     """A = U diag(f(lambda)) U^T as the pair (f(lambda), U); A is not formed.
 
     For alpha = 0 the pair is (ones, I). Raises DataError unless L is a
     finite, exactly symmetric square matrix, and NumericalError when the
     condition number of alpha L + beta I, max|alpha lambda + beta| /
     min|alpha lambda + beta|, reaches 1e14 or eigh(L) fails.
+
+    L is left intact unless overwrite_l is set (scipy's overwrite_a). Then
+    a writeable, contiguous float64 L is overwritten: the returned U is L
+    itself, holding the eigenvectors, and no second n x n array is made.
+    Any other L, or a numpy without the in-place eigh gufunc, goes through
+    np.linalg.eigh, and L is then not written.
     """
     L = np.asarray(L, dtype=np.float64)
     square = L.ndim == 2 and L.size > 0 and np.array_equal(L, L.T)
@@ -122,7 +161,7 @@ def build_a(L: np.ndarray, cfg: MenConfig) -> tuple[np.ndarray, np.ndarray]:
     if cfg.alpha == 0.0:
         return np.ones(L.shape[0]), np.eye(L.shape[0])
     try:
-        eigvals, eigvecs = np.linalg.eigh(L)
+        eigvals, eigvecs = _eigh(L, overwrite_l)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"alignment matrix eigh failed: {exc}", stage="transform") from exc
     shifted = cfg.alpha * eigvals + cfg.beta

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from numpy.linalg import _umath_linalg
 from numpy.testing import assert_allclose
 
 from men.alignment import SampleSet, accumulate_alignment, build_patches
@@ -290,7 +291,10 @@ class TestFit:
     )
     def test_decomposition_failure_is_numerical(self, monkeypatch, routine, stage):
         s = labelled_gaussians(np.random.default_rng(25))
-        real = getattr(np.linalg, routine)
+        # fit solves the alignment matrix in place with numpy's eigh gufunc,
+        # which np.linalg.eigh also calls, so the transform case fails that
+        module, name = (_umath_linalg, "eigh_lo") if stage == "transform" else (np.linalg, routine)
+        real = getattr(module, name)
 
         def failing(a, *args, **kwargs):
             # the indicator stage's eigh runs first; the transform case fails
@@ -299,15 +303,15 @@ class TestFit:
                 return real(a, *args, **kwargs)
             raise np.linalg.LinAlgError("did not converge")
 
-        monkeypatch.setattr(np.linalg, routine, failing)
+        monkeypatch.setattr(module, name, failing)
         with pytest.raises(NumericalError, match="did not converge") as info:
             fit(s, MenConfig(d=1, K=2))
         assert info.value.stage == stage
 
     def test_peak_memory_bounded(self):
-        # a fit without PCA peaks where L and its eigenvectors U are both
-        # alive, inside build_a; L is freed after its eigh, and no n' x n
-        # factor of A is formed, so nothing larger follows
+        # build_a writes U over L, so no two n x n arrays are alive at once;
+        # a fit without PCA peaks in build_augmented (1.34 n^2 doubles), where
+        # U meets U^T X and the design, and no n' x n factor of A is formed
         s = make_informative_classes(60, 100, range(0, 40, 4), n_classes=10, separation=1.0, seed=3)
         cfg = MenConfig(pca_retain=0, d=9, K=50)
         tracemalloc.start()
@@ -316,7 +320,7 @@ class TestFit:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 2.2 * s.n**2 * 8
+        assert peak <= 1.5 * s.n**2 * 8
 
     def test_empty_spectrum_raises(self):
         rng = np.random.default_rng(23)
@@ -380,6 +384,31 @@ class TestProject:
         embedded = project(model, s)
         manual = (s.data - model.pca_mean) @ model.pca_basis @ model.values
         assert_allclose(embedded, manual, atol=1e-12)
+
+    def test_blocked_centering_at_face_scale(self):
+        # project centres a block of rows at a time into one n x p' array:
+        # the same embedding as the whole-matrix formula, without the
+        # n x p_raw centred copy that formula makes
+        rng = np.random.default_rng(18)
+        n, p_raw, p = 400, 1600, 399
+        data = rng.normal(size=(n, p_raw))
+        basis = np.linalg.qr(rng.normal(size=(p_raw, p)))[0]
+        values = rng.normal(size=(p, 20)) * (rng.random((p, 20)) < 0.25)
+        model = ProjectionMatrix(
+            values=values, pca_basis=basis, pca_mean=data.mean(axis=0), config=MenConfig()
+        )
+        samples = SampleSet(data, np.repeat(np.arange(100), 4))
+        expected = (data - model.pca_mean) @ basis @ values
+        tracemalloc.start()
+        try:
+            embedded = project(model, samples)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.abs(embedded - expected).max() <= 1e-12
+        # the n x p' reduced data (0.25) and one 64-row block (0.04), with
+        # the n x d output; the centred copy alone was 1.0
+        assert peak <= 0.5 * data.nbytes
 
 
 def assert_consistent(model):

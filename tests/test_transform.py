@@ -7,10 +7,15 @@ formed, so it is checked through what the solver reads of the augmented
 problem built from it: xstar^T xstar and xstar^T ystar.
 """
 
+import tracemalloc
+import types
+
 import numpy as np
 import pytest
+from numpy.linalg import _umath_linalg
 from numpy.testing import assert_allclose
 
+from men import transform
 from men.alignment import accumulate_alignment, build_patch
 from men.config import MenConfig
 from men.datasets import make_informative_classes
@@ -225,6 +230,89 @@ class TestBuildA:
         with pytest.raises(DataError) as info:
             build_a(L, MenConfig())
         assert info.value.stage == "transform"
+
+
+class TestInPlaceEigh:
+    """build_a(L, cfg, overwrite_l=True) writes U over L through numpy's
+    eigh gufunc, and falls back to np.linalg.eigh where it cannot."""
+
+    @staticmethod
+    def symmetric():
+        return random_symmetric(np.random.default_rng(31), 40)
+
+    @pytest.mark.parametrize("source", ["random", "alignment"])
+    def test_bit_identical_to_a_copy(self, source):
+        L = self.symmetric() if source == "random" else alignment_matrix()
+        expected = build_a(L.copy(), MenConfig())
+        f, u = build_a(L, MenConfig(), overwrite_l=True)
+        assert u is L
+        assert f.tobytes() == expected[0].tobytes()
+        assert u.tobytes() == expected[1].tobytes()
+
+    def test_default_leaves_l_intact(self):
+        L = self.symmetric()
+        before = L.tobytes()
+        f, u = build_a(L, MenConfig())
+        assert L.tobytes() == before
+        assert not np.shares_memory(u, L)
+
+    def test_read_only_l_is_not_written(self):
+        L = self.symmetric()
+        before = L.tobytes()
+        L.flags.writeable = False
+        build_a(L, MenConfig(), overwrite_l=True)
+        assert L.tobytes() == before
+
+    @pytest.mark.parametrize("missing", ["module", "gufunc", "loop"])
+    def test_fallback_gives_the_same_pair(self, monkeypatch, missing):
+        L = self.symmetric()
+        before = L.tobytes()
+        expected = build_a(L.copy(), MenConfig())
+        if missing == "module":
+            monkeypatch.setattr(transform, "_umath_linalg", None)
+        elif missing == "gufunc":
+            monkeypatch.setattr(transform, "_umath_linalg", types.SimpleNamespace())
+        else:
+            real = _umath_linalg.eigh_lo
+
+            def no_in_place_loop(a, *args, out=None, **kwargs):
+                # np.linalg.eigh's own call passes no out= and still works
+                if out is not None:
+                    raise TypeError("no loop matching the specified signature")
+                return real(a, *args, **kwargs)
+
+            monkeypatch.setattr(_umath_linalg, "eigh_lo", no_in_place_loop)
+        f, u = build_a(L, MenConfig(), overwrite_l=True)
+        assert f.tobytes() == expected[0].tobytes()
+        assert u.tobytes() == expected[1].tobytes()
+        assert L.tobytes() == before
+
+    @pytest.mark.parametrize("overwrite_l", [True, False], ids=["in-place", "np.linalg.eigh"])
+    def test_nonconvergence_is_numerical(self, monkeypatch, overwrite_l):
+        # the gufunc reports non-convergence by raising the invalid flag under
+        # its caller's error handling: an errstate, or the extobj= that numpy
+        # 1.x's np.linalg.eigh passes in
+        def nonconverging(a, *args, extobj=None, **kwargs):
+            np.sqrt(np.array(-1.0), **({} if extobj is None else {"extobj": extobj}))
+            raise AssertionError("the invalid flag did not stop the solve")
+
+        monkeypatch.setattr(_umath_linalg, "eigh_lo", nonconverging)
+        with pytest.raises(NumericalError, match="did not converge") as info:
+            build_a(self.symmetric(), MenConfig(), overwrite_l=overwrite_l)
+        assert info.value.stage == "transform"
+
+    def test_peak_memory_above_l(self):
+        # no second n x n array: what remains is the n x n boolean of the
+        # symmetry check (0.125 n^2 doubles) and length-n vectors
+        n = 600
+        L = random_symmetric(np.random.default_rng(32), n)
+        tracemalloc.start()
+        try:
+            build_a(L, MenConfig(), overwrite_l=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.2 * n**2 * 8
 
 
 class TestSpectralFactor:
