@@ -87,7 +87,7 @@ def _parse_label(path: Path, lineno: int, text: str) -> int:
 
 
 def _ingest_csv(path: Path) -> SampleSet:
-    rows: list[list[float]] = []
+    rows: list[np.ndarray] = []
     labels: list[int] = []
     width = None
     with path.open("r", encoding="utf-8") as handle:
@@ -105,13 +105,13 @@ def _ingest_csv(path: Path) -> SampleSet:
                     f"{path}:{lineno}: ragged row ({len(parts)} fields, expected {width})"
                 )
             try:
-                rows.append([float(v) for v in parts[:-1]])
+                rows.append(np.fromiter(map(float, parts[:-1]), np.float64, width - 1))
             except ValueError as exc:
                 raise DataError(f"{path}:{lineno}: bad feature value ({exc})") from exc
             labels.append(_parse_label(path, lineno, parts[-1]))
     if not rows:
         raise DataError(f"{path}: no samples")
-    return SampleSet.compacted(np.asarray(rows, dtype=np.float64), labels)
+    return SampleSet.compacted(np.stack(rows), labels)
 
 
 def _class_dir_entries(path: Path):

@@ -40,8 +40,8 @@ def _pack_int(value: int) -> bytes:
     return struct.pack("<q", value)
 
 
-def _pack_floats(values: np.ndarray) -> bytes:
-    return np.ascontiguousarray(values, dtype="<f8").tobytes()
+def _pack_floats(values: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(values, dtype="<f8")
 
 
 def _triplets(values: np.ndarray) -> np.ndarray:
@@ -54,7 +54,6 @@ def _triplets(values: np.ndarray) -> np.ndarray:
 
 
 def save_model(model: ProjectionMatrix, path) -> None:
-    path = Path(path)
     chunks = [MAGIC]
     config_text = "\n".join(config_to_lines(model.config)) + "\n"
     config_bytes = config_text.encode("utf-8")
@@ -79,7 +78,9 @@ def save_model(model: ProjectionMatrix, path) -> None:
     chunks.append(_pack_int(d))
     chunks.append(_pack_int(trip.shape[0]))
     chunks.append(_pack_floats(trip))
-    path.write_bytes(b"".join(chunks))
+    # each chunk goes to the file as it is: no bytes copy of an array, no joined file
+    with Path(path).open("wb") as handle:
+        handle.writelines(chunks)
 
 
 # the projection is held dense: p x d float64 entries beyond this are refused
@@ -88,14 +89,14 @@ MAX_ENTRIES = 2**27
 
 class _Reader:
     def __init__(self, data: bytes, name: str):
-        self.data = data
+        self.data = memoryview(data)  # take() slices views, not byte copies
         self.name = name
         self.offset = 0
 
     def fail(self, reason: str) -> DataError:
         return DataError(f"{self.name}: {reason}", stage="model")
 
-    def take(self, count: int) -> bytes:
+    def take(self, count: int) -> memoryview:
         if count > len(self.data) - self.offset:
             raise self.fail("truncated model file")
         out = self.data[self.offset : self.offset + count]
@@ -110,7 +111,8 @@ class _Reader:
 
     def read_floats(self, shape: tuple[int, ...], what: str) -> np.ndarray:
         out = np.frombuffer(self.take(8 * math.prod(shape)), dtype="<f8").astype(np.float64)
-        if not np.all(np.isfinite(out)):
+        # a NaN fails the comparison; min and max make no temporary of out's size
+        if not -np.inf < out.min(initial=0.0) <= out.max(initial=0.0) < np.inf:
             raise self.fail(f"nonfinite values in {what}")
         return out.reshape(shape)
 
@@ -123,7 +125,7 @@ def load_model(path) -> ProjectionMatrix:
         raise reader.fail("not a model file (bad magic)")
     config_bytes = reader.take(reader.read_count("config length"))
     try:
-        mapping = parse_kv_lines(config_bytes.decode("utf-8").splitlines())
+        mapping = parse_kv_lines(bytes(config_bytes).decode("utf-8").splitlines())
         mapping.pop("lambda1", None)  # a retired key, never read by a fit; older files carry it
         cfg = config_from_mapping(mapping)
     except (UnicodeDecodeError, DataError) as exc:

@@ -3,15 +3,16 @@
 Everything here is deliberately written the slow, obvious way (the SVD
 of the wide data matrix, dense selection matrices, a dense resolvent
 solve, a dense quadratic-form matrix with its own eigendecomposition,
-exhaustive scans, coordinate descent, finite differences) and shares no
-code with the package under test apart from its error type.
+exhaustive scans, coordinate descent, finite differences, a CSV line
+parser over nested lists of floats) and shares no code with the package
+under test apart from its error types.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from men.errors import NumericalError
+from men.errors import DataError, NumericalError
 
 
 def dense_pca(data, retain):
@@ -261,3 +262,42 @@ def dense_path_csv_lines(path):
             f"{repr(bp.c_hat)},{coeffs}"
         )
     return lines
+
+
+def line_parser_csv(path):
+    """A CSV matrix read line by line into nested lists of Python floats.
+
+    Returns the n x p float64 data and the list of int labels, before any
+    label compaction or range check on the data. Malformed lines raise
+    DataError naming `path:line`, with the package reader's messages.
+    """
+    rows, labels = [], []
+    width = None
+    with open(path, "r", encoding="utf-8") as handle:
+        for lineno, raw in enumerate(handle, start=1):
+            line = raw.strip()
+            if not line:
+                continue
+            parts = line.split(",")
+            if width is None:
+                width = len(parts)
+                if width < 2:
+                    raise DataError(f"{path}:{lineno}: need features plus a label column")
+            elif len(parts) != width:
+                raise DataError(
+                    f"{path}:{lineno}: ragged row ({len(parts)} fields, expected {width})"
+                )
+            try:
+                rows.append([float(v) for v in parts[:-1]])
+            except ValueError as exc:
+                raise DataError(f"{path}:{lineno}: bad feature value ({exc})") from exc
+            try:
+                label = int(parts[-1])
+            except ValueError:
+                label = None
+            if label is None or not -(2**63) <= label < 2**63:
+                raise DataError(f"{path}:{lineno}: bad label {parts[-1].strip()!r}")
+            labels.append(label)
+    if not rows:
+        raise DataError(f"{path}: no samples")
+    return np.asarray(rows, dtype=np.float64), labels

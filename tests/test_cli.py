@@ -554,20 +554,22 @@ class TestUsage:
 
 
 class TestProcess:
-    def test_module_exit_codes_and_error_line(self, workspace):
-        tmp, data, config = workspace
+    @staticmethod
+    def run(*argv):
+        """`python -m men.cli` with warnings as errors."""
         env = dict(
             os.environ,
             PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"),
             PYTHONWARNINGS="error",
         )
+        return subprocess.run(
+            [sys.executable, "-m", "men.cli", *argv],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
 
-        def run(*argv):
-            return subprocess.run(
-                [sys.executable, "-m", "men.cli", *argv],
-                env=env, capture_output=True, text=True, timeout=300,
-            )
-
+    def test_module_exit_codes_and_error_line(self, workspace):
+        tmp, data, config = workspace
+        run = self.run
         assert run("--help").returncode == 0
         fitted = run("fit", "--data", str(data), "--config", str(config),
                      "--model", str(tmp / "m.men"))
@@ -599,6 +601,17 @@ class TestProcess:
             "error: stage=warning reason=k1/k2 clamped for 7 of 7 samples (small classes)"
         ]
         assert not (tmp / "report").exists() and not (tmp / "s.men").exists()
+
+    def test_crlf_csv_with_blank_lines_fits_like_its_lf_twin(self, workspace):
+        tmp, data, config = workspace
+        lines = data.read_text().splitlines()
+        crlf = tmp / "crlf.csv"
+        crlf.write_bytes("\r\n".join(["", *lines[:5], "  ", "", *lines[5:], ""]).encode())
+        for name, source in (("lf.men", data), ("crlf.men", crlf)):
+            fitted = self.run("fit", "--data", str(source), "--config", str(config),
+                              "--model", str(tmp / name))
+            assert fitted.returncode == 0, fitted.stderr
+        assert (tmp / "crlf.men").read_bytes() == (tmp / "lf.men").read_bytes()
 
 
 class TestEvaluateCommand:
@@ -838,10 +851,12 @@ def test_cli_contract_over_generated_config(command, extra):
         assert_cli_contract(command, tmp, (tmp / "data.csv").read_text(), CONFIG + extra)
 
 
-# CSV fields at and past the parsers' edges: text, empty, the float limit and
-# past it, nonfinite, labels past int64 either way, negative and "1.0"-style
+# CSV fields at and past the parsers' edges: text, empty, padded, digit
+# separators, hex, the float limit and past it, nonfinite, labels past int64
+# either way, negative and "1.0"-style
 CSV_VALUES = [
-    "abc", "", " ", "1e308", "-1e308", "1e400", "-1e400", "nan", "inf", "0", "1", "2",
+    "abc", "", " ", " 1.5 ", "1_0", "0x10", "1e308", "-1e308", "1e400", "-1e400", "nan", "inf",
+    "-inf", "0", "1", "2",
     "-1", "1.0", "2.5", "9223372036854775807", "9223372036854775808",
     "-9223372036854775809", "100000000000000000000",
 ]

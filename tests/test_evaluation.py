@@ -1,9 +1,14 @@
 """Ingestion, splits, 1-NN scoring, the protocol, and the exporters."""
 
+import tempfile
+import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from men.alignment import SampleSet
@@ -28,7 +33,8 @@ from men.evaluation import (
 from men.lars import solve_column
 from men.pipeline import fit, project
 
-from oracles import dense_path_csv_lines, exhaustive_nn, replay_path
+from oracles import dense_path_csv_lines, exhaustive_nn, line_parser_csv, replay_path
+from test_cli import csv_edits, edited_csv
 from test_lars import lasso_drop_problem, plain_problem, random_problem
 
 
@@ -84,6 +90,24 @@ class TestIngestCsv:
         s = ingest(path)
         assert np.array_equal(s.labels, [0, 1, 0])
 
+    def test_peak_memory_at_face_scale(self, tmp_path):
+        # rows are parsed one at a time into float64 and stacked once: the
+        # parsed rows and the stacked matrix; nested lists of floats took 5.2x
+        rng = np.random.default_rng(25)
+        data = rng.random((400, 1600))
+        path = tmp_path / "d.csv"
+        path.write_text("".join(
+            ",".join(map(repr, row)) + f",{i % 100}\n" for i, row in enumerate(data.tolist())
+        ))
+        tracemalloc.start()
+        try:
+            s = ingest(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert s.data.tobytes() == data.tobytes()
+        assert peak <= 2.5 * data.nbytes
+
 
     @pytest.mark.parametrize("name", ["images", "d.csv", "D.CSV", "list.txt"])
     def test_format_follows_path(self, tmp_path, name):
@@ -104,6 +128,54 @@ class TestIngestCsv:
         path.write_text("f0,f1,label\n1,2,0\n3,4,1\n")
         with pytest.raises(DataError, match="data.txt:1: bad label 'label'$"):
             ingest(path)
+
+
+def _ingest_outcome(read, path):
+    """The data and label bytes `read` makes of `path`, or its DataError message."""
+    try:
+        s = read(path)
+    except DataError as exc:
+        return str(exc)
+    return s.data.shape, s.data.tobytes(), s.labels.tobytes()
+
+
+@st.composite
+def csv_texts(draw):
+    """A small well-formed CSV of 2-4 fields a row, edited by `csv_edits`
+    (edge fields, ragged rows, blank lines), under LF or CRLF line ends."""
+    width = draw(st.integers(2, 4))
+    rows = draw(st.lists(
+        st.tuples(st.lists(st.floats(-1e3, 1e3).map(repr), min_size=width - 1,
+                           max_size=width - 1), st.integers(0, 2).map(str)),
+        min_size=1, max_size=8,
+    ))
+    text = "".join(",".join([*features, label]) + "\n" for features, label in rows)
+    return edited_csv(text, draw(csv_edits)).replace("\n", draw(st.sampled_from(["\n", "\r\n"])))
+
+
+@settings(max_examples=300, deadline=None)
+@given(csv_texts())
+@example("1,0\r\n\r\n  \r\n2,1\r\n")
+@example(" 1.5 ,1_0,0\n2,3,1\n")
+@example("0x10,0\n1,1\n")
+@example("1,,0\n1,2,1\n")
+@example("nan,0\n1,1\n")
+@example("1e400,0\n1,1\n")
+@example("1e308,0\n-1e308,1\n")
+@example("1,9223372036854775808\n2,0\n")
+@example("1,1.0\n2,0\n")
+@example("1,2,0\n3,1\n")
+@example("\n  \n")
+@example("1\n2\n")
+@example("1,0\n2,1")
+def test_ingest_csv_matches_line_parser(text):
+    # the row-at-a-time float64 reader against lists of Python floats: the
+    # same data and label bytes, or the same DataError message
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "d.csv"
+        path.write_bytes(text.encode("utf-8"))
+        expected = _ingest_outcome(lambda f: SampleSet.compacted(*line_parser_csv(f)), path)
+        assert _ingest_outcome(ingest, path) == expected
 
 
 class TestGraymaps:
