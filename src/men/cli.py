@@ -116,8 +116,7 @@ def _cmd_fit(args) -> int:
         model_path.suffix + ".report"
     )
     with _output_directories(model_path.parent, report_dir):
-        samples = ingest(args.data)
-        model, report = fit(samples, cfg)
+        model, report = fit(ingest(args.data), cfg)  # no name holds the data past its PCA
         save_model(model, model_path)
         _write_report(report, model, report_dir)
     print(f"model={model_path} columns={model.values.shape[1]} "

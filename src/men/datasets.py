@@ -10,6 +10,7 @@ prototypes in a 40 x 40 pixel space with pixel-correlated noise.
 
 from __future__ import annotations
 
+import itertools
 from pathlib import Path
 
 import numpy as np
@@ -87,31 +88,33 @@ def _parse_label(path: Path, lineno: int, text: str) -> int:
 
 
 def _ingest_csv(path: Path) -> SampleSet:
-    rows: list[np.ndarray] = []
     labels: list[int] = []
-    width = None
     with path.open("r", encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if width is None:
-                width = len(parts)
-                if width < 2:
-                    raise DataError(f"{path}:{lineno}: need features plus a label column")
-            elif len(parts) != width:
-                raise DataError(
-                    f"{path}:{lineno}: ragged row ({len(parts)} fields, expected {width})"
-                )
-            try:
-                rows.append(np.fromiter(map(float, parts[:-1]), np.float64, width - 1))
-            except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: bad feature value ({exc})") from exc
-            labels.append(_parse_label(path, lineno, parts[-1]))
-    if not rows:
-        raise DataError(f"{path}: no samples")
-    return SampleSet.compacted(np.stack(rows), labels)
+        lines = ((lineno, raw.strip()) for lineno, raw in enumerate(handle, start=1))
+        lines = ((lineno, line.split(",")) for lineno, line in lines if line)
+        first = next(lines, None)
+        if first is None:
+            raise DataError(f"{path}: no samples")
+        width = len(first[1])
+        if width < 2:
+            raise DataError(f"{path}:{first[0]}: need features plus a label column")
+
+        def rows():
+            for lineno, parts in itertools.chain([first], lines):
+                if len(parts) != width:
+                    raise DataError(
+                        f"{path}:{lineno}: ragged row ({len(parts)} fields, expected {width})"
+                    )
+                try:
+                    row = np.fromiter(map(float, parts[:-1]), np.float64, width - 1)
+                except ValueError as exc:
+                    raise DataError(f"{path}:{lineno}: bad feature value ({exc})") from exc
+                labels.append(_parse_label(path, lineno, parts[-1]))
+                yield row
+
+        # one n x p array, grown as rows arrive
+        data = np.fromiter(rows(), np.dtype((np.float64, (width - 1,))))
+    return SampleSet.compacted(data, labels)
 
 
 def _class_dir_entries(path: Path):

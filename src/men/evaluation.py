@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .alignment import SampleSet
+from .alignment import BLOCK_ENTRIES, SampleSet
 from .config import MenConfig
 from .datasets import write_pgm
 from .errors import DataError
@@ -105,8 +105,10 @@ def nn_classify(
         )
     labels = np.asarray(train_labels)
     out = np.empty(test_embed.shape[0], dtype=labels.dtype)
-    for start in range(0, test_embed.shape[0], 256):
-        chunk = test_embed[start : start + 256]
+    # test rows per block: its difference array holds at most BLOCK_ENTRIES doubles
+    step = max(1, BLOCK_ENTRIES // max(1, train_embed.size))
+    for start in range(0, test_embed.shape[0], step):
+        chunk = test_embed[start : start + step]
         diff = chunk[:, None, :] - train_embed[None, :, :]
         d2 = np.einsum("ijk,ijk->ij", diff, diff)
         out[start : start + chunk.shape[0]] = labels[np.argmin(d2, axis=1)]
@@ -125,9 +127,12 @@ def evaluate(
 
     The repeats run one after another in the caller's thread. One fit per
     repeat at d = max(dim_grid); smaller dimensions reuse the leading
-    projection columns of that fit. `threads` is accepted and unused: the
-    benchmark harness still passes it, and ROADMAP item 1's benchmark
-    commit deletes it.
+    projection columns of that fit. Each fit gets the only reference to
+    its training subset, so it frees that copy after its PCA; all samples
+    are then projected once, the train and test rows indexed out of that
+    embedding, and the model dropped before the next repeat. `threads` is
+    accepted and unused: the benchmark harness still passes it, and
+    ROADMAP item 1's benchmark commit deletes it.
     """
     dim_grid = [int(d) for d in dim_grid]
     if not dim_grid or min(dim_grid) < 1:
@@ -136,10 +141,11 @@ def evaluate(
     rows = []  # one row of rates per repeat; no repeats-sized buffer before the first fit
     for r in range(split.repeats):
         train_idx, test_idx = split_indices(samples, split, r)
-        train = samples.subset(train_idx)
-        model, _ = fit(train, fit_cfg)
-        train_embed = project(model, train)
-        test_embed = project(model, samples.subset(test_idx))
+        # the fit frees its training copy once its PCA has read it
+        model, _ = fit(samples.subset(train_idx), fit_cfg)
+        embed = project(model, samples)
+        del model  # not held through the next repeat's fit
+        train_embed, test_embed = embed[train_idx], embed[test_idx]
         row = []
         for d in dim_grid:
             predicted = nn_classify(

@@ -74,14 +74,13 @@ def weighted_center_pca(
         raise NumericalError(f"center moment eigendecomposition failed: {exc}") from exc
     order = np.argsort(eigvals)[::-1]
     eigvals = eigvals[order]
-    eigvecs = eigvecs[:, order]
     top = eigvals[0] if eigvals.size else 0.0
     rank = int(np.sum(eigvals > RANK_TOL * max(top, 0.0))) if top > 0 else 0
     if not 1 <= d <= rank:
         raise DataError(
             f"d={d} exceeds the numerical rank {rank} of the weighted center moment"
         )
-    basis = eigvecs[:, :d].copy()
+    basis = np.take(eigvecs, order[:d], axis=1)  # only the kept columns, in C order
     orient_columns(basis)
     return basis, eigvals[:d].copy()
 

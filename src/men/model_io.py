@@ -34,14 +34,21 @@ from .pipeline import ProjectionMatrix
 __all__ = ["save_model", "load_model", "model_to_text"]
 
 MAGIC = b"MEN1"
+# doubles per chunk of an array written to the file
+_CHUNK_ENTRIES = 2**15
 
 
 def _pack_int(value: int) -> bytes:
     return struct.pack("<q", value)
 
 
-def _pack_floats(values: np.ndarray) -> np.ndarray:
-    return np.ascontiguousarray(values, dtype="<f8")
+def _pack_floats(values: np.ndarray):
+    """values as little-endian float64 in row-major order, a block of rows
+    at a time: views of a C-contiguous array, and copies of at most
+    _CHUNK_ENTRIES doubles of any other, such as a fit's F-order basis."""
+    step = max(1, _CHUNK_ENTRIES // max(1, math.prod(values.shape[1:])))
+    for start in range(0, values.shape[0], step):
+        yield np.ascontiguousarray(values[start : start + step], dtype="<f8")
 
 
 def _triplets(values: np.ndarray) -> np.ndarray:
@@ -53,34 +60,38 @@ def _triplets(values: np.ndarray) -> np.ndarray:
     return out
 
 
-def save_model(model: ProjectionMatrix, path) -> None:
-    chunks = [MAGIC]
+def _chunks(model: ProjectionMatrix):
+    """The MEN1 file of `model`, chunk by chunk."""
+    yield MAGIC
     config_text = "\n".join(config_to_lines(model.config)) + "\n"
     config_bytes = config_text.encode("utf-8")
-    chunks.append(_pack_int(len(config_bytes)))
-    chunks.append(config_bytes)
+    yield _pack_int(len(config_bytes))
+    yield config_bytes
     if model.pca_mean is None:
-        chunks.append(_pack_int(0))
+        yield _pack_int(0)
     else:
-        chunks.append(_pack_int(model.pca_mean.size))
-        chunks.append(_pack_floats(model.pca_mean))
+        yield _pack_int(model.pca_mean.size)
+        yield from _pack_floats(model.pca_mean)
     if model.pca_basis is None:
-        chunks.append(_pack_int(0))
-        chunks.append(_pack_int(0))
+        yield _pack_int(0)
+        yield _pack_int(0)
     else:
         rows, cols = model.pca_basis.shape
-        chunks.append(_pack_int(rows))
-        chunks.append(_pack_int(cols))
-        chunks.append(_pack_floats(model.pca_basis))
+        yield _pack_int(rows)
+        yield _pack_int(cols)
+        yield from _pack_floats(model.pca_basis)
     p, d = model.values.shape
     trip = _triplets(model.values)
-    chunks.append(_pack_int(p))
-    chunks.append(_pack_int(d))
-    chunks.append(_pack_int(trip.shape[0]))
-    chunks.append(_pack_floats(trip))
-    # each chunk goes to the file as it is: no bytes copy of an array, no joined file
+    yield _pack_int(p)
+    yield _pack_int(d)
+    yield _pack_int(trip.shape[0])
+    yield from _pack_floats(trip)
+
+
+def save_model(model: ProjectionMatrix, path) -> None:
+    # each chunk goes to the file as it is made: no bytes copy of an array, no joined file
     with Path(path).open("wb") as handle:
-        handle.writelines(chunks)
+        handle.writelines(_chunks(model))
 
 
 # the projection is held dense: p x d float64 entries beyond this are refused

@@ -24,11 +24,11 @@ from .config import MenConfig
 from .errors import DataError, MenError, NumericalError
 from .indicator import build_indicator, orient_columns
 from .lars import CoefficientPath, report_column, solve_column
-from .transform import build_a, build_augmented, spectral_factor
+from .transform import _gufunc_into, build_a, build_augmented, spectral_factor
 
 __all__ = ["ProjectionMatrix", "FitReport", "pca_preprocess", "fit", "project"]
 
-# rows centred at a time by project: 64 x p_raw doubles, not a copy of the data
+# rows centred at a time by project and the PCA: 64 x p_raw doubles, not a copy of the data
 _PROJECT_ROWS = 64
 
 
@@ -92,28 +92,51 @@ def pca_preprocess(
     Returns (reduced samples, basis p x retain, mean). The basis columns
     are orthonormal right singular vectors of the centered data, each with
     its largest-magnitude entry (the first, among ties) made positive.
-    They are taken as the left singular vectors of the p x n transpose:
+    They are taken as the left singular vectors U of the p x n transpose:
     when p > n that matrix is tall, and LAPACK reduces it by QR first
-    (Chan's R-SVD), faster than the SVD of the wide data. The basis is a
-    fresh p x retain array, copied after the centered data are freed.
-    The reduced data form a new SampleSet, so they meet its entry bound or
-    raise DataError. Raises NumericalError when the SVD does not converge.
+    (Chan's R-SVD), faster than the SVD of the wide data. numpy's SVD
+    gufunc writes its input-shaped factor (U when p >= n, V^T otherwise)
+    over the private centered copy, so no second n x p array is made, and
+    U^T is then shrunk in place to its leading `retain` rows: the basis is
+    an F-order view holding exactly p x retain doubles. Without the
+    gufunc, np.linalg.svd runs and the basis is a copy of U's columns.
+    The reduced data are the rows of project's centred product, so a fit's
+    training coordinates are the ones project gives; they form a new
+    SampleSet, so they meet its entry bound or raise DataError. Raises
+    NumericalError when the SVD does not converge.
     """
-    limit = min(samples.n - 1, samples.p)
+    n, p = samples.n, samples.p
+    limit = min(n - 1, p)
     if not 1 <= retain <= limit:
-        raise DataError(
-            f"pca_retain={retain} outside [1, {limit}] for {samples.n} x {samples.p} data"
-        )
+        raise DataError(f"pca_retain={retain} outside [1, {limit}] for {n} x {p} data")
     mean = samples.data.mean(axis=0)
     centered = samples.data - mean
+    # U^T's rows are U's columns; when p >= n, U^T is the centred copy itself
+    ut = centered if p >= n else np.empty((p, p))
+    vt = np.empty((n, n)) if p >= n else centered.T
+    names = ("svd_s", "svd_n_s" if p >= n else "svd_m_s")  # numpy 2, numpy 1
     try:
-        basis = np.linalg.svd(centered.T, full_matrices=False)[0][:, :retain]
+        if not _gufunc_into(names, centered.T, (ut.T, np.empty(min(n, p)), vt),
+                            "SVD did not converge"):
+            ut = np.linalg.svd(centered.T, full_matrices=False)[0].T[:retain].copy()
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"PCA SVD failed: {exc}") from exc
+    del centered, vt
+    ut.resize((retain, p))  # frees U's unused columns; refuses if a view remains
+    basis = ut.T
     orient_columns(basis)
-    reduced = centered @ basis
-    del centered
-    return SampleSet(reduced, samples.labels.copy()), basis.copy(), mean
+    reduced = _centred_product(samples.data, mean, basis)
+    return SampleSet(reduced, samples.labels.copy()), basis, mean
+
+
+def _centred_product(data: np.ndarray, mean: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """(data - mean) @ basis, centred a block of rows at a time, so no
+    centred copy of the data exists."""
+    out = np.empty((data.shape[0], basis.shape[1]))
+    for start in range(0, data.shape[0], _PROJECT_ROWS):
+        rows = slice(start, start + _PROJECT_ROWS)
+        np.matmul(data[rows] - mean, basis, out=out[rows])
+    return out
 
 
 def _column_cosines(values: np.ndarray) -> np.ndarray:
@@ -145,7 +168,11 @@ def fit(
 ) -> tuple[ProjectionMatrix, FitReport]:
     """Run the full pipeline and solve the d projection columns in turn.
 
-    Raises DataError/NumericalError tagged with the failing stage.
+    With PCA, `samples` is dropped once the PCA has read it, and the
+    reduced data once the shared design is built, so a caller that hands
+    over its only reference (`fit(ingest(path), cfg)`) has its data freed
+    mid-fit (on CPython 3.11+; 3.10 keeps call arguments alive). Raises
+    DataError/NumericalError tagged with the failing stage.
     `threads` is accepted and unused: the benchmark harness still passes
     it, and ROADMAP item 1's benchmark commit deletes it.
     """
@@ -153,6 +180,7 @@ def fit(
     with _stage("preprocess", timings):
         retain = min(samples.n - 1, samples.p) if cfg.pca_retain is None else cfg.pca_retain
         work, basis, mean = pca_preprocess(samples, retain) if retain else (samples, None, None)
+        del samples  # with PCA, the raw data are no longer read
     with _stage("alignment", timings):
         align = accumulate_alignment(work, build_patches(work, cfg.k1, cfg.k2, cfg.kappa))
     with _stage("indicator", timings):
@@ -163,8 +191,8 @@ def fit(
         # all d target columns share one design
         factor = spectral_factor(eig, cfg.eig_floor)
         shared = build_augmented(work.data, indicator.values, None, cfg, factor=factor)
-        del eig, factor  # so U is not held through the column solves
-    if work.p > shared.xstar.shape[0] and cfg.lambda2 < 1e-6:
+        del eig, factor, work  # U and the data: the column solves read only the design
+    if shared.n_variables > shared.xstar.shape[0] and cfg.lambda2 < 1e-6:
         warnings.warn(
             "more variables than retained spectral rows with lambda2 < 1e-6; "
             "set lambda2 >= 1e-6 to keep active-set Gram matrices well conditioned",
@@ -197,9 +225,4 @@ def project(model: ProjectionMatrix, samples: SampleSet) -> np.ndarray:
         )
     if basis is None:
         return samples.data @ model.values
-    # centred a block of rows at a time, so no centred copy of the data exists
-    reduced = np.empty((samples.n, basis.shape[1]))
-    for start in range(0, samples.n, _PROJECT_ROWS):
-        rows = slice(start, start + _PROJECT_ROWS)
-        np.matmul(samples.data[rows] - model.pca_mean, basis, out=reduced[rows])
-    return reduced @ model.values
+    return _centred_product(samples.data, model.pca_mean, basis) @ model.values

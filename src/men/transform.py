@@ -111,26 +111,38 @@ class AugmentedProblem:
         return problem
 
 
-def _eigh_nonconvergence(err, flag):
-    raise np.linalg.LinAlgError("Eigenvalues did not converge")
+def _gufunc_into(names, a: np.ndarray, out: tuple, failure: str) -> bool:
+    """Run the first of numpy's linalg gufuncs `names` that exists on float64 `a`,
+    writing its results into `out`, under np.linalg's own error handling.
+
+    An output may be `a` itself, so LAPACK's result lands in a's storage.
+    The gufunc reports non-convergence through the invalid flag, which
+    raises LinAlgError(failure). Returns False, having written nothing,
+    where numpy has none of the gufuncs or no d->d... loop with out=.
+    """
+    gufunc = next(filter(None, (getattr(_umath_linalg, name, None) for name in names)), None)
+    if gufunc is None:
+        return False
+
+    def nonconvergence(err, flag):
+        raise np.linalg.LinAlgError(failure)
+
+    try:
+        with np.errstate(call=nonconvergence, invalid="call",
+                         over="ignore", divide="ignore", under="ignore"):
+            gufunc(a, out=out, signature="d->" + "d" * len(out))
+    except TypeError:  # no such loop, or no out= for this gufunc
+        return False
+    return True
 
 
 def _eigh(L: np.ndarray, overwrite_l: bool) -> tuple[np.ndarray, np.ndarray]:
     """np.linalg.eigh(L), or, under overwrite_l and where L allows it, the
     same eigenpairs with U written over L by numpy's own eigh gufunc."""
-    gufunc = getattr(_umath_linalg, "eigh_lo", None)
-    in_place = L.flags.writeable and (L.flags.c_contiguous or L.flags.f_contiguous)
-    if overwrite_l and in_place and gufunc is not None:
+    if overwrite_l and L.flags.writeable and (L.flags.c_contiguous or L.flags.f_contiguous):
         eigvals = np.empty(L.shape[0])
-        try:
-            # np.linalg.eigh's own error handling around the same call: the
-            # gufunc reports non-convergence through the invalid flag
-            with np.errstate(call=_eigh_nonconvergence, invalid="call",
-                             over="ignore", divide="ignore", under="ignore"):
-                gufunc(L, out=(eigvals, L), signature="d->dd")
+        if _gufunc_into(("eigh_lo",), L, (eigvals, L), "Eigenvalues did not converge"):
             return eigvals, L
-        except TypeError:  # no d->dd loop, or no out= for this gufunc
-            pass
     return np.linalg.eigh(L)
 
 

@@ -171,6 +171,20 @@ def exhaustive_nn(train, train_labels, test):
     return np.asarray(out)
 
 
+def fixed_block_nn(train, train_labels, test, rows=256):
+    """1-NN over explicit differences, 256 test rows at a time, argmin ties
+    to the smallest training index: the blocked loop before its blocks were
+    sized by bytes."""
+    labels = np.asarray(train_labels)
+    out = np.empty(test.shape[0], dtype=labels.dtype)
+    for start in range(0, test.shape[0], rows):
+        chunk = test[start : start + rows]
+        diff = chunk[:, None, :] - train[None, :, :]
+        d2 = np.einsum("ijk,ijk->ij", diff, diff)
+        out[start : start + chunk.shape[0]] = labels[np.argmin(d2, axis=1)]
+    return out
+
+
 def fd_gradient(f, x, step=1e-6):
     """Central finite-difference gradient of a scalar function."""
     x = np.asarray(x, dtype=np.float64)

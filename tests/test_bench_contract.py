@@ -14,12 +14,15 @@ import ast
 import importlib
 import inspect
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from numpy.linalg import _umath_linalg
 
 import men
+import men.cli  # the cli-face workload calls men.cli.main
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -107,3 +110,28 @@ def test_rebuilt_problems_match_the_fit(monkeypatch, pca_retain):
         assert (problem.ridge, problem.scale) == (column.ridge, column.scale)
         assert problem.ystar.shape == column.ystar.shape
         np.testing.assert_allclose(problem.ystar, column.ystar, rtol=1e-13, atol=1e-13)
+
+
+@pytest.mark.skipif(
+    sys.version_info < (3, 11),
+    reason="CPython 3.10 keeps call arguments alive on the caller's stack, so fit "
+    "cannot free the training copy evaluate and men fit hand it",
+)
+@pytest.mark.skipif(
+    not (hasattr(_umath_linalg, "svd_s") or hasattr(_umath_linalg, "svd_n_s")),
+    reason="numpy has no SVD gufunc, so the PCA's SVD cannot write U over its centred copy",
+)
+@pytest.mark.parametrize("name, bound_mb", [("evaluate-face", 9.0), ("cli-face", 13.5)])
+def test_round_peak_memory(tmp_path, name, bound_mb):
+    # the benchmark's untimed round under tracemalloc, as perfbench/run.py
+    # makes it for peak_mem_mb: 8.09 and 12.48 MB with one n x p copy of the
+    # data alive at a time, 13.35 and 17.01 MB before
+    workload, seed = perfbench_module("workloads").WORKLOADS[name]
+    inputs = workload.setup(men, seed, tmp_path / name)
+    tracemalloc.start()
+    try:
+        workload.round(men, inputs)
+        peak_mb = tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+    assert peak_mb <= bound_mb

@@ -33,7 +33,13 @@ from men.evaluation import (
 from men.lars import solve_column
 from men.pipeline import fit, project
 
-from oracles import dense_path_csv_lines, exhaustive_nn, line_parser_csv, replay_path
+from oracles import (
+    dense_path_csv_lines,
+    exhaustive_nn,
+    fixed_block_nn,
+    line_parser_csv,
+    replay_path,
+)
 from test_cli import csv_edits, edited_csv
 from test_lars import lasso_drop_problem, plain_problem, random_problem
 
@@ -91,8 +97,9 @@ class TestIngestCsv:
         assert np.array_equal(s.labels, [0, 1, 0])
 
     def test_peak_memory_at_face_scale(self, tmp_path):
-        # rows are parsed one at a time into float64 and stacked once: the
-        # parsed rows and the stacked matrix; nested lists of floats took 5.2x
+        # rows are parsed one at a time into float64 and land in one n x p
+        # array that np.fromiter grows by about half at a time (1.26x here);
+        # stacking a list of parsed rows took 2.06x, nested lists of floats 5.2x
         rng = np.random.default_rng(25)
         data = rng.random((400, 1600))
         path = tmp_path / "d.csv"
@@ -106,7 +113,7 @@ class TestIngestCsv:
         finally:
             tracemalloc.stop()
         assert s.data.tobytes() == data.tobytes()
-        assert peak <= 2.5 * data.nbytes
+        assert peak <= 1.6 * data.nbytes
 
 
     @pytest.mark.parametrize("name", ["images", "d.csv", "D.CSV", "list.txt"])
@@ -327,6 +334,33 @@ class TestNnClassify:
         assert np.array_equal(
             nn_classify(train, labels, test), exhaustive_nn(train, labels, test)
         )
+
+    @pytest.mark.parametrize("n_train, d", [(200, 30), (7, 1), (3000, 50)])
+    def test_matches_fixed_block_loop(self, n_train, d):
+        # blocks sized by bytes give the labels of the fixed 256-row loop,
+        # ties included: a row's distances do not depend on its block
+        rng = np.random.default_rng(n_train)
+        train = rng.integers(-3, 4, size=(n_train, d)).astype(np.float64)
+        labels = rng.integers(0, 9, n_train)
+        test = np.vstack([rng.integers(-3, 4, size=(600, d)), train[:50]]).astype(np.float64)
+        expected = fixed_block_nn(train, labels, test)
+        assert np.array_equal(nn_classify(train, labels, test), expected)
+
+    def test_peak_memory_bounded(self):
+        # a block's difference array holds at most 2^17 doubles (1 MB) or one
+        # test row, here 0.8 MB; the next block's is made while the last one's
+        # is still bound (1.68 MB in all). 256-row blocks took 205 MB here
+        rng = np.random.default_rng(12)
+        train = rng.normal(size=(1000, 100))
+        test = rng.normal(size=(300, 100))
+        labels = rng.integers(0, 10, 1000)
+        tracemalloc.start()
+        try:
+            nn_classify(train, labels, test)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * 2**20
 
     def test_tie_smallest_index(self):
         train = np.array([[1.0], [1.0]])

@@ -3,6 +3,7 @@
 import struct
 import tempfile
 import tracemalloc
+import types
 from dataclasses import replace
 from pathlib import Path
 
@@ -22,10 +23,15 @@ from men.evaluation import SplitSpec, split_indices
 from men.indicator import build_indicator
 from men.model_io import load_model, model_to_text, save_model
 from men.pipeline import ProjectionMatrix, fit, pca_preprocess, project
+from men import pipeline, transform
 from men.transform import build_a, build_augmented, spectral_factor
 
 from oracles import check_breakpoints, dense_pca
 from test_config import field_reprs, men_configs
+
+
+# numpy's thin-SVD gufunc for p >= n data: svd_s, or svd_n_s before numpy 2
+IN_PLACE_SVD = hasattr(_umath_linalg, "svd_s") or hasattr(_umath_linalg, "svd_n_s")
 
 
 def labelled_gaussians(rng, n_per_class=8, p=6, c=3, shift=1.0):
@@ -47,7 +53,10 @@ def assert_matches_dense_pca(samples, retain):
     ref_reduced, ref_basis, ref_mean = dense_pca(samples.data, retain)
     assert mean.tobytes() == ref_mean.tobytes()
     assert basis.shape == (samples.p, retain)
-    assert basis.flags.c_contiguous and basis.base is None
+    # the basis pins no memory beyond its own p x retain doubles: U's other
+    # columns and the centred data it was solved in are freed
+    owner = basis if basis.base is None else basis.base
+    assert owner.base is None and owner.nbytes == basis.nbytes == samples.p * retain * 8
     # singular values are the column norms of the reduced data
     ref_values = np.linalg.norm(ref_reduced, axis=0)
     assert_allclose(np.linalg.norm(reduced.data, axis=0), ref_values, rtol=1e-13, atol=0)
@@ -90,9 +99,13 @@ class TestPcaPreprocess:
     def test_matches_dense_pca_property(self, problem):
         assert_matches_dense_pca(*problem)
 
+    @pytest.mark.skipif(not IN_PLACE_SVD, reason="numpy has no SVD gufunc to write U in place")
     def test_peak_memory_bounded(self):
-        # the centered data, U of the transpose and the returned basis are never
-        # all alive at once
+        # the in-place path: the SVD gufunc writes U over the centred copy, and
+        # U^T shrinks to the basis. The peak, 1.44 x the data on these 240 x
+        # 1600 data, is the basis (1.0) with the reduced data (0.15) and one
+        # 64-row centred block (0.27); during the SVD the centred copy and
+        # the n x n V^T are 1.15. The whole-array route took 2.25.
         samples = evaluate_face_train()
         tracemalloc.start()
         try:
@@ -100,7 +113,38 @@ class TestPcaPreprocess:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 2.3 * samples.data.nbytes
+        assert peak <= 1.5 * samples.data.nbytes
+
+    @pytest.mark.parametrize("shape", [(30, 50), (50, 20)], ids=["p>=n", "p<n"])
+    @pytest.mark.parametrize("missing", ["module", "gufunc", "loop"])
+    def test_fallback_gives_the_same_pca(self, monkeypatch, missing, shape):
+        samples = labelled_gaussians(np.random.default_rng(7), n_per_class=shape[0] // 2,
+                                     p=shape[1], c=2)
+        retain = min(shape) - 2
+        expected = pca_preprocess(samples, retain)
+        if missing == "module":
+            monkeypatch.setattr(transform, "_umath_linalg", None)
+        elif missing == "gufunc":
+            monkeypatch.setattr(transform, "_umath_linalg", types.SimpleNamespace())
+        else:
+            # before numpy 2 the thin SVD's gufunc is named by the transpose's shape
+            older = "svd_n_s" if shape[1] >= shape[0] else "svd_m_s"
+            name = "svd_s" if hasattr(_umath_linalg, "svd_s") else older
+            real = getattr(_umath_linalg, name)
+
+            def no_in_place_loop(a, *args, out=None, **kwargs):
+                # np.linalg.svd's own call passes no out= and still works
+                if out is not None:
+                    raise TypeError("no loop matching the specified signature")
+                return real(a, *args, **kwargs)
+
+            monkeypatch.setattr(_umath_linalg, name, no_in_place_loop)
+        reduced, basis, mean = pca_preprocess(samples, retain)
+        assert basis.tobytes() == expected[1].tobytes()
+        assert reduced.data.tobytes() == expected[0].data.tobytes()
+        assert mean.tobytes() == expected[2].tobytes()
+        owner = basis.base if basis.base is not None else basis
+        assert owner.nbytes == basis.nbytes
 
     def test_overflowing_centering_raises_before_svd(self, monkeypatch):
         def never(*args, **kwargs):
@@ -292,9 +336,15 @@ class TestFit:
     )
     def test_decomposition_failure_is_numerical(self, monkeypatch, routine, stage):
         s = labelled_gaussians(np.random.default_rng(25))
-        # fit solves the alignment matrix in place with numpy's eigh gufunc,
-        # which np.linalg.eigh also calls, so the transform case fails that
-        module, name = (_umath_linalg, "eigh_lo") if stage == "transform" else (np.linalg, routine)
+        # fit solves the PCA's SVD and the alignment matrix's eigh in place
+        # with numpy's own gufuncs, which np.linalg.svd and np.linalg.eigh
+        # also call, so those cases fail the gufuncs (for these 24 x 6 data
+        # the SVD's is svd_m_s before numpy 2)
+        module, name = {
+            "preprocess": (_umath_linalg, "svd_s" if hasattr(_umath_linalg, "svd_s") else "svd_m_s"),
+            "indicator": (np.linalg, routine),
+            "transform": (_umath_linalg, "eigh_lo"),
+        }[stage]
         real = getattr(module, name)
 
         def failing(a, *args, **kwargs):
@@ -385,6 +435,25 @@ class TestProject:
         embedded = project(model, s)
         manual = (s.data - model.pca_mean) @ model.pca_basis @ model.values
         assert_allclose(embedded, manual, atol=1e-12)
+
+    def test_fit_coordinates_are_projects_bit_for_bit(self, monkeypatch):
+        # the PCA reduces the training data with project's own row blocks,
+        # so the fit's coordinates times W are project's embedding, to the byte
+        s = make_face_like(6, n_classes=25, seed=4)  # 150 x 1600: three row blocks
+        seen = []
+
+        def recorded(*args):
+            seen.append(pca_preprocess(*args))
+            return seen[-1]
+
+        monkeypatch.setattr(pipeline, "pca_preprocess", recorded)
+        model, _ = fit(s, MenConfig(d=3, K=20))
+        (reduced, basis, _), = seen
+        assert basis is model.pca_basis
+        assert (reduced.data @ model.values).tobytes() == project(model, s).tobytes()
+        # through W = I (exact), project's coordinates are the fit's own
+        coordinates = project(replace(model, values=np.eye(basis.shape[1])), s)
+        assert coordinates.tobytes() == reduced.data.tobytes()
 
     def test_blocked_centering_at_face_scale(self):
         # project centres a block of rows at a time into one n x p' array:
@@ -564,6 +633,27 @@ class TestModelIo:
             tracemalloc.stop()
         assert (tmp_path / "m.men").read_bytes() == men1_reference_bytes(model)
         assert peak <= 0.1 * model.pca_basis.nbytes
+
+    def test_f_order_basis_round_trip(self, tmp_path):
+        # a fit's basis is the F-order view pca_preprocess leaves; it is
+        # written a block of rows at a time, in the same row-major bytes as
+        # its C-order twin, with no whole copy
+        model = face_scale_model()
+        twin = replace(model, pca_basis=np.asfortranarray(model.pca_basis))
+        assert not twin.pca_basis.flags.c_contiguous
+        save_model(model, tmp_path / "c.men")
+        tracemalloc.start()
+        try:
+            save_model(twin, tmp_path / "f.men")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (tmp_path / "f.men").read_bytes() == (tmp_path / "c.men").read_bytes()
+        assert (tmp_path / "f.men").read_bytes() == men1_reference_bytes(twin)
+        assert peak <= 0.1 * model.pca_basis.nbytes
+        loaded = load_model(tmp_path / "f.men")
+        for name in ("values", "pca_basis", "pca_mean"):
+            assert np.array_equal(getattr(loaded, name), getattr(twin, name)), name
 
     def test_load_peak_memory_bounded(self, tmp_path):
         # the file bytes, viewed in place, and the arrays copied out of them;
