@@ -111,6 +111,7 @@ def nn_classify(
         chunk = test_embed[start : start + step]
         diff = chunk[:, None, :] - train_embed[None, :, :]
         d2 = np.einsum("ijk,ijk->ij", diff, diff)
+        del diff  # or the next block's difference array is made while this one is bound
         out[start : start + chunk.shape[0]] = labels[np.argmin(d2, axis=1)]
     return out
 

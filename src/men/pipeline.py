@@ -24,7 +24,7 @@ from .config import MenConfig
 from .errors import DataError, MenError, NumericalError
 from .indicator import build_indicator, orient_columns
 from .lars import CoefficientPath, report_column, solve_column
-from .transform import _gufunc_into, build_a, build_augmented, spectral_factor
+from .transform import _thin_svd_into, build_a, build_augmented, spectral_factor
 
 __all__ = ["ProjectionMatrix", "FitReport", "pca_preprocess", "fit", "project"]
 
@@ -98,8 +98,8 @@ def pca_preprocess(
     gufunc writes its input-shaped factor (U when p >= n, V^T otherwise)
     over the private centered copy, so no second n x p array is made, and
     U^T is then shrunk in place to its leading `retain` rows: the basis is
-    an F-order view holding exactly p x retain doubles. Without the
-    gufunc, np.linalg.svd runs and the basis is a copy of U's columns.
+    an F-order view holding exactly p x retain doubles. Where a tracer
+    holds a reference to U^T, its leading rows are copied instead.
     The reduced data are the rows of project's centred product, so a fit's
     training coordinates are the ones project gives; they form a new
     SampleSet, so they meet its entry bound or raise DataError. Raises
@@ -114,15 +114,15 @@ def pca_preprocess(
     # U^T's rows are U's columns; when p >= n, U^T is the centred copy itself
     ut = centered if p >= n else np.empty((p, p))
     vt = np.empty((n, n)) if p >= n else centered.T
-    names = ("svd_s", "svd_n_s" if p >= n else "svd_m_s")  # numpy 2, numpy 1
     try:
-        if not _gufunc_into(names, centered.T, (ut.T, np.empty(min(n, p)), vt),
-                            "SVD did not converge"):
-            ut = np.linalg.svd(centered.T, full_matrices=False)[0].T[:retain].copy()
+        _thin_svd_into(centered.T, (ut.T, np.empty(min(n, p)), vt))
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"PCA SVD failed: {exc}") from exc
     del centered, vt
-    ut.resize((retain, p))  # frees U's unused columns; refuses if a view remains
+    try:
+        ut.resize((retain, p))  # frees U's unused columns; refuses if a view remains
+    except ValueError:  # a tracer's snapshot of f_locals refers to ut (CPython < 3.13)
+        ut = ut[:retain].copy()
     basis = ut.T
     orient_columns(basis)
     reduced = _centred_product(samples.data, mean, basis)

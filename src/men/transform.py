@@ -10,8 +10,8 @@ nor its square root is formed: build_a returns (f(lambda), U), and the
 design is built in that eigenbasis from U^T X and U^T y, so one eigh(L)
 does the whole stage and no n' x n array exists. fit hands L over to
 build_a, which then has LAPACK write U into L's own storage, so the solve
-adds no second n x n array; where numpy's in-place eigh kernel is missing,
-build_a falls back to np.linalg.eigh. The negative eigenvalues
+adds no second n x n array. This eigh and the PCA's SVD run np.linalg's
+gufuncs, from here, into their callers' buffers. The negative eigenvalues
 of L (different-class pushes) can make f negative, so A is generally
 indefinite; eigenvalues below a relative floor are clamped, and the
 transformed response then lives in the retained subspace only. The
@@ -25,14 +25,10 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from numpy.linalg import _umath_linalg  # the gufuncs behind np.linalg, with out=
 
 from .config import MenConfig
 from .errors import DataError, NumericalError
-
-try:  # numpy's private gufuncs behind np.linalg, the one route to an in-place eigh
-    from numpy.linalg import _umath_linalg
-except ImportError:
-    _umath_linalg = None
 
 __all__ = [
     "AugmentedProblem",
@@ -111,39 +107,24 @@ class AugmentedProblem:
         return problem
 
 
-def _gufunc_into(names, a: np.ndarray, out: tuple, failure: str) -> bool:
-    """Run the first of numpy's linalg gufuncs `names` that exists on float64 `a`,
-    writing its results into `out`, under np.linalg's own error handling.
-
-    An output may be `a` itself, so LAPACK's result lands in a's storage.
-    The gufunc reports non-convergence through the invalid flag, which
-    raises LinAlgError(failure). Returns False, having written nothing,
-    where numpy has none of the gufuncs or no d->d... loop with out=.
-    """
-    gufunc = next(filter(None, (getattr(_umath_linalg, name, None) for name in names)), None)
-    if gufunc is None:
-        return False
-
+def _gufunc_into(gufunc, a: np.ndarray, out: tuple, failure: str) -> None:
+    """Run numpy's linalg gufunc on float64 `a` into `out`, which may hold
+    `a` itself, under np.linalg's own error handling: the invalid flag the
+    gufunc raises on non-convergence becomes LinAlgError(failure)."""
     def nonconvergence(err, flag):
         raise np.linalg.LinAlgError(failure)
 
-    try:
-        with np.errstate(call=nonconvergence, invalid="call",
-                         over="ignore", divide="ignore", under="ignore"):
-            gufunc(a, out=out, signature="d->" + "d" * len(out))
-    except TypeError:  # no such loop, or no out= for this gufunc
-        return False
-    return True
+    with np.errstate(call=nonconvergence, invalid="call",
+                     over="ignore", divide="ignore", under="ignore"):
+        gufunc(a, out=out, signature="d->" + "d" * len(out))
 
 
-def _eigh(L: np.ndarray, overwrite_l: bool) -> tuple[np.ndarray, np.ndarray]:
-    """np.linalg.eigh(L), or, under overwrite_l and where L allows it, the
-    same eigenpairs with U written over L by numpy's own eigh gufunc."""
-    if overwrite_l and L.flags.writeable and (L.flags.c_contiguous or L.flags.f_contiguous):
-        eigvals = np.empty(L.shape[0])
-        if _gufunc_into(("eigh_lo",), L, (eigvals, L), "Eigenvalues did not converge"):
-            return eigvals, L
-    return np.linalg.eigh(L)
+def _thin_svd_into(a: np.ndarray, out: tuple) -> None:
+    """Thin a = U diag(s) V^T into out = (U, s, V^T), which may hold `a`, by
+    numpy's svd_s, or before numpy 2 svd_n_s (a tall) or svd_m_s (a wide)."""
+    name = "svd_s" if hasattr(_umath_linalg, "svd_s") else (
+        "svd_n_s" if a.shape[0] >= a.shape[1] else "svd_m_s")
+    _gufunc_into(getattr(_umath_linalg, name), a, out, "SVD did not converge")
 
 
 def build_a(
@@ -159,8 +140,8 @@ def build_a(
     L is left intact unless overwrite_l is set (scipy's overwrite_a). Then
     a writeable, contiguous float64 L is overwritten: the returned U is L
     itself, holding the eigenvectors, and no second n x n array is made.
-    Any other L, or a numpy without the in-place eigh gufunc, goes through
-    np.linalg.eigh, and L is then not written.
+    Otherwise numpy's eigh gufunc, the one np.linalg.eigh calls, writes U
+    into a fresh n x n array.
     """
     L = np.asarray(L, dtype=np.float64)
     square = L.ndim == 2 and L.size > 0 and np.array_equal(L, L.T)
@@ -172,8 +153,11 @@ def build_a(
         )
     if cfg.alpha == 0.0:
         return np.ones(L.shape[0]), np.eye(L.shape[0])
+    in_place = overwrite_l and L.flags.writeable and (L.flags.c_contiguous or L.flags.f_contiguous)
+    eigvals = np.empty(L.shape[0])
+    eigvecs = L if in_place else np.empty(L.shape)
     try:
-        eigvals, eigvecs = _eigh(L, overwrite_l)
+        _gufunc_into(_umath_linalg.eigh_lo, L, (eigvals, eigvecs), "Eigenvalues did not converge")
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"alignment matrix eigh failed: {exc}", stage="transform") from exc
     shifted = cfg.alpha * eigvals + cfg.beta

@@ -19,7 +19,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from numpy.linalg import _umath_linalg
 
 import men
 import men.cli  # the cli-face workload calls men.cli.main
@@ -116,10 +115,6 @@ def test_rebuilt_problems_match_the_fit(monkeypatch, pca_retain):
     sys.version_info < (3, 11),
     reason="CPython 3.10 keeps call arguments alive on the caller's stack, so fit "
     "cannot free the training copy evaluate and men fit hand it",
-)
-@pytest.mark.skipif(
-    not (hasattr(_umath_linalg, "svd_s") or hasattr(_umath_linalg, "svd_n_s")),
-    reason="numpy has no SVD gufunc, so the PCA's SVD cannot write U over its centred copy",
 )
 @pytest.mark.parametrize("name, bound_mb", [("evaluate-face", 9.0), ("cli-face", 13.5)])
 def test_round_peak_memory(tmp_path, name, bound_mb):

@@ -1,6 +1,7 @@
 """PCA preprocessing, the end-to-end fit, projection, and persistence."""
 
 import struct
+import sys
 import tempfile
 import tracemalloc
 import types
@@ -28,10 +29,6 @@ from men.transform import build_a, build_augmented, spectral_factor
 
 from oracles import check_breakpoints, dense_pca
 from test_config import field_reprs, men_configs
-
-
-# numpy's thin-SVD gufunc for p >= n data: svd_s, or svd_n_s before numpy 2
-IN_PLACE_SVD = hasattr(_umath_linalg, "svd_s") or hasattr(_umath_linalg, "svd_n_s")
 
 
 def labelled_gaussians(rng, n_per_class=8, p=6, c=3, shift=1.0):
@@ -99,7 +96,6 @@ class TestPcaPreprocess:
     def test_matches_dense_pca_property(self, problem):
         assert_matches_dense_pca(*problem)
 
-    @pytest.mark.skipif(not IN_PLACE_SVD, reason="numpy has no SVD gufunc to write U in place")
     def test_peak_memory_bounded(self):
         # the in-place path: the SVD gufunc writes U over the centred copy, and
         # U^T shrinks to the basis. The peak, 1.44 x the data on these 240 x
@@ -116,41 +112,62 @@ class TestPcaPreprocess:
         assert peak <= 1.5 * samples.data.nbytes
 
     @pytest.mark.parametrize("shape", [(30, 50), (50, 20)], ids=["p>=n", "p<n"])
-    @pytest.mark.parametrize("missing", ["module", "gufunc", "loop"])
-    def test_fallback_gives_the_same_pca(self, monkeypatch, missing, shape):
+    def test_numpy_1_gufunc_names_give_the_same_pca(self, monkeypatch, shape):
+        # before numpy 2 the thin SVD's gufunc is named by the orientation of
+        # the p x n transpose: svd_n_s when it is tall (p >= n), svd_m_s else
         samples = labelled_gaussians(np.random.default_rng(7), n_per_class=shape[0] // 2,
                                      p=shape[1], c=2)
         retain = min(shape) - 2
         expected = pca_preprocess(samples, retain)
-        if missing == "module":
-            monkeypatch.setattr(transform, "_umath_linalg", None)
-        elif missing == "gufunc":
-            monkeypatch.setattr(transform, "_umath_linalg", types.SimpleNamespace())
-        else:
-            # before numpy 2 the thin SVD's gufunc is named by the transpose's shape
-            older = "svd_n_s" if shape[1] >= shape[0] else "svd_m_s"
-            name = "svd_s" if hasattr(_umath_linalg, "svd_s") else older
-            real = getattr(_umath_linalg, name)
+        calls = []
 
-            def no_in_place_loop(a, *args, out=None, **kwargs):
-                # np.linalg.svd's own call passes no out= and still works
-                if out is not None:
-                    raise TypeError("no loop matching the specified signature")
-                return real(a, *args, **kwargs)
+        def numpy_1(name):
+            real = getattr(_umath_linalg, "svd_s", None) or getattr(_umath_linalg, name)
 
-            monkeypatch.setattr(_umath_linalg, name, no_in_place_loop)
+            def gufunc(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+
+            return gufunc
+
+        older = types.SimpleNamespace(svd_n_s=numpy_1("svd_n_s"), svd_m_s=numpy_1("svd_m_s"))
+        monkeypatch.setattr(transform, "_umath_linalg", older)
         reduced, basis, mean = pca_preprocess(samples, retain)
+        assert calls == ["svd_n_s" if shape[1] >= shape[0] else "svd_m_s"]
+        assert basis.tobytes() == expected[1].tobytes()
+        assert reduced.data.tobytes() == expected[0].data.tobytes()
+        assert mean.tobytes() == expected[2].tobytes()
+
+    def test_traced_call_gives_the_same_pca(self):
+        # a tracer that reads f_locals, as pdb stepping and snoop do, makes
+        # CPython < 3.13 keep a snapshot of the frame's locals, whose extra
+        # reference makes ndarray.resize refuse to shrink U^T in place
+        samples = make_face_like(4, n_classes=10)  # 40 x 1600
+        expected = pca_preprocess(samples, 39)
+
+        def tracer(frame, event, arg):
+            frame.f_locals
+            return tracer
+
+        previous = sys.gettrace()
+        sys.settrace(tracer)
+        try:
+            reduced, basis, mean = pca_preprocess(samples, 39)
+        finally:
+            sys.settrace(previous)
         assert basis.tobytes() == expected[1].tobytes()
         assert reduced.data.tobytes() == expected[0].data.tobytes()
         assert mean.tobytes() == expected[2].tobytes()
         owner = basis.base if basis.base is not None else basis
-        assert owner.nbytes == basis.nbytes
+        assert owner.nbytes == samples.p * 39 * 8
 
     def test_overflowing_centering_raises_before_svd(self, monkeypatch):
         def never(*args, **kwargs):
             raise AssertionError("SVD ran on nonfinite centered data")
 
-        monkeypatch.setattr(np.linalg, "svd", never)
+        # the PCA's gufunc for these 6 x 10 data: svd_s, or svd_n_s before numpy 2
+        name = "svd_s" if hasattr(_umath_linalg, "svd_s") else "svd_n_s"
+        monkeypatch.setattr(_umath_linalg, name, never)
         data = np.random.default_rng(4).normal(size=(6, 10))
         data[1:3, 0] = 1.7e308
         with pytest.raises(DataError, match="nonfinite entries or"):

@@ -8,14 +8,12 @@ problem built from it: xstar^T xstar and xstar^T ystar.
 """
 
 import tracemalloc
-import types
 
 import numpy as np
 import pytest
 from numpy.linalg import _umath_linalg
 from numpy.testing import assert_allclose
 
-from men import transform
 from men.alignment import accumulate_alignment, build_patch
 from men.config import MenConfig
 from men.datasets import make_informative_classes
@@ -184,16 +182,17 @@ class TestBuildA:
         cfg = MenConfig()
         gram, xty, n_dropped = oracle_view(X, y, cfg, dense_build_a(L, cfg))
         calls = []
-        eigh = np.linalg.eigh
+        eigh_lo = _umath_linalg.eigh_lo
 
         def counting_eigh(a, *args, **kwargs):
             calls.append(a.shape)
-            return eigh(a, *args, **kwargs)
+            return eigh_lo(a, *args, **kwargs)
 
         def forbidden(*args, **kwargs):
             raise AssertionError("dense route used")
 
-        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        # build_a runs numpy's eigh gufunc itself, the one np.linalg.eigh calls
+        monkeypatch.setattr(_umath_linalg, "eigh_lo", counting_eigh)
         monkeypatch.setattr(np.linalg, "solve", forbidden)
         monkeypatch.setattr(np.linalg, "cond", forbidden)
         monkeypatch.setattr(np.linalg, "svd", forbidden)
@@ -233,8 +232,9 @@ class TestBuildA:
 
 
 class TestInPlaceEigh:
-    """build_a(L, cfg, overwrite_l=True) writes U over L through numpy's
-    eigh gufunc, and falls back to np.linalg.eigh where it cannot."""
+    """build_a(L, cfg, overwrite_l=True) writes U over a writeable,
+    contiguous L through numpy's eigh gufunc; otherwise the same gufunc
+    writes U into a fresh array and L is not written."""
 
     @staticmethod
     def symmetric():
@@ -256,6 +256,15 @@ class TestInPlaceEigh:
         assert L.tobytes() == before
         assert not np.shares_memory(u, L)
 
+    def test_default_is_np_linalg_eigh(self):
+        # the fresh-array route runs the gufunc np.linalg.eigh runs
+        L, cfg = self.symmetric(), MenConfig()
+        eigvals, eigvecs = np.linalg.eigh(L)
+        f, u = build_a(L, cfg)
+        assert u.tobytes() == eigvecs.tobytes()
+        shifted = cfg.alpha * eigvals + cfg.beta
+        assert f.tobytes() == (1.0 + cfg.alpha * cfg.beta * eigvals / shifted).tobytes()
+
     def test_read_only_l_is_not_written(self):
         L = self.symmetric()
         before = L.tobytes()
@@ -263,37 +272,12 @@ class TestInPlaceEigh:
         build_a(L, MenConfig(), overwrite_l=True)
         assert L.tobytes() == before
 
-    @pytest.mark.parametrize("missing", ["module", "gufunc", "loop"])
-    def test_fallback_gives_the_same_pair(self, monkeypatch, missing):
-        L = self.symmetric()
-        before = L.tobytes()
-        expected = build_a(L.copy(), MenConfig())
-        if missing == "module":
-            monkeypatch.setattr(transform, "_umath_linalg", None)
-        elif missing == "gufunc":
-            monkeypatch.setattr(transform, "_umath_linalg", types.SimpleNamespace())
-        else:
-            real = _umath_linalg.eigh_lo
-
-            def no_in_place_loop(a, *args, out=None, **kwargs):
-                # np.linalg.eigh's own call passes no out= and still works
-                if out is not None:
-                    raise TypeError("no loop matching the specified signature")
-                return real(a, *args, **kwargs)
-
-            monkeypatch.setattr(_umath_linalg, "eigh_lo", no_in_place_loop)
-        f, u = build_a(L, MenConfig(), overwrite_l=True)
-        assert f.tobytes() == expected[0].tobytes()
-        assert u.tobytes() == expected[1].tobytes()
-        assert L.tobytes() == before
-
     @pytest.mark.parametrize("overwrite_l", [True, False], ids=["in-place", "np.linalg.eigh"])
     def test_nonconvergence_is_numerical(self, monkeypatch, overwrite_l):
         # the gufunc reports non-convergence by raising the invalid flag under
-        # its caller's error handling: an errstate, or the extobj= that numpy
-        # 1.x's np.linalg.eigh passes in
-        def nonconverging(a, *args, extobj=None, **kwargs):
-            np.sqrt(np.array(-1.0), **({} if extobj is None else {"extobj": extobj}))
+        # its caller's errstate
+        def nonconverging(a, *args, **kwargs):
+            np.sqrt(np.array(-1.0))
             raise AssertionError("the invalid flag did not stop the solve")
 
         monkeypatch.setattr(_umath_linalg, "eigh_lo", nonconverging)
