@@ -1,16 +1,20 @@
 """Model hyperparameters and their key=value text representation.
 
-The same key=value syntax is used by the CLI config file and by the config
-block embedded in saved model files, so one parser/formatter pair lives
-here. Floats are rendered with ``repr`` (shortest round-trip form), which
-is locale-independent and reconstructs the exact float64.
+The same key=value syntax serves the CLI config file and the config block of
+saved model files. One table of field kinds parses, writes and checks the
+fields of MenConfig and of evaluation's SplitSpec. Floats are written with
+``repr`` (shortest round-trip form), which reconstructs the exact float64.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
+from collections import namedtuple
 from dataclasses import dataclass, fields
 from functools import partial
+
+import numpy as np
 
 from .errors import DataError
 
@@ -54,35 +58,15 @@ class MenConfig:
     center_class_means: bool = False
 
     def __post_init__(self):
-        problem = self._invalid()
-        if problem is not None:
-            raise DataError(problem, stage="config")
+        check_fields(self, _BOUNDS)
 
-    def _invalid(self) -> str | None:
-        """Why the hyperparameters are unusable, or None when they are fine."""
-        for name in ("alpha", "beta", "kappa", "lambda2", "eig_floor"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                return f"{name} must be finite, got {value}"
-        if self.alpha < 0:
-            return f"alpha must be >= 0, got {self.alpha}"
-        if self.beta <= 0:
-            return f"beta must be > 0, got {self.beta}"
-        if self.kappa < 0:
-            return f"kappa must be >= 0, got {self.kappa}"
-        if self.lambda2 < 0:
-            return f"lambda2 must be >= 0, got {self.lambda2}"
-        if self.k1 < 0 or self.k2 < 0:
-            return f"k1 and k2 must be >= 0, got k1={self.k1} k2={self.k2}"
-        if self.d < 1:
-            return f"d must be >= 1, got {self.d}"
-        if self.K < 1:
-            return f"K must be >= 1, got {self.K}"
-        if self.pca_retain is not None and self.pca_retain < 0:
-            return f"pca_retain must be >= 0 or auto, got {self.pca_retain}"
-        if self.eig_floor < 0:
-            return f"eig_floor must be >= 0, got {self.eig_floor}"
-        return None
+
+# each number field's lower bound
+_BOUNDS = {
+    "alpha": (">=", 0), "beta": (">", 0), "kappa": (">=", 0), "lambda2": (">=", 0),
+    "k1": (">=", 0), "k2": (">=", 0), "d": (">=", 1), "K": (">=", 1),
+    "pca_retain": (">=", 0), "eig_floor": (">=", 0),
+}
 
 
 def _parse_bool(text: str) -> bool:
@@ -98,22 +82,52 @@ def _parse_optional(parse, text: str):
     return None if text.strip().lower() in ("auto", "none", "") else parse(text)
 
 
-_PARSERS = {"float": float, "int": int, "bool": _parse_bool}
+# per field annotation (a string under the __future__ import): the Python type
+# a value is kept as, the value types taken (a bool only by the bool kind), and
+# the text parser and formatter
+_Kind = namedtuple("_Kind", "store takes parse format")
+_KINDS = {
+    "float": _Kind(float, numbers.Real, float, repr),
+    "int": _Kind(int, numbers.Integral, int, str),
+    "int | None": _Kind(int, numbers.Integral, partial(_parse_optional, int), str),
+    "bool": _Kind(bool, (bool, np.bool_), _parse_bool, lambda v: "true" if v else "false"),
+}
 
 
-def _format_value(value) -> str:
-    if value is None:
-        return "none"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+def checked_value(name: str, value, annotation: str, bound=None):
+    """`value` as its kind's Python type, `annotation` a key of _KINDS; DataError
+    (stage config) naming `name` for a value of another kind, a bool where a
+    number belongs, a nonfinite float, or a number outside `bound`, a
+    (">=" or ">", low) pair."""
+    if value is None and annotation.endswith(" | None"):
+        return None
+    store, takes, _, _ = _KINDS[annotation]
+    if not isinstance(value, takes) or (isinstance(value, bool) and store is not bool):
+        raise DataError(f"{name} must be {annotation}, got {value!r}", stage="config")
+    try:
+        value = store(value)
+    except OverflowError:  # an int past the float range
+        value = math.inf
+    if store is float and not math.isfinite(value):
+        raise DataError(f"{name} must be finite, got {value}", stage="config")
+    op, low = bound or (">=", -math.inf)
+    if not (value > low if op == ">" else value >= low):
+        raise DataError(f"{name} must be {op} {low}, got {value}", stage="config")
+    return value
+
+
+def check_fields(obj, bounds: dict) -> None:
+    """Check each field of the frozen dataclass `obj` by its kind and its
+    bound in `bounds`, if any, and store it as its kind's Python type."""
+    for f in fields(obj):
+        value = checked_value(f.name, getattr(obj, f.name), f.type, bounds.get(f.name))
+        object.__setattr__(obj, f.name, value)
 
 
 def config_to_lines(cfg: MenConfig) -> list[str]:
     """Render a config as key=value lines in fixed field order."""
-    return [f"{f.name}={_format_value(getattr(cfg, f.name))}" for f in fields(cfg)]
+    values = ((f.name, f.type, getattr(cfg, f.name)) for f in fields(cfg))
+    return [f"{key}={'none' if v is None else _KINDS[kind].format(v)}" for key, kind, v in values]
 
 
 def parse_kv_lines(lines) -> dict[str, str]:
@@ -142,19 +156,13 @@ def parse_value(key: str, text: str, parse):
 
 
 def config_from_mapping(mapping: dict[str, str], cls=MenConfig):
-    """Build a `cls` (a dataclass of float, int and bool fields, any of them
-    optional) from a string mapping, coercing per field type.
+    """Build a `cls` (a dataclass whose annotations are keys of _KINDS) from a
+    string mapping, parsing each value by its field's kind.
 
     Keys absent from the mapping keep their defaults. Unknown keys and
     values that do not parse raise DataError (stage config) naming the key.
     """
-    # key -> coercion function, read off the annotations (strings under the
-    # __future__ import)
-    schema = {
-        f.name: partial(_parse_optional, _PARSERS[f.type.removesuffix(" | None")])
-        if f.type.endswith(" | None") else _PARSERS[f.type]
-        for f in fields(cls)
-    }
+    schema = {f.name: _KINDS[f.type].parse for f in fields(cls)}
     kwargs = {}
     for key, text in mapping.items():
         if key not in schema:

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .alignment import BLOCK_ENTRIES, SampleSet
-from .config import MenConfig
+from .config import MenConfig, check_fields, checked_value
 from .datasets import write_pgm
 from .errors import DataError
 from .lars import CoefficientPath
@@ -47,10 +47,7 @@ class SplitSpec:
     repeats: int = 5
 
     def __post_init__(self):
-        for name, low in (("per_class_train", 1), ("seed", 0), ("repeats", 1)):
-            value = getattr(self, name)
-            if value < low:
-                raise DataError(f"{name} must be >= {low}, got {value}", stage="config")
+        check_fields(self, {"per_class_train": (">=", 1), "seed": (">=", 0), "repeats": (">=", 1)})
 
 
 @dataclass
@@ -135,9 +132,9 @@ def evaluate(
     accepted and unused: the benchmark harness still passes it, and
     ROADMAP item 1's benchmark commit deletes it.
     """
-    dim_grid = [int(d) for d in dim_grid]
-    if not dim_grid or min(dim_grid) < 1:
-        raise DataError(f"dim_grid needs entries >= 1, got {dim_grid}", stage="config")
+    dim_grid = [checked_value("dim_grid", d, "int", (">=", 1)) for d in dim_grid]
+    if not dim_grid:
+        raise DataError("dim_grid needs entries >= 1, got []", stage="config")
     fit_cfg = replace(cfg, d=max(dim_grid))
     rows = []  # one row of rates per repeat; no repeats-sized buffer before the first fit
     for r in range(split.repeats):
@@ -157,15 +154,8 @@ def evaluate(
     rates = np.array(rows)  # repeats x len(dim_grid) float64, as EvalResult documents
     mean_rates = rates.mean(axis=0)
     best_gi = int(np.argmax(mean_rates))
-    box = np.column_stack(
-        [
-            rates.min(axis=0),
-            np.percentile(rates, 25, axis=0),
-            np.percentile(rates, 50, axis=0),
-            np.percentile(rates, 75, axis=0),
-            rates.max(axis=0),
-        ]
-    )
+    # min, q1, median, q3, max: the 0th and 100th percentiles are the extremes exactly
+    box = np.percentile(rates, [0, 25, 50, 75, 100], axis=0).T
     return EvalResult(
         dim_grid=dim_grid,
         rates=rates,

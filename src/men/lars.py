@@ -302,7 +302,7 @@ def direction(state: LarsState, problem: AugmentedProblem) -> Direction:
 
 def _positive_min(values: np.ndarray, floor: float, where: np.ndarray | None = None) -> float:
     """Smallest finite value above floor (and where `where` holds); +inf when none."""
-    keep = (values > floor) & (values < np.inf)
+    keep = values > floor
     if where is not None:
         keep &= where
     # the ufunc's own reduce: np.min's wrapper takes a slower path for where=

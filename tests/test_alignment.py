@@ -446,6 +446,12 @@ class TestAccumulateAlignment:
         with pytest.raises(DataError, match=r"center 3 references sample outside \[0, 3\)"):
             accumulate_alignment(s, [edges])
 
+    def test_out_of_range_neighbour(self):
+        s = SampleSet(np.arange(3.0)[:, None], np.array([0, 0, 1]))
+        edges = Edges(np.array([0, 1]), np.array([1, 3]), np.array([1.0, -1.0]))
+        with pytest.raises(DataError, match=r"center 1 references sample outside \[0, 3\)"):
+            accumulate_alignment(s, [edges])
+
     def test_no_edges_give_zeros(self):
         s = SampleSet(np.arange(3.0)[:, None], np.array([0, 0, 1]))
         assert accumulate_alignment(s, []).tobytes() == np.zeros((3, 3)).tobytes()

@@ -2,6 +2,7 @@
 
 from dataclasses import fields, replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -52,6 +53,62 @@ class TestValidation:
         with pytest.raises(DataError, match="d must be >= 1, got 0") as info:
             replace(MenConfig(), d=0)
         assert info.value.stage == "config"
+
+
+class TestKinds:
+    """Each field's annotated kind decides the values it takes and how it is kept."""
+
+    @pytest.mark.parametrize(
+        "cls, kwargs",
+        [
+            (MenConfig, dict(double_shrinkage_correction="no")),
+            (MenConfig, dict(center_class_means=1)),
+            (MenConfig, dict(d=1.5)),
+            (MenConfig, dict(d=True)),
+            (MenConfig, dict(K=2.0)),
+            (MenConfig, dict(K=np.float64(2.0))),
+            (MenConfig, dict(k1=1.5)),
+            (MenConfig, dict(pca_retain=2.5)),
+            (MenConfig, dict(alpha="1")),
+            (MenConfig, dict(alpha=True)),
+            (MenConfig, dict(alpha=np.bool_(True))),
+            (SplitSpec, dict(seed=1.5)),
+            (SplitSpec, dict(repeats="2")),
+            (SplitSpec, dict(per_class_train=np.float64(3.0))),
+        ],
+        ids=[
+            "flag-text", "flag-int", "d-fraction", "d-bool", "K-float", "K-numpy-float",
+            "k1-fraction", "pca_retain-fraction", "alpha-text", "alpha-bool", "alpha-numpy-bool",
+            "seed-fraction", "repeats-text", "per_class_train-numpy-float",
+        ],
+    )
+    def test_wrong_kind_names_the_field(self, cls, kwargs):
+        (name,) = kwargs
+        with pytest.raises(DataError, match=f"^{name} must be ") as info:
+            cls(**kwargs)
+        assert info.value.stage == "config"
+
+    def test_int_past_the_float_range_is_not_finite(self):
+        with pytest.raises(DataError, match="alpha must be finite") as info:
+            MenConfig(alpha=10**400)
+        assert info.value.stage == "config"
+
+    def test_numpy_and_int_values_kept_as_python_values(self):
+        cfg = MenConfig(
+            alpha=np.float64(0.01),
+            beta=100,
+            k1=np.int64(4),
+            d=np.uint8(1),
+            pca_retain=np.int32(3),
+            double_shrinkage_correction=np.bool_(True),
+        )
+        plain = MenConfig(
+            alpha=0.01, beta=100.0, k1=4, d=1, pca_retain=3, double_shrinkage_correction=True
+        )
+        assert field_reprs(cfg) == field_reprs(plain)
+        assert config_to_lines(cfg) == config_to_lines(plain)
+        split = SplitSpec(np.int64(3), np.int64(7), np.int16(2))
+        assert field_reprs(split) == field_reprs(SplitSpec(3, 7, 2))
 
 
 class TestKvParsing:
@@ -176,3 +233,27 @@ def test_lines_round_trip_property(cfg):
     back = config_from_mapping(parse_kv_lines(config_to_lines(cfg)))
     assert back == cfg
     assert field_reprs(back) == field_reprs(cfg)
+
+
+@st.composite
+def numpy_scalar_configs(draw):
+    """A Python-typed MenConfig and its twin built with some values as numpy scalars."""
+    cfg = draw(men_configs)
+    kwargs = {}
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        if type(value) is int:
+            to_numpy = np.int64 if -(2**63) <= value < 2**63 else None
+        else:
+            to_numpy = {float: np.float64, bool: np.bool_}.get(type(value))
+        kwargs[f.name] = to_numpy(value) if to_numpy and draw(st.booleans()) else value
+    return cfg, MenConfig(**kwargs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(numpy_scalar_configs())
+def test_numpy_scalar_configs_round_trip(pair):
+    cfg, twin = pair
+    assert config_from_mapping(parse_kv_lines(config_to_lines(twin))) == twin
+    assert field_reprs(twin) == field_reprs(cfg)
+    assert config_to_lines(twin) == config_to_lines(cfg)

@@ -403,13 +403,23 @@ class TestEvaluate:
         s = make_informative_classes(10, 8, [0, 1, 2], n_classes=3, seed=8)
         spec = SplitSpec(per_class_train=6, seed=3, repeats=2)
         r1 = evaluate(s, FIT_CFG, spec, [1, 2])
-        r2 = evaluate(s, FIT_CFG, spec, [1, 2])
+        r2 = evaluate(s, FIT_CFG, spec, np.array([1, 2]))  # numpy ints are taken as ints
         assert np.array_equal(r1.rates, r2.rates)
+        assert [type(d) for d in r2.dim_grid] == [int, int]
 
     def test_empty_grid(self):
         s = make_informative_classes(6, 6, [0, 1], n_classes=2, seed=9)
         with pytest.raises(DataError, match="dim_grid"):
             evaluate(s, FIT_CFG, SplitSpec(per_class_train=3), [])
+
+    @pytest.mark.parametrize(
+        "entry", [1.5, np.float64(2.7), True, "a"], ids=["fraction", "numpy-float", "bool", "text"]
+    )
+    def test_grid_entries_must_be_ints(self, entry):
+        s = make_informative_classes(6, 6, [0, 1], n_classes=2, seed=9)
+        with pytest.raises(DataError, match="dim_grid must be int") as info:
+            evaluate(s, FIT_CFG, SplitSpec(per_class_train=3), [1, entry])
+        assert info.value.stage == "config"
 
     def test_huge_repeats_reach_the_first_fit(self):
         # no repeats x len(dim_grid) buffer: the first fit's indicator error is what surfaces

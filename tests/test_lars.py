@@ -275,6 +275,31 @@ class TestLarsStep:
             assert np.abs(bp.coefficients - ref).max() <= 1e-4
 
 
+class TestGuards:
+    @pytest.mark.parametrize(
+        "gram_inv", [-np.eye(1), np.full((1, 1), np.nan)], ids=["negative-definite", "nan"]
+    )
+    def test_direction_needs_a_positive_quadratic_form(self, gram_inv):
+        prob = plain_problem(np.eye(2), [3.0, 1.0])
+        state = initial_state(prob)
+        extend_active(state, prob)
+        state.gram_inv = gram_inv
+        with pytest.raises(NumericalError, match="not positive definite"):
+            direction(state, prob)
+
+    @pytest.mark.parametrize("rho", [-1.0, np.nan], ids=["negative", "nan"])
+    def test_lars_step_refuses_a_bad_step_length(self, monkeypatch, rho):
+        import men.lars as lars_module
+
+        prob = plain_problem(np.eye(2), [3.0, 1.0])
+        state = initial_state(prob)
+        extend_active(state, prob)
+        monkeypatch.setattr(lars_module, "step_length", lambda state, d: rho)
+        with pytest.raises(NumericalError, match="nonfinite or negative step length"):
+            lars_step(state, prob)
+        assert not state.coeffs.any()  # refused before the coefficients move
+
+
 class TestGramUpdate:
     def test_two_by_two_closed_form(self):
         inv1 = gram_update(None, np.zeros(0), 2.0)

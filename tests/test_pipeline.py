@@ -1,10 +1,12 @@
 """PCA preprocessing, the end-to-end fit, projection, and persistence."""
 
+import re
 import struct
 import sys
 import tempfile
 import tracemalloc
 import types
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -161,17 +163,27 @@ class TestPcaPreprocess:
         owner = basis.base if basis.base is not None else basis
         assert owner.nbytes == samples.p * 39 * 8
 
-    def test_overflowing_centering_raises_before_svd(self, monkeypatch):
-        def never(*args, **kwargs):
-            raise AssertionError("SVD ran on nonfinite centered data")
-
-        # the PCA's gufunc for these 6 x 10 data: svd_s, or svd_n_s before numpy 2
-        name = "svd_s" if hasattr(_umath_linalg, "svd_s") else "svd_n_s"
-        monkeypatch.setattr(_umath_linalg, name, never)
-        data = np.random.default_rng(4).normal(size=(6, 10))
+    def test_overflowing_centering_raises_before_svd(self):
+        # SampleSet's entry bound is what stops data whose centring would
+        # overflow, so such data never reach the PCA; entries at the bound
+        # centre and reduce to finite values with warnings as errors
+        n, p = 6, 10
+        limit = np.sqrt(np.finfo(np.float64).max / (4 * n * p))
+        labels = np.repeat([0, 1], 3)
+        data = np.random.default_rng(4).normal(size=(n, p))
         data[1:3, 0] = 1.7e308
-        with pytest.raises(DataError, match="nonfinite entries or"):
-            pca_preprocess(SampleSet(data, np.repeat([0, 1], 3)), 1)
+        bound = re.escape(f"nonfinite entries or |x| > {limit:.4g}")
+        with pytest.raises(DataError, match=bound) as info:
+            SampleSet(data, labels)
+        assert info.value.stage is None  # the CLI reports it as stage=input
+        data[:, 0] = np.array([1.0, -1.0] * 3) * limit
+        with pytest.raises(DataError, match=bound):
+            SampleSet(np.nextafter(data, 2 * data), labels)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            reduced, basis, mean = pca_preprocess(SampleSet(data, labels), n - 1)
+        assert np.isfinite(reduced.data).all() and np.isfinite(basis).all()
+        assert np.isfinite(mean).all()
 
     def test_lossless_at_full_rank(self):
         rng = np.random.default_rng(0)
@@ -588,6 +600,17 @@ class TestModelIo:
         assert loaded.pca_basis is None
         assert loaded.pca_mean is None
         assert np.array_equal(loaded.values, model.values)
+
+    def test_numpy_scalar_config_round_trip(self, tmp_path):
+        # a config from a numpy sweep is kept, saved and loaded as plain values
+        s = labelled_gaussians(np.random.default_rng(20), n_per_class=6, p=12)
+        model, _ = fit(s, MenConfig(alpha=np.float64(0.01), d=np.int64(1)))
+        save_model(model, tmp_path / "m.men")
+        loaded = load_model(tmp_path / "m.men")
+        assert loaded.config == model.config
+        assert field_reprs(loaded.config) == field_reprs(model.config)
+        refit, _ = fit(s, loaded.config)
+        assert refit.values.tobytes() == model.values.tobytes()
 
     def test_text_export_lossless_values(self):
         rng = np.random.default_rng(20)
