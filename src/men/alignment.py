@@ -26,6 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .config import checked_value
 from .errors import DataError
 
 __all__ = ["SampleSet", "Edges", "build_patch", "build_patches", "accumulate_alignment"]
@@ -203,8 +204,10 @@ def build_patches(samples: SampleSet, k1: int, k2: int, kappa: float) -> list[Ed
     outside the group at +inf finds every row's k-th smallest, and the
     entries within a rounding bound of it are kept. One lexsort on (row,
     group, distance, index) ranks the kept pairs by explicit-difference
-    distance, and each row takes its first k per group.
+    distance, and each row takes its first k per group. A count that is not
+    an int raises DataError (stage config) naming it.
     """
+    k1, k2 = checked_value("k1", k1, "int"), checked_value("k2", k2, "int")
     if k1 < 0 or k2 < 0:
         raise DataError(f"need k1 >= 0 and k2 >= 0, got k1={k1} k2={k2}")
     x, n, labels, sizes = samples.data, samples.n, samples.labels, samples.class_sizes()

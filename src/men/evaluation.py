@@ -132,7 +132,12 @@ def evaluate(
     accepted and unused: the benchmark harness still passes it, and
     ROADMAP item 1's benchmark commit deletes it.
     """
-    dim_grid = [checked_value("dim_grid", d, "int", (">=", 1)) for d in dim_grid]
+    try:
+        entries = iter(dim_grid)
+    except TypeError:
+        raise DataError(f"dim_grid must be an iterable of ints, got {dim_grid!r}",
+                        stage="config") from None
+    dim_grid = [checked_value("dim_grid", d, "int", (">=", 1)) for d in entries]
     if not dim_grid:
         raise DataError("dim_grid needs entries >= 1, got []", stage="config")
     fit_cfg = replace(cfg, d=max(dim_grid))

@@ -20,15 +20,16 @@ import numpy as np
 
 # build_patch is unused here; the benchmark's tracer counts its calls under this module
 from .alignment import SampleSet, accumulate_alignment, build_patch, build_patches  # noqa: F401
-from .config import MenConfig
+from .config import MenConfig, checked_value
 from .errors import DataError, MenError, NumericalError
 from .indicator import build_indicator, orient_columns
 from .lars import CoefficientPath, report_column, solve_column
-from .transform import _thin_svd_into, build_a, build_augmented, spectral_factor
+from .transform import SpectralFactor, _thin_svd_into, build_a, build_augmented, spectral_factor
 
 __all__ = ["ProjectionMatrix", "FitReport", "pca_preprocess", "fit", "project"]
 
-# rows centred at a time by project and the PCA: 64 x p_raw doubles, not a copy of the data
+# rows centred at a time by project and the PCA (64 x p_raw doubles, not a copy
+# of the data), and rows of U compacted at a time by fit
 _PROJECT_ROWS = 64
 
 
@@ -102,11 +103,13 @@ def pca_preprocess(
     holds a reference to U^T, its leading rows are copied instead.
     The reduced data are the rows of project's centred product, so a fit's
     training coordinates are the ones project gives; they form a new
-    SampleSet, so they meet its entry bound or raise DataError. Raises
-    NumericalError when the SVD does not converge.
+    SampleSet, so they meet its entry bound or raise DataError. A `retain`
+    that is not an int raises DataError (stage config) naming it, and
+    NumericalError is raised when the SVD does not converge.
     """
     n, p = samples.n, samples.p
     limit = min(n - 1, p)
+    retain = checked_value("retain", retain, "int")
     if not 1 <= retain <= limit:
         raise DataError(f"pca_retain={retain} outside [1, {limit}] for {n} x {p} data")
     mean = samples.data.mean(axis=0)
@@ -137,6 +140,30 @@ def _centred_product(data: np.ndarray, mean: np.ndarray, basis: np.ndarray) -> n
         rows = slice(start, start + _PROJECT_ROWS)
         np.matmul(data[rows] - mean, basis, out=out[rows])
     return out
+
+
+def _retained_factor(factor: SpectralFactor) -> SpectralFactor:
+    """`factor` over U's retained columns alone, in retained order; `factor`
+    gives up its basis. A C-order U of its own is compacted a block of rows
+    at a time into the front of its buffer and shrunk in place to n x n', so
+    the dropped eigenvectors are freed before any product reads U. Another
+    U, or one a tracer holds, has its retained columns copied instead."""
+    basis, factor.basis = factor.basis, None  # the only reference to U is now here
+    n, k = basis.shape[0], factor.retained.size
+    if basis.flags.c_contiguous and basis.flags.owndata and basis.flags.writeable:
+        flat = basis.reshape(-1)
+        for start in range(0, n, _PROJECT_ROWS):
+            stop = min(start + _PROJECT_ROWS, n)  # take's block is C-order, so ravel copies nothing
+            flat[start * k : stop * k] = np.take(basis[start:stop], factor.retained, axis=1).ravel()
+        del flat
+        try:
+            basis.resize((n, k))  # refuses if a view remains
+        except ValueError:  # a tracer's snapshot of f_locals refers to basis (CPython < 3.13)
+            basis = basis.reshape(-1)[: n * k].reshape(n, k).copy()
+    else:
+        basis = basis[:, factor.retained]
+    return SpectralFactor(root=factor.root, retained=np.arange(k), basis=basis,
+                          n_dropped=factor.n_dropped)
 
 
 def _column_cosines(values: np.ndarray) -> np.ndarray:
@@ -188,10 +215,12 @@ def fit(
     with _stage("transform", timings):
         eig = build_a(align, cfg, overwrite_l=True)
         del align  # L's storage now holds U: the eigh made no second n x n array
-        # all d target columns share one design
         factor = spectral_factor(eig, cfg.eig_floor)
+        del eig  # factor.basis is now U's only reference, so U can shrink in place
+        factor = _retained_factor(factor)  # U^T X is then n' x p
+        # all d target columns share one design
         shared = build_augmented(work.data, indicator.values, None, cfg, factor=factor)
-        del eig, factor, work  # U and the data: the column solves read only the design
+        del factor, work  # U and the data: the column solves read only the design
     if shared.n_variables > shared.xstar.shape[0] and cfg.lambda2 < 1e-6:
         warnings.warn(
             "more variables than retained spectral rows with lambda2 < 1e-6; "

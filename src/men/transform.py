@@ -8,15 +8,18 @@ gives A = I + alpha beta L (alpha L + beta I)^{-1} = U diag(f(lambda)) U^T
 with f(lambda) = 1 + alpha beta lambda / (alpha lambda + beta). Neither A
 nor its square root is formed: build_a returns (f(lambda), U), and the
 design is built in that eigenbasis from U^T X and U^T y, so one eigh(L)
-does the whole stage and no n' x n array exists. fit hands L over to
+does the whole stage and no n' x n factor is formed. fit hands L over to
 build_a, which then has LAPACK write U into L's own storage, so the solve
-adds no second n x n array. This eigh and the PCA's SVD run np.linalg's
-gufuncs, from here, into their callers' buffers. The negative eigenvalues
-of L (different-class pushes) can make f negative, so A is generally
-indefinite; eigenvalues below a relative floor are clamped, and the
-transformed response then lives in the retained subspace only. The
-elastic net's ridge rows (Zou & Hastie 2005, Lemma 1) stay implied, as
-one scalar on the Gram diagonal of the n' x p design all d columns share.
+adds no second n x n array; fit then shrinks U in place to its n'
+retained columns, so the design's products read an n x n' basis. The
+checks on L and U read a band of rows at a time. This eigh and the PCA's
+SVD run np.linalg's gufuncs, from here, into their callers' buffers. The
+negative eigenvalues of L (different-class pushes) can make f negative,
+so A is generally indefinite; eigenvalues below a relative floor are
+clamped, and the transformed response then lives in the retained subspace
+only. The elastic net's ridge rows (Zou & Hastie 2005, Lemma 1) stay
+implied, as one scalar on the Gram diagonal of the n' x p design all d
+columns share.
 """
 
 from __future__ import annotations
@@ -41,6 +44,9 @@ __all__ = [
 # condition numbers of alpha L + beta I at or beyond this make A unreliable
 COND_LIMIT = 1e14
 
+# rows checked at a time, so no check makes an n x n boolean array
+_BAND_ROWS = 64
+
 
 @dataclass
 class SpectralFactor:
@@ -48,7 +54,8 @@ class SpectralFactor:
 
     root:      length n', sqrt(f) over the retained eigenvalues, descending
     retained:  their column indices into basis
-    basis:     U from build_a, n x n (a reference, not a copy)
+    basis:     n x k eigenvectors: U from build_a, n x n (a reference, not a
+               copy), or, in fit, U shrunk to its retained columns (k = n')
     n_dropped: eigenvalues discarded by the relative floor
     """
 
@@ -127,6 +134,21 @@ def _thin_svd_into(a: np.ndarray, out: tuple) -> None:
     _gufunc_into(getattr(_umath_linalg, name), a, out, "SVD did not converge")
 
 
+def _finite(a: np.ndarray) -> bool:
+    """Whether every entry of `a` is finite, checked a band of rows at a time."""
+    return all(np.isfinite(a[start : start + _BAND_ROWS]).all()
+               for start in range(0, a.shape[0], _BAND_ROWS))
+
+
+def _symmetric(a: np.ndarray) -> bool:
+    """Whether square `a` is exactly symmetric, a band of rows at a time: each
+    band meets its columns from its diagonal block on, so every pair of
+    entries is compared once."""
+    return all(np.array_equal(a[start : start + _BAND_ROWS, start:],
+                              a[start:, start : start + _BAND_ROWS].T)
+               for start in range(0, a.shape[0], _BAND_ROWS))
+
+
 def build_a(
     L: np.ndarray, cfg: MenConfig, *, overwrite_l: bool = False
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -144,8 +166,8 @@ def build_a(
     into a fresh n x n array.
     """
     L = np.asarray(L, dtype=np.float64)
-    square = L.ndim == 2 and L.size > 0 and np.array_equal(L, L.T)
-    if not (square and np.isfinite(L).all()):
+    square = L.ndim == 2 and L.size > 0 and L.shape[0] == L.shape[1]
+    if not (square and _finite(L) and _symmetric(L)):
         raise DataError(
             f"alignment matrix (shape {L.shape}) must be nonempty, finite, square "
             "and exactly symmetric",
@@ -187,7 +209,7 @@ def spectral_factor(eig: tuple[np.ndarray, np.ndarray], eig_floor: float) -> Spe
     except (TypeError, ValueError):  # not a pair of numeric arrays
         vals = vecs = np.empty(0)
     shaped = vals.ndim == 1 and vals.size > 0 and vecs.shape == (vals.size,) * 2
-    if not (shaped and np.isfinite(vals).all() and np.isfinite(vecs).all()):
+    if not (shaped and np.isfinite(vals).all() and _finite(vecs)):
         raise DataError(
             "spectral_factor takes eigenpairs (f, U): a nonempty finite length-n "
             "vector and a finite n x n matrix",

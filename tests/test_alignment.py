@@ -339,6 +339,22 @@ class TestBuildPatches:
             build_patches(s, k1, k2, 1.0)
 
     @pytest.mark.parametrize(
+        "k1, k2, name",
+        [(1.5, 1, "k1"), ("a", 1, "k1"), (1, 1.5, "k2"), (1, True, "k2"), (1, None, "k2")],
+        ids=["fraction-k1", "text-k1", "fraction-k2", "bool-k2", "none-k2"],
+    )
+    def test_counts_must_be_ints(self, k1, k2, name):
+        s = SampleSet(np.arange(5.0)[:, None], np.array([0, 0, 1, 1, 1]))
+        with pytest.raises(DataError, match=f"{name} must be int") as info:
+            build_patches(s, k1, k2, 1.0)
+        assert info.value.stage == "config"
+
+    def test_numpy_int_counts_are_ints(self):
+        s = random_samples(np.random.default_rng(5), 12, 3, 3)
+        assert_edges_equal(build_patches(s, np.int64(2), np.uint8(1), 0.5),
+                           build_patches(s, 2, 1, 0.5))
+
+    @pytest.mark.parametrize(
         "labels, k1, k2, message",
         [
             ([0, 0, 1, 1, 2], 3, 0, "sample 4: no usable neighbours (class size 1 of 5)"),

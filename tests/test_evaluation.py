@@ -421,6 +421,13 @@ class TestEvaluate:
             evaluate(s, FIT_CFG, SplitSpec(per_class_train=3), [1, entry])
         assert info.value.stage == "config"
 
+    @pytest.mark.parametrize("grid", [5, np.int64(5), np.array(5)], ids=["int", "numpy-int", "0-d"])
+    def test_grid_must_be_iterable(self, grid):
+        s = make_informative_classes(6, 6, [0, 1], n_classes=2, seed=9)
+        with pytest.raises(DataError, match="dim_grid must be an iterable of ints") as info:
+            evaluate(s, FIT_CFG, SplitSpec(per_class_train=3), grid)
+        assert info.value.stage == "config"
+
     def test_huge_repeats_reach_the_first_fit(self):
         # no repeats x len(dim_grid) buffer: the first fit's indicator error is what surfaces
         s = make_informative_classes(6, 6, [0, 1], n_classes=2, seed=9)

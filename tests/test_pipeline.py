@@ -217,6 +217,51 @@ class TestPcaPreprocess:
         with pytest.raises(DataError):
             pca_preprocess(s, 0)
 
+    @pytest.mark.parametrize("retain", [1.5, "2", True], ids=["fraction", "text", "bool"])
+    def test_retain_must_be_an_int(self, retain):
+        s = SampleSet(np.random.default_rng(3).normal(size=(5, 8)), np.array([0, 0, 1, 1, 1]))
+        with pytest.raises(DataError, match="retain must be int") as info:
+            pca_preprocess(s, retain)
+        assert info.value.stage == "config"
+        reduced, basis, _ = pca_preprocess(s, np.int64(2))  # numpy ints are taken as ints
+        assert basis.shape == (8, 2)
+
+
+class TestRetainedFactor:
+    """fit shrinks U to its retained columns before the design's products."""
+
+    @staticmethod
+    def factor(order):
+        s = make_informative_classes(12, 6, [0, 2, 4], n_classes=4, separation=1.0, seed=12)
+        cfg = MenConfig()
+        f, u = build_a(accumulate_alignment(s, build_patches(s, 3, 3, 1.0)), cfg, overwrite_l=True)
+        return spectral_factor((f, np.asarray(u, order=order)), cfg.eig_floor)
+
+    @pytest.mark.parametrize("order", ["C", "F"], ids=["in-place", "copied"])
+    def test_basis_is_the_retained_columns(self, order):
+        factor = self.factor(order)
+        assert factor.n_dropped > 0
+        n, k = factor.basis.shape[0], factor.retained.size
+        columns = factor.basis[:, factor.retained]
+        shrunk = pipeline._retained_factor(factor)
+        assert shrunk.basis.shape == (n, k)
+        assert shrunk.basis.tobytes() == np.ascontiguousarray(columns).tobytes()
+        assert np.array_equal(shrunk.retained, np.arange(k))
+        assert shrunk.root is factor.root and shrunk.n_dropped == factor.n_dropped
+        owner = shrunk.basis.base if shrunk.basis.base is not None else shrunk.basis
+        assert owner.nbytes == n * k * 8  # the dropped columns are freed
+
+    def test_design_matches_the_full_basis(self):
+        s = make_informative_classes(12, 6, [0, 2, 4], n_classes=4, separation=1.0, seed=12)
+        cfg = MenConfig()
+        targets = build_indicator(s, 3).values
+        full = build_augmented(s.data, targets, None, cfg, factor=self.factor("C"))
+        shrunk = build_augmented(
+            s.data, targets, None, cfg, factor=pipeline._retained_factor(self.factor("C"))
+        )
+        assert_allclose(shrunk.xstar, full.xstar, rtol=1e-12, atol=1e-14)
+        assert_allclose(shrunk.ystar, full.ystar, rtol=1e-12, atol=1e-14)
+
 
 class TestFit:
     def test_signal_dims_selected(self):
@@ -389,9 +434,11 @@ class TestFit:
         assert info.value.stage == stage
 
     def test_peak_memory_bounded(self):
-        # build_a writes U over L, so no two n x n arrays are alive at once;
-        # a fit without PCA peaks in build_augmented (1.34 n^2 doubles), where
-        # U meets U^T X and the design, and no n' x n factor of A is formed
+        # build_a writes U over L, so no two n x n arrays are alive at once,
+        # and U shrinks in place to its retained columns before the design's
+        # products; a fit without PCA peaks in accumulate_alignment (1.13 n^2
+        # doubles: L and its scatter temporaries). Before the shrink, the
+        # peak was build_augmented's full U beside U^T X and the design (1.34)
         s = make_informative_classes(60, 100, range(0, 40, 4), n_classes=10, separation=1.0, seed=3)
         cfg = MenConfig(pca_retain=0, d=9, K=50)
         tracemalloc.start()
@@ -400,7 +447,27 @@ class TestFit:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.5 * s.n**2 * 8
+        assert peak <= 1.2 * s.n**2 * 8
+
+    def test_traced_fit_gives_the_same_model(self):
+        # a tracer that reads f_locals makes CPython < 3.13 keep a snapshot
+        # of the frame's locals, whose reference to U makes ndarray.resize
+        # refuse to shrink it in place; the retained columns are then copied
+        s = make_informative_classes(30, 20, [0, 4, 8], n_classes=4, separation=1.0, seed=5)
+        cfg = MenConfig(pca_retain=0, d=3, K=8)
+        expected, _ = fit(s, cfg)
+
+        def tracer(frame, event, arg):
+            frame.f_locals
+            return tracer
+
+        previous = sys.gettrace()
+        sys.settrace(tracer)
+        try:
+            model, _ = fit(s, cfg)
+        finally:
+            sys.settrace(previous)
+        assert model.values.tobytes() == expected.values.tobytes()
 
     def test_empty_spectrum_raises(self):
         rng = np.random.default_rng(23)

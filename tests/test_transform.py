@@ -7,6 +7,7 @@ formed, so it is checked through what the solver reads of the augmented
 problem built from it: xstar^T xstar and xstar^T ystar.
 """
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -286,8 +287,9 @@ class TestInPlaceEigh:
         assert info.value.stage == "transform"
 
     def test_peak_memory_above_l(self):
-        # no second n x n array: what remains is the n x n boolean of the
-        # symmetry check (0.125 n^2 doubles) and length-n vectors
+        # no second n x n array: what remains is one band's temporaries from
+        # the symmetry check (0.06 n^2 doubles at n = 600) and length-n
+        # vectors; the whole-matrix checks made an n x n boolean (0.147)
         n = 600
         L = random_symmetric(np.random.default_rng(32), n)
         tracemalloc.start()
@@ -296,7 +298,48 @@ class TestInPlaceEigh:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 0.2 * n**2 * 8
+        assert peak <= 0.1 * n**2 * 8
+
+
+class TestBandedChecks:
+    """build_a and spectral_factor check a band of rows at a time. At n = 150
+    the bands are rows 0-63, 64-127 and 128-149; each defect below sits
+    where only one band sees it, so skipping that band lets it through."""
+
+    N = 150
+    ALIGNMENT = re.escape(f"alignment matrix (shape {(N, N)}) must be nonempty, finite, "
+                          "square and exactly symmetric")
+    EIGENPAIRS = re.escape("spectral_factor takes eigenpairs (f, U)")
+
+    def symmetric(self):
+        return random_symmetric(np.random.default_rng(34), self.N)
+
+    @pytest.mark.parametrize(
+        "i, j", [(140, 145), (145, 140), (10, 100), (70, 75)],
+        ids=["last-partial-band", "last-band-lower", "off-diagonal-block", "diagonal-block"],
+    )
+    def test_build_a_rejects_one_asymmetric_pair(self, i, j):
+        L = self.symmetric()
+        L[i, j] = np.nextafter(L[i, j], np.inf)
+        with pytest.raises(DataError, match=self.ALIGNMENT) as info:
+            build_a(L, MenConfig())
+        assert info.value.stage == "transform"
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+    def test_build_a_rejects_nonfinite_in_the_last_band(self, value):
+        L = self.symmetric()
+        L[-1, -1] = value  # on the diagonal, so the symmetry check alone passes an inf
+        with pytest.raises(DataError, match=self.ALIGNMENT) as info:
+            build_a(L, MenConfig())
+        assert info.value.stage == "transform"
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+    def test_spectral_factor_rejects_one_nonfinite_vector_entry(self, value):
+        f, u = build_a(self.symmetric(), MenConfig())
+        u[-1, 3] = value
+        with pytest.raises(DataError, match=self.EIGENPAIRS) as info:
+            spectral_factor((f, u), 1e-10)
+        assert info.value.stage == "transform"
 
 
 class TestSpectralFactor:
