@@ -205,9 +205,10 @@ def build_patches(samples: SampleSet, k1: int, k2: int, kappa: float) -> list[Ed
     entries within a rounding bound of it are kept. One lexsort on (row,
     group, distance, index) ranks the kept pairs by explicit-difference
     distance, and each row takes its first k per group. A count that is not
-    an int raises DataError (stage config) naming it.
+    an int, or a kappa not a finite float >= 0, is a config DataError naming it.
     """
     k1, k2 = checked_value("k1", k1, "int"), checked_value("k2", k2, "int")
+    kappa = checked_value("kappa", kappa, "float", (">=", 0))  # MenConfig's rule
     if k1 < 0 or k2 < 0:
         raise DataError(f"need k1 >= 0 and k2 >= 0, got k1={k1} k2={k2}")
     x, n, labels, sizes = samples.data, samples.n, samples.labels, samples.class_sizes()

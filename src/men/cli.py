@@ -176,7 +176,7 @@ def _parse_shape(text: str | None, p: int) -> tuple[int, int]:
 def _cmd_export_bases(args) -> int:
     with _output_directories(Path(args.out)):
         model = load_model(args.model)
-        shape = _parse_shape(args.shape, model.raw_columns().shape[0])
+        shape = _parse_shape(args.shape, model.projection.shape[0])
         paths = export_bases(model, shape, args.out)
     print(f"bases={len(paths)} dir={args.out}")
     return 0

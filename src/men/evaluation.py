@@ -101,6 +101,8 @@ def nn_classify(
             f"test {test_embed.shape[1]}"
         )
     labels = np.asarray(train_labels)
+    if labels.shape != (train_embed.shape[0],):
+        raise DataError(f"{labels.shape} train labels for {train_embed.shape[0]} training rows")
     out = np.empty(test_embed.shape[0], dtype=labels.dtype)
     # test rows per block: its difference array holds at most BLOCK_ENTRIES doubles
     step = max(1, BLOCK_ENTRIES // max(1, train_embed.size))
@@ -187,12 +189,9 @@ def column_to_gray(column: np.ndarray, image_shape) -> np.ndarray:
 
 
 def export_bases(model: ProjectionMatrix, image_shape, out_dir) -> list[Path]:
-    """Write each projection column as a graymap image in raw pixel space.
-
-    Columns are composed through the PCA basis when preprocessing was
-    used, so the exported bases always live in the original space.
-    """
-    raw = model.raw_columns()
+    """Write each column of the model's projection, which lives in the raw
+    feature space with or without PCA, as a graymap image."""
+    raw = model.projection
     height, width = image_shape
     if raw.shape[0] != height * width:
         raise DataError(

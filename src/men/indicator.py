@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .alignment import SampleSet
+from .config import checked_value
 from .errors import DataError, NumericalError
 
 __all__ = ["IndicatorMatrix", "class_centers", "weighted_center_pca", "build_indicator"]
@@ -86,7 +87,9 @@ def weighted_center_pca(
 
 
 def build_indicator(samples: SampleSet, d: int, *, center: bool = False) -> IndicatorMatrix:
-    """Assemble the n x d indicator matrix: row j is its class's projected center."""
+    """Assemble the n x d indicator matrix: row j is its class's projected
+    center. A `d` that is not an int raises DataError (stage config)."""
+    d = checked_value("d", d, "int")
     centers, weights = class_centers(samples)
     basis, _ = weighted_center_pca(centers, weights, d, center=center)
     return IndicatorMatrix(values=(centers @ basis)[samples.labels])

@@ -38,6 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import checked_value
 from .errors import NumericalError
 from .transform import AugmentedProblem
 
@@ -424,8 +425,9 @@ def solve_column(
     else a continuation.
 
     The result has at most K nonzeros (drop events reduce the count but
-    never refund the entry budget).
+    never refund the entry budget). A K that is not an int is a config DataError.
     """
+    K = checked_value("K", K, "int")
     if K < 1:
         raise NumericalError(f"K must be >= 1, got {K}")
     state = initial_state(problem, K)

@@ -37,15 +37,16 @@ _PROJECT_ROWS = 64
 class ProjectionMatrix:
     """Fitted sparse projection.
 
-    values:    p x d matrix (p in the possibly PCA-reduced space), each
-               column with at most K nonzeros
-    pca_basis: p_raw x p preprocessing basis, or None
-    pca_mean:  length p_raw centering vector, or None
-    config:    hyperparameters used for the fit
+    values:     p x d matrix W (p in the possibly PCA-reduced space), each
+                column with at most K nonzeros
+    projection: p_raw x d matrix that project applies: the PCA basis
+                times W, or `values` itself without PCA
+    pca_mean:   length p_raw centering vector, or None without PCA
+    config:     hyperparameters used for the fit
     """
 
     values: np.ndarray
-    pca_basis: np.ndarray | None
+    projection: np.ndarray
     pca_mean: np.ndarray | None
     config: MenConfig
 
@@ -53,12 +54,6 @@ class ProjectionMatrix:
     def sparsity(self) -> list[int]:
         """Per-column nonzero counts."""
         return np.count_nonzero(self.values, axis=0).tolist()
-
-    def raw_columns(self) -> np.ndarray:
-        """Columns composed back into the raw feature space."""
-        if self.pca_basis is None:
-            return self.values
-        return self.pca_basis @ self.values
 
 
 @dataclass
@@ -101,9 +96,9 @@ def pca_preprocess(
     U^T is then shrunk in place to its leading `retain` rows: the basis is
     an F-order view holding exactly p x retain doubles. Where a tracer
     holds a reference to U^T, its leading rows are copied instead.
-    The reduced data are the rows of project's centred product, so a fit's
-    training coordinates are the ones project gives; they form a new
-    SampleSet, so they meet its entry bound or raise DataError. A `retain`
+    The reduced data are the centred product that project applies to the
+    composed projection, here with the basis; they form a new SampleSet,
+    so they meet its entry bound or raise DataError. A `retain`
     that is not an int raises DataError (stage config) naming it, and
     NumericalError is raised when the SVD does not converge.
     """
@@ -233,8 +228,10 @@ def fit(
             report_column(w, shared, double_shrinkage_correction=cfg.double_shrinkage_correction)
             for w, _ in solved
         ])
+    del shared  # the design and its Gram, before the projection is composed
     paths = [path for _, path in solved]
-    model = ProjectionMatrix(values=values, pca_basis=basis, pca_mean=mean, config=cfg)
+    projection = values if basis is None else basis @ values
+    model = ProjectionMatrix(values=values, projection=projection, pca_mean=mean, config=cfg)
     report = FitReport(
         paths=paths,
         timings=timings,
@@ -245,13 +242,12 @@ def fit(
 
 
 def project(model: ProjectionMatrix, samples: SampleSet) -> np.ndarray:
-    """Embed samples: apply the stored centering/PCA, then the projection."""
-    basis = model.pca_basis
-    expected = (model.values if basis is None else basis).shape[0]
+    """Embed samples: centre them by the stored PCA mean, then apply the projection."""
+    expected = model.projection.shape[0]
     if samples.p != expected:
         raise DataError(
             f"feature dimension {samples.p} does not match the model's dimension {expected}"
         )
-    if basis is None:
-        return samples.data @ model.values
-    return _centred_product(samples.data, model.pca_mean, basis) @ model.values
+    if model.pca_mean is None:
+        return samples.data @ model.projection
+    return _centred_product(samples.data, model.pca_mean, model.projection)

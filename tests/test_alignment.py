@@ -349,6 +349,18 @@ class TestBuildPatches:
             build_patches(s, k1, k2, 1.0)
         assert info.value.stage == "config"
 
+    @pytest.mark.parametrize(
+        "kappa, message",
+        [(np.nan, "kappa must be finite"), (-1.0, "kappa must be >= 0"),
+         ("a", "kappa must be float")],
+        ids=["nan", "negative", "text"],
+    )
+    def test_kappa_is_checked_as_the_config_checks_it(self, kappa, message):
+        s = SampleSet(np.arange(5.0)[:, None], np.array([0, 0, 1, 1, 1]))
+        with pytest.raises(DataError, match=message) as info:
+            build_patches(s, 1, 1, kappa)
+        assert info.value.stage == "config"
+
     def test_numpy_int_counts_are_ints(self):
         s = random_samples(np.random.default_rng(5), 12, 3, 3)
         assert_edges_equal(build_patches(s, np.int64(2), np.uint8(1), 0.5),

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import warnings
 from dataclasses import fields
 from pathlib import Path
@@ -21,8 +22,10 @@ from men.config import MenConfig
 from men.datasets import make_informative_classes
 from men.errors import NumericalError
 from men.evaluation import SplitSpec, nn_classify
-from men.model_io import load_model
+from men.model_io import load_model, save_model
 from men.pipeline import project
+
+from test_pipeline import cli_face_fit
 
 
 CONFIG = """# test configuration
@@ -300,6 +303,40 @@ class TestProjectCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: stage=model ")
         assert "\n" not in err.strip()
+
+    def test_men1_model_exits_one(self, workspace, capsys):
+        tmp, data, config = workspace
+        main(["fit", "--data", str(data), "--config", str(config), "--model", str(tmp / "m.men")])
+        (tmp / "old.men").write_bytes(b"MEN1" + (tmp / "m.men").read_bytes()[4:])
+        rc = main([
+            "project", "--model", str(tmp / "old.men"), "--data", str(data),
+            "--out", str(tmp / "e.csv"),
+        ])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: stage=model ") and "MEN1" in err
+        assert len(err.splitlines()) == 1
+        assert not (tmp / "e.csv").exists()
+
+    def test_peak_memory_at_cli_face_scale(self, tmp_path, capsys):
+        # the model holds the 1600 x 5 projection, so the CSV read (1.2x the
+        # 5.1 MB data) is the peak; beside a stored basis it was 12.6 MB
+        samples, model = cli_face_fit()
+        save_model(model, tmp_path / "m.men")
+        rows = zip(samples.data.tolist(), samples.labels.tolist())
+        (tmp_path / "data.csv").write_text(
+            "".join(",".join(map(repr, row)) + f",{label}\n" for row, label in rows)
+        )
+        argv = ["project", "--model", str(tmp_path / "m.men"),
+                "--data", str(tmp_path / "data.csv"), "--out", str(tmp_path / "e.csv")]
+        tracemalloc.start()
+        try:
+            rc = main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 0, capsys.readouterr().err
+        assert peak <= 7e6
 
 
 class TestFileSystemFaults:

@@ -1,5 +1,6 @@
 """Ingestion, splits, 1-NN scoring, the protocol, and the exporters."""
 
+import re
 import tempfile
 import tracemalloc
 from dataclasses import replace
@@ -371,6 +372,13 @@ class TestNnClassify:
     def test_width_mismatch_error(self):
         with pytest.raises(DataError, match="embedding dimensions differ: train 2, test 3"):
             nn_classify(np.zeros((2, 2)), np.zeros(2, dtype=int), np.zeros((1, 3)))
+
+    @pytest.mark.parametrize("labels", [[0, 1], [0, 1, 0, 1], [[0, 1, 0]]],
+                             ids=["fewer", "more", "2-d"])
+    def test_label_count_must_match_training_rows(self, labels):
+        with pytest.raises(DataError, match=re.escape(f"{np.shape(labels)} train labels for 3")):
+            # the test rows sit on the last training row, past the shorter list's end
+            nn_classify(np.arange(6.0).reshape(3, 2), np.array(labels), np.full((5, 2), [4.0, 5.0]))
 
     def test_empty_training_error(self):
         with pytest.raises(DataError, match="empty"):

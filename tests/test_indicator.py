@@ -132,6 +132,13 @@ class TestBuildIndicator:
         ind = build_indicator(s, 3)
         assert ind.values.shape == (12, 3)
 
+    @pytest.mark.parametrize("d", [1.5, "a", True], ids=["fraction", "text", "bool"])
+    def test_d_must_be_an_int(self, d):
+        s = SampleSet(np.arange(12.0).reshape(6, 2), np.repeat([0, 1, 2], 2))
+        with pytest.raises(DataError, match="d must be int") as info:
+            build_indicator(s, d)
+        assert info.value.stage == "config"
+
     def test_cancelling_overflow_raises_data_error(self):
         # raw centers, which no SampleSet bounds: the weighted mean cancels
         # to 0, but each center's square overflows the moment

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from men.errors import NumericalError
+from men.errors import DataError, NumericalError
 from men.lars import (
     correlations,
     direction,
@@ -561,6 +561,12 @@ class TestFallbacksAndTerminations:
     def test_rejects_empty_budget(self):
         with pytest.raises(NumericalError, match="K must be >= 1, got 0"):
             solve_column(plain_problem(np.eye(2), [1.0, 2.0]), 0)
+
+    @pytest.mark.parametrize("K", [1.5, "a", None], ids=["fraction", "text", "none"])
+    def test_budget_must_be_an_int(self, K):
+        with pytest.raises(DataError, match="K must be int") as info:
+            solve_column(plain_problem(np.eye(2), [1.0, 2.0]), K)
+        assert info.value.stage == "config"
 
 
 def pipeline_problem(d=3):

@@ -1,5 +1,6 @@
 """PCA preprocessing, the end-to-end fit, projection, and persistence."""
 
+import functools
 import re
 import struct
 import sys
@@ -360,8 +361,9 @@ class TestFit:
         rng = np.random.default_rng(11)
         s = labelled_gaussians(rng, n_per_class=4, p=20)
         model, _ = fit(s, MenConfig(d=1, K=2))  # pca_retain=None -> n-1
-        assert model.pca_basis is not None
-        assert model.pca_basis.shape == (20, s.n - 1)
+        assert model.values.shape == (s.n - 1, 1)
+        assert model.projection.shape == (20, 1)
+        assert model.pca_mean.shape == (20,)
 
     def test_warns_when_underdetermined_without_ridge(self):
         rng = np.random.default_rng(22)
@@ -528,13 +530,22 @@ class TestProject:
         rng = np.random.default_rng(17)
         s = labelled_gaussians(rng, n_per_class=6, p=12)
         model, _ = fit(s, MenConfig(d=1, K=2))  # auto PCA
+        _, basis, mean = pca_preprocess(s, min(s.n - 1, s.p))
+        assert mean.tobytes() == model.pca_mean.tobytes()
         embedded = project(model, s)
-        manual = (s.data - model.pca_mean) @ model.pca_basis @ model.values
-        assert_allclose(embedded, manual, atol=1e-12)
+        manual = (s.data - mean) @ basis @ model.values
+        assert np.abs(embedded - manual).max() <= 1e-12 * np.abs(manual).max()
+
+    def test_without_pca_is_the_data_times_w(self):
+        s = labelled_gaussians(np.random.default_rng(17), n_per_class=6, p=12)
+        model, _ = fit(s, MenConfig(d=2, K=2, pca_retain=0))
+        assert model.projection is model.values and model.pca_mean is None
+        assert project(model, s).tobytes() == (s.data @ model.values).tobytes()
 
     def test_fit_coordinates_are_projects_bit_for_bit(self, monkeypatch):
-        # the PCA reduces the training data with project's own row blocks,
-        # so the fit's coordinates times W are project's embedding, to the byte
+        # the PCA reduces the training data with project's own row blocks:
+        # with the basis as its projection, project gives the fit's
+        # coordinates to the byte; the model's projection is basis @ W
         s = make_face_like(6, n_classes=25, seed=4)  # 150 x 1600: three row blocks
         seen = []
 
@@ -544,25 +555,25 @@ class TestProject:
 
         monkeypatch.setattr(pipeline, "pca_preprocess", recorded)
         model, _ = fit(s, MenConfig(d=3, K=20))
-        (reduced, basis, _), = seen
-        assert basis is model.pca_basis
-        assert (reduced.data @ model.values).tobytes() == project(model, s).tobytes()
-        # through W = I (exact), project's coordinates are the fit's own
-        coordinates = project(replace(model, values=np.eye(basis.shape[1])), s)
+        (reduced, basis, mean), = seen
+        assert mean is model.pca_mean
+        assert model.projection.tobytes() == (basis @ model.values).tobytes()
+        coordinates = project(replace(model, projection=basis), s)
         assert coordinates.tobytes() == reduced.data.tobytes()
+        embedded, through_w = project(model, s), reduced.data @ model.values
+        assert np.abs(embedded - through_w).max() <= 1e-12 * np.abs(through_w).max()
 
     def test_blocked_centering_at_face_scale(self):
-        # project centres a block of rows at a time into one n x p' array:
-        # the same embedding as the whole-matrix formula, without the
-        # n x p_raw centred copy that formula makes
+        # project centres a block of rows at a time straight into the n x d
+        # embedding: the same embedding as the whole-matrix formula, without
+        # the n x p_raw centred copy that formula makes
         rng = np.random.default_rng(18)
         n, p_raw, p = 400, 1600, 399
         data = rng.normal(size=(n, p_raw))
         basis = np.linalg.qr(rng.normal(size=(p_raw, p)))[0]
         values = rng.normal(size=(p, 20)) * (rng.random((p, 20)) < 0.25)
-        model = ProjectionMatrix(
-            values=values, pca_basis=basis, pca_mean=data.mean(axis=0), config=MenConfig()
-        )
+        model = ProjectionMatrix(values=values, projection=basis @ values,
+                                 pca_mean=data.mean(axis=0), config=MenConfig())
         samples = SampleSet(data, np.repeat(np.arange(100), 4))
         expected = (data - model.pca_mean) @ basis @ values
         tracemalloc.start()
@@ -571,10 +582,10 @@ class TestProject:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert np.abs(embedded - expected).max() <= 1e-12
-        # the n x p' reduced data (0.25) and one 64-row block (0.04), with
-        # the n x d output; the centred copy alone was 1.0
-        assert peak <= 0.5 * data.nbytes
+        assert np.abs(embedded - expected).max() <= 1e-12 * np.abs(expected).max()
+        # one 64-row block (0.16) and the n x d output (0.0125); the n x p'
+        # reduced data of a stored basis added 0.25, the centred copy 1.0
+        assert peak <= 0.2 * data.nbytes
 
 
 def assert_consistent(model):
@@ -582,10 +593,10 @@ def assert_consistent(model):
     p, d = model.values.shape
     assert p >= 1 and d >= 1
     assert np.all(np.isfinite(model.values))
-    assert (model.pca_mean is None) == (model.pca_basis is None)
-    if model.pca_basis is not None:
-        assert model.pca_basis.shape == (model.pca_mean.size, p)
-        assert np.all(np.isfinite(model.pca_basis))
+    assert (model.pca_mean is None) == (model.projection is model.values)
+    if model.pca_mean is not None:
+        assert model.projection.shape == (model.pca_mean.size, d)
+        assert np.all(np.isfinite(model.projection))
         assert np.all(np.isfinite(model.pca_mean))
 
 
@@ -595,8 +606,8 @@ def _column_major_nonzeros(values):
             if values[row, col] != 0]
 
 
-def men1_reference_bytes(model):
-    """The MEN1 layout of the model_io docstring, field by field, joined once."""
+def men2_reference_bytes(model):
+    """The MEN2 layout of the model_io docstring, field by field, joined once."""
 
     def ints(*counts):
         return struct.pack(f"<{len(counts)}q", *counts)
@@ -606,25 +617,25 @@ def men1_reference_bytes(model):
         return struct.pack(f"<{len(flat)}d", *flat)
 
     config = "".join(f"{line}\n" for line in config_to_lines(model.config)).encode("utf-8")
-    chunks = [b"MEN1", ints(len(config)), config]
-    if model.pca_basis is None:
+    chunks = [b"MEN2", ints(len(config)), config]
+    if model.pca_mean is None:
         chunks.append(ints(0, 0, 0))
     else:
         chunks += [ints(model.pca_mean.size), floats(model.pca_mean),
-                   ints(*model.pca_basis.shape), floats(model.pca_basis)]
+                   ints(*model.projection.shape), floats(model.projection)]
     trip = _column_major_nonzeros(model.values)
     chunks += [ints(*model.values.shape, len(trip)), floats(trip)]
     return b"".join(chunks)
 
 
-def men1_reference_text(model):
+def men2_reference_text(model):
     """model_to_text's export: config, PCA shapes, one line per nonzero of W."""
-    lines = ["MEN1 text export", "[config]", *config_to_lines(model.config)]
-    if model.pca_basis is None:
+    lines = ["MEN2 text export", "[config]", *config_to_lines(model.config)]
+    if model.pca_mean is None:
         lines.append("pca absent")
     else:
-        rows, cols = model.pca_basis.shape
-        lines.append(f"pca mean {model.pca_mean.size} basis {rows} {cols}")
+        rows, cols = model.projection.shape
+        lines.append(f"pca mean {model.pca_mean.size} projection {rows} {cols}")
     p, d = model.values.shape
     trip = _column_major_nonzeros(model.values)
     lines += ["[projection]", f"W {p} {d} nnz {len(trip)}"]
@@ -632,14 +643,22 @@ def men1_reference_text(model):
     return "\n".join(lines) + "\n"
 
 
+@functools.cache
+def cli_face_fit():
+    """The cli-face benchmark's data (fit-face's, 400 x 1600) and its d=5, K=100 fit."""
+    samples = make_face_like(4, n_classes=100, seed=0)
+    model, _ = fit(samples, MenConfig(d=5, K=100))
+    return samples, model
+
+
 def face_scale_model():
-    """A projection with fit-face's PCA shapes: a 1600 x 399 basis and 399 x 20 W."""
+    """A model with fit-face's PCA shapes: a 399 x 20 W, composed through a
+    1600 x 399 basis into a 1600 x 20 projection."""
     rng = np.random.default_rng(18)
     basis = np.linalg.qr(rng.normal(size=(1600, 399)))[0]
     values = np.where(rng.random((399, 20)) < 0.25, rng.normal(size=(399, 20)), 0.0)
-    return ProjectionMatrix(
-        values=values, pca_basis=basis, pca_mean=rng.normal(size=1600), config=MenConfig()
-    )
+    return ProjectionMatrix(values=values, projection=basis @ values,
+                            pca_mean=rng.normal(size=1600), config=MenConfig())
 
 
 class TestModelIo:
@@ -652,7 +671,7 @@ class TestModelIo:
         save_model(model, path)
         loaded = load_model(path)
         assert np.array_equal(loaded.values, model.values)
-        assert np.array_equal(loaded.pca_basis, model.pca_basis)
+        assert np.array_equal(loaded.projection, model.projection)
         assert np.array_equal(loaded.pca_mean, model.pca_mean)
         assert loaded.config == cfg
         assert loaded.sparsity == model.sparsity
@@ -664,7 +683,7 @@ class TestModelIo:
         path = tmp_path / "model.men"
         save_model(model, path)
         loaded = load_model(path)
-        assert loaded.pca_basis is None
+        assert loaded.projection is loaded.values
         assert loaded.pca_mean is None
         assert np.array_equal(loaded.values, model.values)
 
@@ -692,11 +711,11 @@ class TestModelIo:
         config_end = lines.index("[projection]") - 1
         assert lines[1] == "[config]"
         assert config_from_mapping(parse_kv_lines(lines[2:config_end])) == model.config
-        if model.pca_basis is None:
+        if model.pca_mean is None:
             assert lines[config_end] == "pca absent"
         else:
-            rows, cols = model.pca_basis.shape
-            assert lines[config_end] == f"pca mean {model.pca_mean.size} basis {rows} {cols}"
+            rows, cols = model.projection.shape
+            assert lines[config_end] == f"pca mean {model.pca_mean.size} projection {rows} {cols}"
         p, d = model.values.shape
         nnz = np.count_nonzero(model.values)
         assert lines[config_end + 2] == f"W {p} {d} nnz {nnz}"
@@ -705,32 +724,32 @@ class TestModelIo:
             row, col, value = line.split()
             values[int(row), int(col)] = float(value)
         assert np.array_equal(values, model.values)
-        # the mean and basis values live only in the binary model
+        # the mean and projection values live only in the binary model
         assert len(lines) <= nnz + (config_end - 2) + 5
-        if model.pca_basis is not None:
+        if model.pca_mean is not None:
             tokens = set(" ".join(lines).replace("=", " ").split())
-            dense = np.concatenate([model.pca_mean, model.pca_basis.ravel()])
+            dense = np.concatenate([model.pca_mean, model.projection.ravel()])
             assert not tokens & {repr(float(v)) for v in dense}
 
     @pytest.mark.parametrize("case", ["pca", "no-pca", "no-nonzeros"])
     def test_file_bytes_follow_the_documented_layout(self, tmp_path, case):
         rng = np.random.default_rng(26)
         values = rng.normal(size=(5, 3)) * (rng.random((5, 3)) < 0.5)
-        mean = basis = None
+        mean, projection = None, values
         if case == "pca":
-            mean, basis = rng.normal(size=7), rng.normal(size=(7, 5))
+            mean, projection = rng.normal(size=7), rng.normal(size=(7, 3))
         if case == "no-nonzeros":
-            values = np.zeros((5, 3))
-        model = ProjectionMatrix(
-            values=values, pca_basis=basis, pca_mean=mean, config=MenConfig(d=3, lambda2=0.3)
-        )
+            values = projection = np.zeros((5, 3))
+        model = ProjectionMatrix(values=values, projection=projection, pca_mean=mean,
+                                 config=MenConfig(d=3, lambda2=0.3))
         save_model(model, tmp_path / "m.men")
-        assert (tmp_path / "m.men").read_bytes() == men1_reference_bytes(model)
-        assert model_to_text(model) == men1_reference_text(model)
+        assert (tmp_path / "m.men").read_bytes() == men2_reference_bytes(model)
+        assert model_to_text(model) == men2_reference_text(model)
 
     def test_save_adds_little_above_the_model(self, tmp_path):
-        # the arrays go to the file as they are: only the nonzero triplets are
-        # made; a bytes copy of each array and a joined file took 2.0x the basis
+        # the arrays go to the file as they are: only the nonzero triplets
+        # (0.33 of the file here) are made; a bytes copy of each array and a
+        # joined file took 2.0x the file
         model = face_scale_model()
         tracemalloc.start()
         try:
@@ -738,16 +757,19 @@ class TestModelIo:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert (tmp_path / "m.men").read_bytes() == men1_reference_bytes(model)
-        assert peak <= 0.1 * model.pca_basis.nbytes
+        assert (tmp_path / "m.men").read_bytes() == men2_reference_bytes(model)
+        assert peak <= 0.5 * (tmp_path / "m.men").stat().st_size
 
-    def test_f_order_basis_round_trip(self, tmp_path):
-        # a fit's basis is the F-order view pca_preprocess leaves; it is
-        # written a block of rows at a time, in the same row-major bytes as
-        # its C-order twin, with no whole copy
-        model = face_scale_model()
-        twin = replace(model, pca_basis=np.asfortranarray(model.pca_basis))
-        assert not twin.pca_basis.flags.c_contiguous
+    def test_f_order_projection_round_trip(self, tmp_path):
+        # an F-order projection (here 10,000 pixels by d = 20, beyond one
+        # write chunk) is written a block of rows at a time, in the same
+        # row-major bytes as its C-order twin, with no whole copy
+        rng = np.random.default_rng(27)
+        values = np.where(rng.random((399, 20)) < 0.25, rng.normal(size=(399, 20)), 0.0)
+        model = ProjectionMatrix(values=values, projection=rng.normal(size=(10_000, 20)),
+                                 pca_mean=rng.normal(size=10_000), config=MenConfig())
+        twin = replace(model, projection=np.asfortranarray(model.projection))
+        assert not twin.projection.flags.c_contiguous
         save_model(model, tmp_path / "c.men")
         tracemalloc.start()
         try:
@@ -756,15 +778,16 @@ class TestModelIo:
         finally:
             tracemalloc.stop()
         assert (tmp_path / "f.men").read_bytes() == (tmp_path / "c.men").read_bytes()
-        assert (tmp_path / "f.men").read_bytes() == men1_reference_bytes(twin)
-        assert peak <= 0.1 * model.pca_basis.nbytes
+        assert (tmp_path / "f.men").read_bytes() == men2_reference_bytes(twin)
+        assert peak <= 0.25 * model.projection.nbytes
         loaded = load_model(tmp_path / "f.men")
-        for name in ("values", "pca_basis", "pca_mean"):
+        for name in ("values", "projection", "pca_mean"):
             assert np.array_equal(getattr(loaded, name), getattr(twin, name)), name
 
     def test_load_peak_memory_bounded(self, tmp_path):
-        # the file bytes, viewed in place, and the arrays copied out of them;
-        # slicing byte copies before each copy took 3.0x the file
+        # the file bytes, viewed in place, and the arrays copied out of them,
+        # with dense W and its triplet indices; slicing byte copies before
+        # each copy took 3.0x the file
         model = face_scale_model()
         save_model(model, tmp_path / "m.men")
         size = (tmp_path / "m.men").stat().st_size
@@ -774,9 +797,45 @@ class TestModelIo:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        for name in ("values", "pca_basis", "pca_mean"):
+        for name in ("values", "projection", "pca_mean"):
             assert getattr(loaded, name).tobytes() == getattr(model, name).tobytes(), name
-        assert peak <= 2.3 * size
+        assert peak <= 2.1 * size + 2 * model.values.nbytes
+
+    def test_cli_face_model_file_is_small(self, tmp_path):
+        # the p_raw x d projection, the mean and the triplets of W; the PCA
+        # basis this file once held was 1600 x 399 doubles (5.1 MB)
+        _, model = cli_face_fit()
+        save_model(model, tmp_path / "m.men")
+        p_raw, d = model.projection.shape
+        nnz = np.count_nonzero(model.values)
+        assert (p_raw, d) == (1600, 5) and 0 < nnz <= 5 * 100
+        assert (tmp_path / "m.men").stat().st_size <= 8 * p_raw * (d + 1) + 24 * nnz + 1024
+
+    def test_load_and_project_hold_no_basis(self, tmp_path):
+        # the loaded model and one 64-row block beside the caller's data;
+        # a stored basis took 8.0x that bound between its file and its copy
+        samples, model = cli_face_fit()
+        save_model(model, tmp_path / "m.men")
+        tracemalloc.start()
+        try:
+            embedded = project(load_model(tmp_path / "m.men"), samples)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert embedded.tobytes() == project(model, samples).tobytes()
+        assert peak <= 0.25 * samples.data.nbytes
+
+    @pytest.mark.parametrize("pca_retain", [None, 0])
+    def test_men1_files_are_refused(self, tmp_path, pca_retain):
+        # MEN1 held the PCA basis where MEN2 holds the projection; without
+        # PCA the two layouts differ in their magic alone
+        model, _ = fit(labelled_gaussians(np.random.default_rng(25)),
+                       MenConfig(d=2, K=3, pca_retain=pca_retain))
+        save_model(model, tmp_path / "m.men")
+        (tmp_path / "old.men").write_bytes(b"MEN1" + (tmp_path / "m.men").read_bytes()[4:])
+        with pytest.raises(DataError, match="MEN1 model files are no longer read") as info:
+            load_model(tmp_path / "old.men")
+        assert info.value.stage == "model"
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bogus.men"
@@ -793,7 +852,7 @@ class TestModelIo:
 
     @staticmethod
     def field_offsets(data):
-        """Offsets of every 8-byte field of a MEN1 file, walking its layout."""
+        """Offsets of every 8-byte field of a MEN2 file, walking its layout."""
 
         def count(at):
             return int(np.frombuffer(data[at : at + 8], dtype="<i8")[0])
@@ -802,7 +861,7 @@ class TestModelIo:
         at = 12 + count(4)
         offsets += range(at, at + 8 * (1 + count(at)), 8)  # mean length, mean
         at = offsets[-1] + 8
-        offsets += range(at, at + 8 * (2 + count(at) * count(at + 8)), 8)  # basis
+        offsets += range(at, at + 8 * (2 + count(at) * count(at + 8)), 8)  # projection
         at = offsets[-1] + 8
         offsets += range(at, at + 8 * (3 + 3 * count(at + 16)), 8)  # p, d, nnz, triplets
         assert offsets[-1] + 8 == len(data)
@@ -851,25 +910,19 @@ class TestModelIo:
                 load_model(path)
 
 
-    @pytest.mark.parametrize("lambda1", ["none", "0.5"])
-    def test_loads_files_with_a_lambda1_line(self, tmp_path, lambda1):
-        # files written while MenConfig had a lambda1 field carry it after
-        # lambda2; it never reached a fit, so the loader drops it
-        cfg = MenConfig(alpha=0.5, kappa=0.75, lambda2=0.25, d=2, K=3)
-        model, _ = fit(labelled_gaussians(np.random.default_rng(24), p=12), cfg)
+    def test_a_lambda1_line_is_an_unknown_key(self, tmp_path):
+        # MenConfig lost lambda1 while models were MEN1 files, so no MEN2
+        # file carries it
+        model, _ = fit(labelled_gaussians(np.random.default_rng(24), p=12), MenConfig(d=2, K=3))
         save_model(model, tmp_path / "new.men")
         data = (tmp_path / "new.men").read_bytes()
         end = 12 + int(np.frombuffer(data[4:12], dtype="<i8")[0])
-        lines = data[12:end].decode().splitlines(keepends=True)
-        assert [line.split("=")[0] for line in lines[3:5]] == ["lambda2", "k1"]
-        block = "".join([*lines[:4], f"lambda1={lambda1}\n", *lines[4:]]).encode()
-        old = data[:4] + np.array([len(block)], dtype="<i8").tobytes() + block + data[end:]
-        (tmp_path / "old.men").write_bytes(old)
-        loaded = load_model(tmp_path / "old.men")
-        assert np.array_equal(loaded.values, model.values)
-        assert np.array_equal(loaded.pca_basis, model.pca_basis)
-        assert np.array_equal(loaded.pca_mean, model.pca_mean)
-        assert field_reprs(loaded.config) == field_reprs(cfg) and len(field_reprs(cfg)) == 12
+        block = data[12:end] + b"lambda1=0.5\n"
+        bad = data[:4] + np.array([len(block)], dtype="<i8").tobytes() + block + data[end:]
+        (tmp_path / "bad.men").write_bytes(bad)
+        with pytest.raises(DataError, match="unknown config key: lambda1") as info:
+            load_model(tmp_path / "bad.men")
+        assert info.value.stage == "model"
 
 
 def _saved_pca_model() -> bytes:
@@ -900,6 +953,7 @@ _corrupted_models = st.one_of(
 
 @settings(max_examples=200, deadline=None)
 @given(_corrupted_models)
+@example(b"MEN1" + PCA_MODEL_BYTES[4:])  # the retired layout's magic
 def test_load_model_fuzz_rejects_or_consistent(content):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "fuzzed.men"
@@ -923,12 +977,16 @@ def random_models(draw):
     d = draw(st.integers(1, 4))
     # the file keeps the nonzeros of W, so W's zeros are +0.0, as fits leave them
     values = draw(arrays(np.float64, (p, d), elements=_finite.filter(bool) | st.just(0.0)))
-    mean = basis = None
+    mean, projection = None, values
     if draw(st.booleans()):
         raw = draw(st.integers(1, 6))
         mean = draw(arrays(np.float64, raw, elements=_finite))
-        basis = draw(arrays(np.float64, (raw, p), elements=_finite))
-    return ProjectionMatrix(values=values, pca_basis=basis, pca_mean=mean, config=draw(men_configs))
+        projection = draw(arrays(np.float64, (raw, d), elements=_finite))
+    return ProjectionMatrix(values=values, projection=projection, pca_mean=mean,
+                            config=draw(men_configs))
+
+
+_NO_NONZEROS = np.zeros((2, 3))
 
 
 def _array_bytes(a):
@@ -937,7 +995,7 @@ def _array_bytes(a):
 
 @settings(max_examples=100, deadline=None)
 @given(random_models())
-@example(ProjectionMatrix(values=np.zeros((2, 3)), pca_basis=None, pca_mean=None,
+@example(ProjectionMatrix(values=_NO_NONZEROS, projection=_NO_NONZEROS, pca_mean=None,
                           config=MenConfig()))  # an empty (0, 3) triplet array
 def test_save_load_round_trip(model):
     with tempfile.TemporaryDirectory() as tmp:
@@ -946,8 +1004,9 @@ def test_save_load_round_trip(model):
         loaded = load_model(first)
         save_model(loaded, second)
         assert second.read_bytes() == first.read_bytes()
-    for name in ("values", "pca_mean", "pca_basis"):
+    for name in ("values", "pca_mean", "projection"):
         assert _array_bytes(getattr(loaded, name)) == _array_bytes(getattr(model, name)), name
+    assert (loaded.projection is loaded.values) == (model.pca_mean is None)
     assert loaded.config == model.config
     assert field_reprs(loaded.config) == field_reprs(model.config)
 
