@@ -137,8 +137,12 @@ def build_patch(samples: SampleSet, i: int, k1: int, k2: int, kappa: float) -> E
     """Sample i's edges to its k1 nearest same-label and k2 nearest other-label samples.
 
     Distances are Euclidean; ties are broken by ascending sample index.
-    Raises DataError when a group has fewer candidates than requested.
+    Raises DataError when a group has fewer candidates than requested, and
+    a config DataError naming an i, k1 or k2 that is not an int, or a kappa
+    that is not a finite float >= 0.
     """
+    i, k1, k2 = (checked_value(*arg, "int") for arg in (("i", i), ("k1", k1), ("k2", k2)))
+    kappa = checked_value("kappa", kappa, "float", (">=", 0))  # MenConfig's rule
     if not 0 <= i < samples.n:
         raise DataError(f"sample index {i} out of range [0, {samples.n})")
     if k1 < 0 or k2 < 0 or k1 + k2 < 1:
@@ -154,7 +158,7 @@ def build_patch(samples: SampleSet, i: int, k1: int, k2: int, kappa: float) -> E
     return Edges(
         np.full(k1 + k2, i, dtype=np.int64),
         np.concatenate([_nearest(same, dist[same], k1), _nearest(diff, dist[diff], k2)]),
-        np.repeat([1.0, -float(kappa)], [k1, k2]),
+        np.repeat([1.0, -kappa], [k1, k2]),
     )
 
 

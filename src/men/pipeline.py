@@ -24,12 +24,11 @@ from .config import MenConfig, checked_value
 from .errors import DataError, MenError, NumericalError
 from .indicator import build_indicator, orient_columns
 from .lars import CoefficientPath, report_column, solve_column
-from .transform import SpectralFactor, _thin_svd_into, build_a, build_augmented, spectral_factor
+from .transform import _thin_svd_into, build_a, build_augmented, spectral_factor
 
 __all__ = ["ProjectionMatrix", "FitReport", "pca_preprocess", "fit", "project"]
 
-# rows centred at a time by project and the PCA (64 x p_raw doubles, not a copy
-# of the data), and rows of U compacted at a time by fit
+# rows centred at a time by project and the PCA: 64 x p_raw doubles, not the data
 _PROJECT_ROWS = 64
 
 
@@ -43,12 +42,23 @@ class ProjectionMatrix:
                 times W, or `values` itself without PCA
     pca_mean:   length p_raw centering vector, or None without PCA
     config:     hyperparameters used for the fit
+
+    Shapes that disagree raise DataError (stage model).
     """
 
     values: np.ndarray
     projection: np.ndarray
     pca_mean: np.ndarray | None
     config: MenConfig
+
+    def __post_init__(self):
+        shape = np.shape(self.values)
+        if len(shape) != 2 or shape[1] < 1:
+            raise DataError(f"W must be p x d with d >= 1, got shape {shape}", stage="model")
+        want = (shape[0] if self.pca_mean is None else np.size(self.pca_mean), shape[1])
+        if np.shape(self.projection) != want:
+            raise DataError(f"projection shape {np.shape(self.projection)} is not {want}: W's "
+                            "without a PCA mean, the mean's length x d with one", stage="model")
 
     @property
     def sparsity(self) -> list[int]:
@@ -137,30 +147,6 @@ def _centred_product(data: np.ndarray, mean: np.ndarray, basis: np.ndarray) -> n
     return out
 
 
-def _retained_factor(factor: SpectralFactor) -> SpectralFactor:
-    """`factor` over U's retained columns alone, in retained order; `factor`
-    gives up its basis. A C-order U of its own is compacted a block of rows
-    at a time into the front of its buffer and shrunk in place to n x n', so
-    the dropped eigenvectors are freed before any product reads U. Another
-    U, or one a tracer holds, has its retained columns copied instead."""
-    basis, factor.basis = factor.basis, None  # the only reference to U is now here
-    n, k = basis.shape[0], factor.retained.size
-    if basis.flags.c_contiguous and basis.flags.owndata and basis.flags.writeable:
-        flat = basis.reshape(-1)
-        for start in range(0, n, _PROJECT_ROWS):
-            stop = min(start + _PROJECT_ROWS, n)  # take's block is C-order, so ravel copies nothing
-            flat[start * k : stop * k] = np.take(basis[start:stop], factor.retained, axis=1).ravel()
-        del flat
-        try:
-            basis.resize((n, k))  # refuses if a view remains
-        except ValueError:  # a tracer's snapshot of f_locals refers to basis (CPython < 3.13)
-            basis = basis.reshape(-1)[: n * k].reshape(n, k).copy()
-    else:
-        basis = basis[:, factor.retained]
-    return SpectralFactor(root=factor.root, retained=np.arange(k), basis=basis,
-                          n_dropped=factor.n_dropped)
-
-
 def _column_cosines(values: np.ndarray) -> np.ndarray:
     norms = np.linalg.norm(values, axis=0)
     safe = np.where(norms > 0, norms, 1.0)
@@ -212,7 +198,6 @@ def fit(
         del align  # L's storage now holds U: the eigh made no second n x n array
         factor = spectral_factor(eig, cfg.eig_floor)
         del eig  # factor.basis is now U's only reference, so U can shrink in place
-        factor = _retained_factor(factor)  # U^T X is then n' x p
         # all d target columns share one design
         shared = build_augmented(work.data, indicator.values, None, cfg, factor=factor)
         del factor, work  # U and the data: the column solves read only the design

@@ -10,8 +10,8 @@ nor its square root is formed: build_a returns (f(lambda), U), and the
 design is built in that eigenbasis from U^T X and U^T y, so one eigh(L)
 does the whole stage and no n' x n factor is formed. fit hands L over to
 build_a, which then has LAPACK write U into L's own storage, so the solve
-adds no second n x n array; fit then shrinks U in place to its n'
-retained columns, so the design's products read an n x n' basis. The
+adds no second n x n array; build_augmented then shrinks U in place to
+its n' retained columns, so the design's products read an n x n' basis. The
 checks on L and U read a band of rows at a time. This eigh and the PCA's
 SVD run np.linalg's gufuncs, from here, into their callers' buffers. The
 negative eigenvalues of L (different-class pushes) can make f negative,
@@ -24,6 +24,7 @@ columns share.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -55,7 +56,8 @@ class SpectralFactor:
     root:      length n', sqrt(f) over the retained eigenvalues, descending
     retained:  their column indices into basis
     basis:     n x k eigenvectors: U from build_a, n x n (a reference, not a
-               copy), or, in fit, U shrunk to its retained columns (k = n')
+               copy), until the first build_augmented shrinks it to its
+               retained columns in order (k = n', retained = arange(n'))
     n_dropped: eigenvalues discarded by the relative floor
     """
 
@@ -161,7 +163,8 @@ def build_a(
 
     L is left intact unless overwrite_l is set (scipy's overwrite_a). Then
     a writeable, contiguous float64 L is overwritten: the returned U is L
-    itself, holding the eigenvectors, and no second n x n array is made.
+    itself, holding the eigenvectors (I for alpha = 0), and no second
+    n x n array is made.
     Otherwise numpy's eigh gufunc, the one np.linalg.eigh calls, writes U
     into a fresh n x n array.
     """
@@ -173,11 +176,13 @@ def build_a(
             "and exactly symmetric",
             stage="transform",
         )
-    if cfg.alpha == 0.0:
-        return np.ones(L.shape[0]), np.eye(L.shape[0])
     in_place = overwrite_l and L.flags.writeable and (L.flags.c_contiguous or L.flags.f_contiguous)
     eigvals = np.empty(L.shape[0])
     eigvecs = L if in_place else np.empty(L.shape)
+    if cfg.alpha == 0.0:
+        eigvecs.fill(0.0)
+        np.fill_diagonal(eigvecs, 1.0)
+        return np.ones(L.shape[0]), eigvecs
     try:
         _gufunc_into(_umath_linalg.eigh_lo, L, (eigvals, eigvecs), "Eigenvalues did not converge")
     except np.linalg.LinAlgError as exc:
@@ -233,6 +238,28 @@ def spectral_factor(eig: tuple[np.ndarray, np.ndarray], eig_floor: float) -> Spe
     )
 
 
+def _shrink(factor: SpectralFactor) -> None:
+    """Shrink factor.basis to U's retained columns, in retained order, unless
+    it is so already. A C-order U that nothing else holds is compacted a band
+    of rows at a time into its own buffer and resized, freeing the dropped
+    eigenvectors before any product; any other U (F-order, or held by the
+    caller or by a tracer's f_locals snapshot) is left as it is and copied."""
+    n, k = factor.basis.shape[0], factor.retained.size
+    if factor.basis.shape[1] == k and np.array_equal(factor.retained, np.arange(k)):
+        return
+    basis, factor.basis = factor.basis, None  # the factor's reference to U is now here
+    if basis.flags.carray and basis.flags.owndata and sys.getrefcount(basis) <= 2:
+        flat = basis.reshape(-1)
+        for start in range(0, n, _BAND_ROWS):
+            stop = min(start + _BAND_ROWS, n)  # take's block is C-order, so ravel copies nothing
+            flat[start * k : stop * k] = np.take(basis[start:stop], factor.retained, axis=1).ravel()
+        del flat
+        basis.resize((n, k))
+    else:
+        basis = np.take(basis, factor.retained, axis=1)  # C-order too: the products round alike
+    factor.basis, factor.retained = basis, np.arange(k)
+
+
 def build_augmented(
     X: np.ndarray,
     targets: np.ndarray,
@@ -243,19 +270,21 @@ def build_augmented(
 ) -> AugmentedProblem:
     """Assemble the n' x p design, its response and its ridge in the eigenbasis.
 
-    xstar = (1+lambda2)^{-1/2} root * (U^T X)[retained], ridge = lambda2/(1+lambda2)
-    ystar = (U^T y)[retained] / root
+    xstar = (1+lambda2)^{-1/2} root * U[:, retained]^T X, ridge = lambda2/(1+lambda2)
+    ystar = U[:, retained]^T y / root
 
     These are R X, scaled, and R^{-T} y for the factor R of spectral_factor.
     `targets` is one length-n target column, or an n x d matrix whose
     columns then share the one design (see AugmentedProblem.column). A
-    precomputed spectral factor may be passed in; L is then not read.
+    precomputed spectral factor may be passed in; L is then not read. It is
+    shrunk to U's retained columns first (_shrink), and stays shrunk.
     """
     X = np.asarray(X, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64)
     if factor is None:
         factor = spectral_factor(build_a(L, cfg), cfg.eig_floor)
-    rotated_x, rotated_t = ((factor.basis.T @ a)[factor.retained] for a in (X, targets))
+    _shrink(factor)
+    rotated_x, rotated_t = (factor.basis.T @ a for a in (X, targets))
     scale = float(np.sqrt(1.0 + cfg.lambda2))
     # column-major, so reading the columns of an active set is contiguous
     xstar = np.multiply(factor.root[:, None], rotated_x, out=np.empty(rotated_x.shape, order="F"))

@@ -218,6 +218,24 @@ class TestBuildPatch:
         with pytest.raises(DataError, match=re.escape(message)):
             build_patch(line_samples(), i, k1, k2, kappa=1.0)
 
+    @pytest.mark.parametrize(
+        "i, k1, k2, kappa, message",
+        [
+            (1.5, 1, 1, 1.0, "i must be int"),
+            (0, 1.5, 1, 1.0, "k1 must be int"),
+            (0, 1, "a", 1.0, "k2 must be int"),
+            (0, 1, 1, -1.0, "kappa must be >= 0"),
+            (0, 1, 1, np.nan, "kappa must be finite"),
+        ],
+        ids=["fraction-index", "fraction-k1", "text-k2", "negative-kappa", "nan-kappa"],
+    )
+    def test_arguments_are_checked_as_build_patches_checks_them(self, i, k1, k2, kappa, message):
+        with pytest.raises(DataError, match=message) as info:
+            build_patch(line_samples(), i, k1, k2, kappa)
+        assert info.value.stage == "config"
+        edges = build_patch(line_samples(), np.int64(0), np.int64(1), 1, np.float32(0.5))
+        assert_edges(edges, [0, 0], [1, 3], [1.0, -0.5])
+
     def test_insufficient_same_class(self):
         s = SampleSet(np.array([[0.0], [1.0], [2.0]]), np.array([0, 1, 1]))
         with pytest.raises(DataError, match="class 0"):

@@ -229,39 +229,86 @@ class TestPcaPreprocess:
 
 
 class TestRetainedFactor:
-    """fit shrinks U to its retained columns before the design's products."""
+    """build_augmented shrinks a factor's U to its retained columns, in order,
+    before the design's products."""
 
     @staticmethod
-    def factor(order):
+    def problem():
         s = make_informative_classes(12, 6, [0, 2, 4], n_classes=4, separation=1.0, seed=12)
-        cfg = MenConfig()
+        return s, build_indicator(s, 3).values, MenConfig()
+
+    def factor(self, order):
+        s, _, cfg = self.problem()
         f, u = build_a(accumulate_alignment(s, build_patches(s, 3, 3, 1.0)), cfg, overwrite_l=True)
         return spectral_factor((f, np.asarray(u, order=order)), cfg.eig_floor)
 
     @pytest.mark.parametrize("order", ["C", "F"], ids=["in-place", "copied"])
     def test_basis_is_the_retained_columns(self, order):
+        s, targets, cfg = self.problem()
         factor = self.factor(order)
         assert factor.n_dropped > 0
         n, k = factor.basis.shape[0], factor.retained.size
-        columns = factor.basis[:, factor.retained]
-        shrunk = pipeline._retained_factor(factor)
-        assert shrunk.basis.shape == (n, k)
-        assert shrunk.basis.tobytes() == np.ascontiguousarray(columns).tobytes()
-        assert np.array_equal(shrunk.retained, np.arange(k))
-        assert shrunk.root is factor.root and shrunk.n_dropped == factor.n_dropped
-        owner = shrunk.basis.base if shrunk.basis.base is not None else shrunk.basis
-        assert owner.nbytes == n * k * 8  # the dropped columns are freed
+        columns, root, u_id = factor.basis[:, factor.retained], factor.root, id(factor.basis)
+        build_augmented(s.data, targets, None, cfg, factor=factor)
+        assert factor.basis.shape == (n, k)
+        assert factor.basis.tobytes() == np.ascontiguousarray(columns).tobytes()
+        assert np.array_equal(factor.retained, np.arange(k))
+        assert factor.root is root and factor.n_dropped == n - k
+        assert (id(factor.basis) == u_id) == (order == "C")  # U itself, resized
+        # resized in place or copied, a C-order array of exactly n x n' doubles
+        assert factor.basis.flags.c_contiguous and factor.basis.flags.owndata
+        assert factor.basis.nbytes == n * k * 8  # the dropped columns are freed
 
     def test_design_matches_the_full_basis(self):
-        s = make_informative_classes(12, 6, [0, 2, 4], n_classes=4, separation=1.0, seed=12)
-        cfg = MenConfig()
-        targets = build_indicator(s, 3).values
-        full = build_augmented(s.data, targets, None, cfg, factor=self.factor("C"))
-        shrunk = build_augmented(
-            s.data, targets, None, cfg, factor=pipeline._retained_factor(self.factor("C"))
-        )
-        assert_allclose(shrunk.xstar, full.xstar, rtol=1e-12, atol=1e-14)
-        assert_allclose(shrunk.ystar, full.ystar, rtol=1e-12, atol=1e-14)
+        # the n x n' products against the full n x n ones, gathered
+        s, targets, cfg = self.problem()
+        factor = self.factor("C")
+        root = factor.root[:, None]
+        full_x, full_t = ((factor.basis.T @ a)[factor.retained] for a in (s.data, targets))
+        problem = build_augmented(s.data, targets, None, cfg, factor=factor)
+        assert_allclose(problem.xstar * problem.scale, root * full_x, rtol=1e-12, atol=1e-14)
+        assert_allclose(problem.ystar, full_t / root, rtol=1e-12, atol=1e-14)
+
+    def test_a_held_basis_is_copied_and_left_intact(self):
+        s, targets, cfg = self.problem()
+        factor = self.factor("C")
+        held, before = factor.basis, factor.basis.tobytes()
+        problem = build_augmented(s.data, targets, None, cfg, factor=factor)
+        assert held.tobytes() == before and factor.basis is not held
+        expected = build_augmented(s.data, targets, None, cfg, factor=self.factor("C"))
+        assert problem.xstar.tobytes() == expected.xstar.tobytes()
+        assert problem.ystar.tobytes() == expected.ystar.tobytes()
+
+    def test_traced_shrink_gives_the_same_design(self):
+        # a tracer that reads f_locals makes CPython < 3.13 keep a snapshot
+        # of the frame's locals, whose reference to U rules out the in-place
+        # shrink; the retained columns are then copied
+        s, targets, cfg = self.problem()
+        expected = build_augmented(s.data, targets, None, cfg, factor=self.factor("C"))
+
+        def tracer(frame, event, arg):
+            frame.f_locals
+            return tracer
+
+        factor = self.factor("C")
+        previous = sys.gettrace()
+        sys.settrace(tracer)
+        try:
+            problem = build_augmented(s.data, targets, None, cfg, factor=factor)
+        finally:
+            sys.settrace(previous)
+        assert problem.xstar.tobytes() == expected.xstar.tobytes()
+        assert problem.ystar.tobytes() == expected.ystar.tobytes()
+
+    def test_second_call_reuses_the_shrunk_basis(self):
+        s, targets, cfg = self.problem()
+        factor = self.factor("C")
+        first = build_augmented(s.data, targets, None, cfg, factor=factor)
+        basis, retained = factor.basis, factor.retained
+        second = build_augmented(s.data, targets, None, cfg, factor=factor)
+        assert factor.basis is basis and factor.retained is retained
+        assert second.xstar.tobytes() == first.xstar.tobytes()
+        assert second.ystar.tobytes() == first.ystar.tobytes()
 
 
 class TestFit:
@@ -435,26 +482,32 @@ class TestFit:
             fit(s, MenConfig(d=1, K=2))
         assert info.value.stage == stage
 
-    def test_peak_memory_bounded(self):
+    def test_peak_memory_bounded(self, alpha=1.0, bound=1.2):
         # build_a writes U over L, so no two n x n arrays are alive at once,
         # and U shrinks in place to its retained columns before the design's
         # products; a fit without PCA peaks in accumulate_alignment (1.13 n^2
         # doubles: L and its scatter temporaries). Before the shrink, the
         # peak was build_augmented's full U beside U^T X and the design (1.34)
         s = make_informative_classes(60, 100, range(0, 40, 4), n_classes=10, separation=1.0, seed=3)
-        cfg = MenConfig(pca_retain=0, d=9, K=50)
+        cfg = MenConfig(pca_retain=0, d=9, K=50, alpha=alpha)
         tracemalloc.start()
         try:
             fit(s, cfg)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.2 * s.n**2 * 8
+        assert peak <= bound * s.n**2 * 8
+
+    def test_alpha_zero_peak_memory_bounded(self):
+        # build_a writes I over L too; every eigenvalue is then retained, so
+        # U meets U^T X and an n x p design (1.42 n^2 doubles); a fresh
+        # np.eye(n) beside L made 2.02
+        self.test_peak_memory_bounded(alpha=0.0, bound=1.5)
 
     def test_traced_fit_gives_the_same_model(self):
         # a tracer that reads f_locals makes CPython < 3.13 keep a snapshot
-        # of the frame's locals, whose reference to U makes ndarray.resize
-        # refuse to shrink it in place; the retained columns are then copied
+        # of the frame's locals, whose reference to U rules out shrinking it
+        # in place; build_augmented then copies the retained columns
         s = make_informative_classes(30, 20, [0, 4, 8], n_classes=4, separation=1.0, seed=5)
         cfg = MenConfig(pca_retain=0, d=3, K=8)
         expected, _ = fit(s, cfg)
@@ -507,6 +560,26 @@ class TestProject:
                     expected[i, t] += s.data[i, j] * model.values[j, t]
         assert_allclose(embedded, expected, atol=1e-12)
 
+    @pytest.mark.parametrize(
+        "values, projection, mean, message",
+        [
+            ((3, 2), (5, 2), 4, r"projection shape \(5, 2\) is not \(4, 2\)"),
+            ((3, 2), (5, 2), None, r"projection shape \(5, 2\) is not \(3, 2\)"),
+            ((3, 2), (4, 3), 4, r"projection shape \(4, 3\) is not \(4, 2\)"),
+            ((3,), (3,), None, "W must be p x d"),
+            ((3, 0), (3, 0), None, "W must be p x d with d >= 1"),
+        ],
+        ids=["rows-not-mean", "not-w-without-mean", "columns-not-d", "1-d-w", "no-columns"],
+    )
+    def test_shapes_that_disagree_are_model_errors(self, values, projection, mean, message):
+        # project and save_model would otherwise fail unstaged or write a
+        # file that loads back as another model
+        with pytest.raises(DataError, match=message) as info:
+            ProjectionMatrix(values=np.zeros(values), projection=np.zeros(projection),
+                             pca_mean=None if mean is None else np.zeros(mean),
+                             config=MenConfig())
+        assert info.value.stage == "model"
+
     def test_dimension_mismatch(self):
         rng = np.random.default_rng(16)
         s = labelled_gaussians(rng)
@@ -544,8 +617,8 @@ class TestProject:
 
     def test_fit_coordinates_are_projects_bit_for_bit(self, monkeypatch):
         # the PCA reduces the training data with project's own row blocks:
-        # with the basis as its projection, project gives the fit's
-        # coordinates to the byte; the model's projection is basis @ W
+        # their centred product with the basis gives the fit's coordinates
+        # to the byte; the model's projection is basis @ W
         s = make_face_like(6, n_classes=25, seed=4)  # 150 x 1600: three row blocks
         seen = []
 
@@ -558,7 +631,7 @@ class TestProject:
         (reduced, basis, mean), = seen
         assert mean is model.pca_mean
         assert model.projection.tobytes() == (basis @ model.values).tobytes()
-        coordinates = project(replace(model, projection=basis), s)
+        coordinates = pipeline._centred_product(s.data, mean, basis)
         assert coordinates.tobytes() == reduced.data.tobytes()
         embedded, through_w = project(model, s), reduced.data @ model.values
         assert np.abs(embedded - through_w).max() <= 1e-12 * np.abs(through_w).max()

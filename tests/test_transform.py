@@ -122,9 +122,11 @@ class TestEliminateZ:
 class TestBuildA:
     def test_alpha_zero(self):
         cfg = MenConfig(alpha=0.0)
-        f, u = build_a(np.ones((4, 4)), cfg)
+        L = np.ones((4, 4))
+        f, u = build_a(L, cfg)
         assert np.array_equal(f, np.ones(4))
         assert np.array_equal(u, np.eye(4))
+        assert np.array_equal(L, np.ones((4, 4)))
 
     def test_zero_alignment(self):
         cfg = MenConfig(alpha=1.3, beta=2.0)
@@ -249,6 +251,13 @@ class TestInPlaceEigh:
         assert u is L
         assert f.tobytes() == expected[0].tobytes()
         assert u.tobytes() == expected[1].tobytes()
+
+    def test_alpha_zero_writes_identity_over_l(self):
+        # U = I takes L's storage as the eigenvectors would, not a new n x n array
+        L = self.symmetric()
+        f, u = build_a(L, MenConfig(alpha=0.0), overwrite_l=True)
+        assert u is L
+        assert np.array_equal(f, np.ones(40)) and np.array_equal(u, np.eye(40))
 
     def test_default_leaves_l_intact(self):
         L = self.symmetric()
