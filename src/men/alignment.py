@@ -8,7 +8,7 @@ left with none. A patch pulls same-class neighbours toward the center
 -kappa). Summed over patches, the part matrices are the Laplacian
 L = D - S of one signed neighbour graph: S holds the edge weights,
 symmetrised, and D their row sums. Both selections return that graph as
-Edges arrays, and the alignment matrix is built from them by one scatter.
+Edges arrays, and accumulate_alignment scatters them into L a block at a time.
 
 Neighbours are found a block of rows at a time, with no per-sample loop:
 a GEMM distance filter (one row-wise partition per group) and one lexsort
@@ -239,27 +239,25 @@ def build_patches(samples: SampleSet, k1: int, k2: int, kappa: float) -> list[Ed
     return [_ranked_neighbours(x, sq, bound, labels, counts, kappa, block) for block in rows]
 
 
-_NO_EDGES = Edges(np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0))
-
-
 def accumulate_alignment(samples: SampleSet, edges) -> np.ndarray:
     """The n x n alignment matrix L = D - S of the signed neighbour graph.
 
-    `edges` is any iterable of Edges; this equals summing S_i^T L_i S_i over
-    the part matrices of the patches the edges' centers make.
+    `edges` is any iterable of Edges, each scattered as it is yielded. L is
+    the sum of S_i^T L_i S_i over the part matrices of the edges' patches.
     """
     n = samples.n
-    rows, neighbours, weights = map(np.concatenate, zip(_NO_EDGES, *edges))
-    bad = (rows < 0) | (rows >= n) | (neighbours < 0) | (neighbours >= n)
-    if bad.any():
-        center = rows[np.argmax(bad)]
-        raise DataError(f"patch at center {center} references sample outside [0, {n})")
     out = np.zeros((n, n))
-    np.add.at(
-        out,
-        (np.concatenate([rows, neighbours]), np.concatenate([neighbours, rows])),
-        np.tile(-weights, 2),
-    )
+    for block in edges:
+        rows, neighbours, weights = map(np.asarray, block)
+        if not rows.shape == neighbours.shape == weights.shape:  # np.add.at would broadcast
+            raise DataError(f"an Edges block's arrays differ in shape: {rows.shape}, "
+                            f"{neighbours.shape}, {weights.shape}")
+        bad = (rows < 0) | (rows >= n) | (neighbours < 0) | (neighbours >= n)
+        if bad.any():
+            center = rows[np.argmax(bad)]
+            raise DataError(f"patch at center {center} references sample outside [0, {n})")
+        np.add.at(out, (rows, neighbours), -weights)
+        np.add.at(out, (neighbours, rows), -weights)
     # subtracting from the untouched +0.0 diagonal keeps a zero degree +0.0
     out[np.diag_indices(n)] -= out.sum(axis=1)
     return out

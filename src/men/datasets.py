@@ -275,7 +275,7 @@ def make_face_like(
             img = prototypes[k] + wobble + pixel_noise * rng.normal(size=side * side)
             rows.append(img)
             labels.append(k)
-    data = np.asarray(rows)
-    low, high = data.min(), data.max()
-    data = (data - low) / (high - low)
-    return SampleSet(data, np.asarray(labels))
+    # a SampleSet first, so fewer than 2 samples fail there, not in min()
+    raw = SampleSet(np.reshape(rows, (-1, side * side)), labels)
+    low, high = raw.data.min(), raw.data.max()
+    return SampleSet((raw.data - low) / (high - low), raw.labels)

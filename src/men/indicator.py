@@ -59,11 +59,17 @@ def weighted_center_pca(
     V is the uncentered second moment of the class centers; with
     center=True the weighted mean is subtracted first (conventional PCA).
     Returns (basis p x d, eigenvalues length d descending). Raises
-    DataError when V is not finite or d exceeds its numerical rank, and
-    NumericalError when the eigensolver does not converge.
+    DataError when the weights are not one per center row, d < 1, V is not
+    finite or d exceeds its numerical rank, and NumericalError when the
+    eigensolver does not converge.
     """
     centers = np.asarray(centers, dtype=np.float64)
     weights = np.asarray(weights, dtype=np.float64)
+    if centers.ndim != 2 or weights.shape != centers.shape[:1]:
+        raise DataError(f"need one weight per center row, got {weights.shape} weights "
+                        f"for centers of shape {centers.shape}")
+    if d < 1:
+        raise DataError(f"d must be >= 1, got {d}")
     with np.errstate(over="ignore", invalid="ignore"):
         work = centers - weights @ centers if center else centers
         v = (work.T * weights) @ work
@@ -77,7 +83,7 @@ def weighted_center_pca(
     eigvals = eigvals[order]
     top = eigvals[0] if eigvals.size else 0.0
     rank = int(np.sum(eigvals > RANK_TOL * max(top, 0.0))) if top > 0 else 0
-    if not 1 <= d <= rank:
+    if d > rank:
         raise DataError(
             f"d={d} exceeds the numerical rank {rank} of the weighted center moment"
         )
@@ -88,8 +94,8 @@ def weighted_center_pca(
 
 def build_indicator(samples: SampleSet, d: int, *, center: bool = False) -> IndicatorMatrix:
     """Assemble the n x d indicator matrix: row j is its class's projected
-    center. A `d` that is not an int raises DataError (stage config)."""
-    d = checked_value("d", d, "int")
+    center. A `d` that is not an int >= 1 raises DataError (stage config)."""
+    d = checked_value("d", d, "int", (">=", 1))  # MenConfig's rule
     centers, weights = class_centers(samples)
     basis, _ = weighted_center_pca(centers, weights, d, center=center)
     return IndicatorMatrix(values=(centers @ basis)[samples.labels])

@@ -156,15 +156,14 @@ def build_a(
 ) -> tuple[np.ndarray, np.ndarray]:
     """A = U diag(f(lambda)) U^T as the pair (f(lambda), U); A is not formed.
 
-    For alpha = 0 the pair is (ones, I). Raises DataError unless L is a
-    finite, exactly symmetric square matrix, and NumericalError when the
-    condition number of alpha L + beta I, max|alpha lambda + beta| /
+    At alpha = 0, f = 1 exactly. Raises DataError unless L is a finite,
+    exactly symmetric square matrix, and NumericalError when the condition
+    number of alpha L + beta I, max|alpha lambda + beta| /
     min|alpha lambda + beta|, reaches 1e14 or eigh(L) fails.
 
     L is left intact unless overwrite_l is set (scipy's overwrite_a). Then
     a writeable, contiguous float64 L is overwritten: the returned U is L
-    itself, holding the eigenvectors (I for alpha = 0), and no second
-    n x n array is made.
+    itself, holding the eigenvectors, and no second n x n array is made.
     Otherwise numpy's eigh gufunc, the one np.linalg.eigh calls, writes U
     into a fresh n x n array.
     """
@@ -179,10 +178,6 @@ def build_a(
     in_place = overwrite_l and L.flags.writeable and (L.flags.c_contiguous or L.flags.f_contiguous)
     eigvals = np.empty(L.shape[0])
     eigvecs = L if in_place else np.empty(L.shape)
-    if cfg.alpha == 0.0:
-        eigvecs.fill(0.0)
-        np.fill_diagonal(eigvecs, 1.0)
-        return np.ones(L.shape[0]), eigvecs
     try:
         _gufunc_into(_umath_linalg.eigh_lo, L, (eigvals, eigvecs), "Eigenvalues did not converge")
     except np.linalg.LinAlgError as exc:

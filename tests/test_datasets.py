@@ -55,6 +55,13 @@ class TestFaceLike:
                 (within if s.labels[i] == s.labels[j] else between).append(d)
         assert np.mean(within) < np.mean(between)
 
+    @pytest.mark.parametrize("n_per_class, n_classes", [(0, 2), (0, 1), (1, 1)])
+    def test_too_few_samples_is_the_sample_set_error(self, n_per_class, n_classes):
+        # SampleSet's error, as make_informative_classes gives, not a
+        # ValueError from the scaling's min()
+        with pytest.raises(DataError, match="need n >= 2 samples"):
+            make_face_like(n_per_class, n_classes=n_classes, side=8)
+
     def test_deterministic(self):
         a = make_face_like(2, n_classes=2, side=10, seed=7)
         b = make_face_like(2, n_classes=2, side=10, seed=7)

@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from men.alignment import SampleSet
+from men.datasets import make_informative_classes
 from men.errors import DataError
 from men.indicator import build_indicator, class_centers, orient_columns, weighted_center_pca
 
@@ -63,6 +64,21 @@ class TestWeightedCenterPca:
         centers = np.array([[1.0, 0.0], [2.0, 0.0]])
         with pytest.raises(DataError, match="rank 1"):
             weighted_center_pca(centers, np.array([0.5, 0.5]), 2)
+
+    def test_d_below_one_is_not_a_rank_error(self):
+        centers = np.eye(3)
+        for d in (0, -2):
+            with pytest.raises(DataError, match=f"d must be >= 1, got {d}"):
+                weighted_center_pca(centers, np.full(3, 1 / 3), d)
+        with pytest.raises(DataError, match="d=4 exceeds the numerical rank 3"):
+            weighted_center_pca(centers, np.full(3, 1 / 3), 4)
+
+    @pytest.mark.parametrize("weights", [np.ones(2), np.ones(4), np.ones((3, 1)), np.float64(1.0)],
+                             ids=["short", "long", "column", "scalar"])
+    def test_one_weight_per_center_row(self, weights):
+        with pytest.raises(DataError, match=r"one weight per center row, got \(.*\) weights "
+                           r"for centers of shape \(3, 4\)"):
+            weighted_center_pca(np.ones((3, 4)), weights, 1)
 
     def test_sign_convention(self):
         centers = np.array([[-3.0, 0.0]])
@@ -136,6 +152,14 @@ class TestBuildIndicator:
     def test_d_must_be_an_int(self, d):
         s = SampleSet(np.arange(12.0).reshape(6, 2), np.repeat([0, 1, 2], 2))
         with pytest.raises(DataError, match="d must be int") as info:
+            build_indicator(s, d)
+        assert info.value.stage == "config"
+
+    @pytest.mark.parametrize("d", [0, -1])
+    def test_d_below_one_is_a_config_error(self, d):
+        # MenConfig's rule, not the rank message of weighted_center_pca
+        s = make_informative_classes(4, 5, [0, 1, 2], n_classes=3)
+        with pytest.raises(DataError, match=f"d must be >= 1, got {d}") as info:
             build_indicator(s, d)
         assert info.value.stage == "config"
 

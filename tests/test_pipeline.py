@@ -482,12 +482,13 @@ class TestFit:
             fit(s, MenConfig(d=1, K=2))
         assert info.value.stage == stage
 
-    def test_peak_memory_bounded(self, alpha=1.0, bound=1.2):
+    def test_peak_memory_bounded(self, alpha=1.0, bound=1.15):
         # build_a writes U over L, so no two n x n arrays are alive at once,
         # and U shrinks in place to its retained columns before the design's
-        # products; a fit without PCA peaks in accumulate_alignment (1.13 n^2
-        # doubles: L and its scatter temporaries). Before the shrink, the
-        # peak was build_augmented's full U beside U^T X and the design (1.34)
+        # products; L is scattered one Edges block at a time. A fit without
+        # PCA peaks at 1.11 n^2 doubles in build_augmented: the shrunk U, in
+        # L's storage, beside U^T X and the design. Concatenating every edge
+        # before the scatter made accumulate_alignment the peak (1.13)
         s = make_informative_classes(60, 100, range(0, 40, 4), n_classes=10, separation=1.0, seed=3)
         cfg = MenConfig(pca_retain=0, d=9, K=50, alpha=alpha)
         tracemalloc.start()
@@ -499,9 +500,9 @@ class TestFit:
         assert peak <= bound * s.n**2 * 8
 
     def test_alpha_zero_peak_memory_bounded(self):
-        # build_a writes I over L too; every eigenvalue is then retained, so
-        # U meets U^T X and an n x p design (1.42 n^2 doubles); a fresh
-        # np.eye(n) beside L made 2.02
+        # build_a writes L's eigenvectors over L too; f = 1 then retains every
+        # eigenvalue, so the n x n U meets U^T X and an n x p design (1.41
+        # n^2 doubles); a fresh np.eye(n) beside L made 2.02
         self.test_peak_memory_bounded(alpha=0.0, bound=1.5)
 
     def test_traced_fit_gives_the_same_model(self):

@@ -121,12 +121,25 @@ class TestEliminateZ:
 
 class TestBuildA:
     def test_alpha_zero(self):
+        # 0 * beta * lambda / beta is +-0, so f is exactly 1; U is eigh(L)'s
+        # eigenvectors
         cfg = MenConfig(alpha=0.0)
         L = np.ones((4, 4))
         f, u = build_a(L, cfg)
-        assert np.array_equal(f, np.ones(4))
-        assert np.array_equal(u, np.eye(4))
+        assert f.tobytes() == np.ones(4).tobytes()
+        assert u.tobytes() == np.linalg.eigh(L)[1].tobytes()
         assert np.array_equal(L, np.ones((4, 4)))
+
+    @pytest.mark.parametrize("beta", [1e-3, 1.0, 7.0, 1e6])
+    def test_alpha_zero_f_is_exactly_one(self, beta):
+        # indefinite L, one with an eigenvalue at -beta (singular for any
+        # alpha > 0), and a zero L, whose U is I exactly
+        rng = np.random.default_rng(17)
+        for L in (random_symmetric(rng, 9, scale=50.0), np.diag([-beta, 1.0]), np.zeros((5, 5))):
+            f, u = build_a(L, MenConfig(alpha=0.0, beta=beta))
+            assert f.tobytes() == np.ones(L.shape[0]).tobytes()
+            assert u.tobytes() == np.linalg.eigh(L)[1].tobytes()
+        assert np.array_equal(u, np.eye(5))
 
     def test_zero_alignment(self):
         cfg = MenConfig(alpha=1.3, beta=2.0)
@@ -252,12 +265,14 @@ class TestInPlaceEigh:
         assert f.tobytes() == expected[0].tobytes()
         assert u.tobytes() == expected[1].tobytes()
 
-    def test_alpha_zero_writes_identity_over_l(self):
-        # U = I takes L's storage as the eigenvectors would, not a new n x n array
+    def test_alpha_zero_writes_eigenvectors_over_l(self):
+        # alpha = 0 takes the one route: L's eigenvectors in L's own storage
         L = self.symmetric()
+        expected = np.linalg.eigh(L)[1]
         f, u = build_a(L, MenConfig(alpha=0.0), overwrite_l=True)
         assert u is L
-        assert np.array_equal(f, np.ones(40)) and np.array_equal(u, np.eye(40))
+        assert f.tobytes() == np.ones(40).tobytes()
+        assert u.tobytes() == expected.tobytes()
 
     def test_default_leaves_l_intact(self):
         L = self.symmetric()
@@ -425,8 +440,9 @@ class TestSpectralFactor:
         L = alignment_matrix()
         X = make_informative_classes(12, 6, [0, 2, 4], n_classes=4, separation=1.0, seed=12).data
         fac = spectral_factor(build_a(L, cfg), cfg.eig_floor)
-        if cfg.alpha == 0.0:
-            assert np.array_equal(fac.basis, np.eye(L.shape[0]))
+        if cfg.alpha == 0.0:  # A = I: every eigenvector of L is kept, at root 1
+            assert fac.n_dropped == 0 and np.array_equal(fac.root, np.ones(L.shape[0]))
+            assert fac.basis.tobytes() == np.linalg.eigh(L)[1].tobytes()
         targets = np.random.default_rng(14).normal(size=(L.shape[0], 3))
         for y in (targets[:, 0], targets):
             assert_solver_view(X, y, cfg, fac, dense_build_a(L, cfg), 1e-12)
