@@ -116,7 +116,7 @@ def _cmd_fit(args) -> int:
         model_path.suffix + ".report"
     )
     with _output_directories(model_path.parent, report_dir):
-        model, report = fit(ingest(args.data), cfg)  # no name holds the data past its PCA
+        model, report = fit(ingest(args.data), cfg)  # no name holds the data: the PCA reuses them
         save_model(model, model_path)
         _write_report(report, model, report_dir)
     print(f"model={model_path} columns={model.values.shape[1]} "

@@ -263,7 +263,7 @@ def make_face_like(
     Prototypes combine low-frequency cosine modes (a low-dimensional
     manifold in pixel space); per-sample variation reuses the same smooth
     modes and a little white pixel noise is added. Values land in [0, 1]
-    and p = side * side.
+    and p = side * side; images whose pixels are all equal raise DataError.
     """
     rng = np.random.default_rng(seed)
     basis = _cosine_modes(side, modes)
@@ -278,4 +278,7 @@ def make_face_like(
     # a SampleSet first, so fewer than 2 samples fail there, not in min()
     raw = SampleSet(np.reshape(rows, (-1, side * side)), labels)
     low, high = raw.data.min(), raw.data.max()
+    if low == high:  # no range to scale into [0, 1]
+        raise DataError(f"every pixel of every image is {low}: "
+                        "make_face_like needs modes >= 1 or pixel_noise > 0")
     return SampleSet((raw.data - low) / (high - low), raw.labels)

@@ -128,7 +128,7 @@ def evaluate(
     The repeats run one after another in the caller's thread. One fit per
     repeat at d = max(dim_grid); smaller dimensions reuse the leading
     projection columns of that fit. Each fit gets the only reference to
-    its training subset, so it frees that copy after its PCA; all samples
+    its training subset, so its PCA centres that copy in place; all samples
     are then projected once, the train and test rows indexed out of that
     embedding, and the model dropped before the next repeat. `threads` is
     accepted and unused: the benchmark harness still passes it, and
@@ -146,7 +146,7 @@ def evaluate(
     rows = []  # one row of rates per repeat; no repeats-sized buffer before the first fit
     for r in range(split.repeats):
         train_idx, test_idx = split_indices(samples, split, r)
-        # the fit frees its training copy once its PCA has read it
+        # the fit's PCA centres this training copy in its own buffer
         model, _ = fit(samples.subset(train_idx), fit_cfg)
         embed = project(model, samples)
         del model  # not held through the next repeat's fit

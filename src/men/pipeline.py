@@ -24,11 +24,11 @@ from .config import MenConfig, checked_value
 from .errors import DataError, MenError, NumericalError
 from .indicator import build_indicator, orient_columns
 from .lars import CoefficientPath, report_column, solve_column
-from .transform import _thin_svd_into, build_a, build_augmented, spectral_factor
+from .transform import _thin_svd_into, _writable_alone, build_a, build_augmented, spectral_factor
 
 __all__ = ["ProjectionMatrix", "FitReport", "pca_preprocess", "fit", "project"]
 
-# rows centred at a time by project and the PCA: 64 x p_raw doubles, not the data
+# rows centred at a time by project: 64 x p_raw doubles, not the data
 _PROJECT_ROWS = 64
 
 
@@ -102,49 +102,51 @@ def pca_preprocess(
     when p > n that matrix is tall, and LAPACK reduces it by QR first
     (Chan's R-SVD), faster than the SVD of the wide data. numpy's SVD
     gufunc writes its input-shaped factor (U when p >= n, V^T otherwise)
-    over the private centered copy, so no second n x p array is made, and
-    U^T is then shrunk in place to its leading `retain` rows: the basis is
-    an F-order view holding exactly p x retain doubles. Where a tracer
-    holds a reference to U^T, its leading rows are copied instead.
-    The reduced data are the centred product that project applies to the
-    composed projection, here with the basis; they form a new SampleSet,
-    so they meet its entry bound or raise DataError. A `retain`
-    that is not an int raises DataError (stage config) naming it, and
-    NumericalError is raised when the SVD does not converge.
+    over the centred data, and U^T is then shrunk in place to its leading
+    `retain` rows (copied where a tracer or a profiler holds it): the
+    basis is an F-order view of exactly p x retain doubles. The reduced
+    data are V[:, :retain] * s[:retain], negated column by column with the
+    basis; as a new SampleSet they meet its entry bound or raise DataError.
+
+    The data are centred in a copy, and a caller's data are never changed.
+    Where the caller handed over its only reference to `samples` (as fit
+    does) and the array is _writable_alone once the set is gone, they are
+    centred in their own buffer, which the SVD's factor then fills (the
+    basis, when p >= n), with the same bits. A `retain` that is not an
+    int raises DataError (stage config) naming it, and NumericalError is
+    raised when the SVD does not converge.
     """
     n, p = samples.n, samples.p
     limit = min(n - 1, p)
     retain = checked_value("retain", retain, "int")
     if not 1 <= retain <= limit:
         raise DataError(f"pca_retain={retain} outside [1, {limit}] for {n} x {p} data")
-    mean = samples.data.mean(axis=0)
-    centered = samples.data - mean
-    # U^T's rows are U's columns; when p >= n, U^T is the centred copy itself
+    data, labels = samples.data, samples.labels
+    del samples  # a set that nothing else holds goes, leaving data this one reference
+    probe = object()
+    in_place = _writable_alone(data, probe)
+    mean = data.mean(axis=0)
+    centered = np.subtract(data, mean, out=data if in_place else None)
+    del data
+    # U^T's rows are U's columns; when p >= n, U^T is the centred data itself
     ut = centered if p >= n else np.empty((p, p))
     vt = np.empty((n, n)) if p >= n else centered.T
+    singular = np.empty(min(n, p))
     try:
-        _thin_svd_into(centered.T, (ut.T, np.empty(min(n, p)), vt))
+        _thin_svd_into(centered.T, (ut.T, singular, vt))
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"PCA SVD failed: {exc}") from exc
-    del centered, vt
+    del centered
     try:
         ut.resize((retain, p))  # frees U's unused columns; refuses if a view remains
-    except ValueError:  # a tracer's snapshot of f_locals refers to ut (CPython < 3.13)
+    except ValueError:  # a tracer's f_locals snapshot or a profiler's call refers to ut
         ut = ut[:retain].copy()
     basis = ut.T
-    orient_columns(basis)
-    reduced = _centred_product(samples.data, mean, basis)
-    return SampleSet(reduced, samples.labels.copy()), basis, mean
-
-
-def _centred_product(data: np.ndarray, mean: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """(data - mean) @ basis, centred a block of rows at a time, so no
-    centred copy of the data exists."""
-    out = np.empty((data.shape[0], basis.shape[1]))
-    for start in range(0, data.shape[0], _PROJECT_ROWS):
-        rows = slice(start, start + _PROJECT_ROWS)
-        np.matmul(data[rows] - mean, basis, out=out[rows])
-    return out
+    signs = orient_columns(basis)
+    # the centred data times the basis, V diag(s) U^T U[:, :retain]; in C
+    # order, as SampleSet keeps it, so that it makes no second copy
+    reduced = np.multiply(vt[:retain].T, singular[:retain] * signs, order="C")
+    return SampleSet(reduced, labels.copy()), basis, mean
 
 
 def _column_cosines(values: np.ndarray) -> np.ndarray:
@@ -176,19 +178,25 @@ def fit(
 ) -> tuple[ProjectionMatrix, FitReport]:
     """Run the full pipeline and solve the d projection columns in turn.
 
-    With PCA, `samples` is dropped once the PCA has read it, and the
-    reduced data once the shared design is built, so a caller that hands
-    over its only reference (`fit(ingest(path), cfg)`) has its data freed
-    mid-fit (on CPython 3.11+; 3.10 keeps call arguments alive). Raises
-    DataError/NumericalError tagged with the failing stage.
+    With PCA, fit passes its reference to `samples` on to pca_preprocess,
+    so a caller that hands over its only one (`fit(ingest(path), cfg)`)
+    has its data centred and solved in their own buffer: the fit makes no
+    n x p copy (CPython 3.11+; 3.10 keeps call arguments
+    alive). Other callers' data are centred in a copy, with the same model
+    bits. The reduced data are dropped once the shared design is built.
+    Raises DataError/NumericalError tagged with the failing stage.
     `threads` is accepted and unused: the benchmark harness still passes
     it, and ROADMAP item 1's benchmark commit deletes it.
     """
     timings: dict[str, float] = {}
     with _stage("preprocess", timings):
         retain = min(samples.n - 1, samples.p) if cfg.pca_retain is None else cfg.pca_retain
-        work, basis, mean = pca_preprocess(samples, retain) if retain else (samples, None, None)
-        del samples  # with PCA, the raw data are no longer read
+        held = [samples]
+        del samples  # the PCA gets the set popped from `held`: no name here keeps it alive
+        if retain:
+            work, basis, mean = pca_preprocess(held.pop(), retain)
+        else:
+            work, basis, mean = held.pop(), None, None
     with _stage("alignment", timings):
         align = accumulate_alignment(work, build_patches(work, cfg.k1, cfg.k2, cfg.kappa))
     with _stage("indicator", timings):
@@ -235,4 +243,9 @@ def project(model: ProjectionMatrix, samples: SampleSet) -> np.ndarray:
         )
     if model.pca_mean is None:
         return samples.data @ model.projection
-    return _centred_product(samples.data, model.pca_mean, model.projection)
+    # a block of rows centred at a time, so no centred copy of the data exists
+    out = np.empty((samples.n, model.projection.shape[1]))
+    for start in range(0, samples.n, _PROJECT_ROWS):
+        rows = slice(start, start + _PROJECT_ROWS)
+        np.matmul(samples.data[rows] - model.pca_mean, model.projection, out=out[rows])
+    return out

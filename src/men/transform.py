@@ -233,23 +233,40 @@ def spectral_factor(eig: tuple[np.ndarray, np.ndarray], eig_floor: float) -> Spe
     )
 
 
+def _writable_alone(a: np.ndarray, probe: object) -> bool:
+    """Whether the caller may overwrite array `a`, which one of its local
+    names holds: nothing else refers to it, and it owns an aligned,
+    writeable, C-contiguous buffer. `probe` is a fresh object that the
+    caller holds the same way, in one local name, so the two reference
+    counts are read alike on the running interpreter: CPython 3.14 borrows
+    some stack references and reads counts lower than earlier versions, and
+    a tracer's f_locals snapshot adds one to every local."""
+    return sys.getrefcount(a) <= sys.getrefcount(probe) and a.flags.carray and a.flags.owndata
+
+
 def _shrink(factor: SpectralFactor) -> None:
     """Shrink factor.basis to U's retained columns, in retained order, unless
-    it is so already. A C-order U that nothing else holds is compacted a band
-    of rows at a time into its own buffer and resized, freeing the dropped
-    eigenvectors before any product; any other U (F-order, or held by the
-    caller or by a tracer's f_locals snapshot) is left as it is and copied."""
+    it is so already. A U that is _writable_alone is compacted a band of rows
+    at a time into its own buffer and resized, freeing the dropped
+    eigenvectors before any product; where the resize is refused (a
+    profiler's pending call to basis.resize holds U), the compacted block
+    is copied out. Any other U (F-order, or held by the caller or by a
+    tracer's f_locals snapshot) is left as it is and copied."""
     n, k = factor.basis.shape[0], factor.retained.size
     if factor.basis.shape[1] == k and np.array_equal(factor.retained, np.arange(k)):
         return
     basis, factor.basis = factor.basis, None  # the factor's reference to U is now here
-    if basis.flags.carray and basis.flags.owndata and sys.getrefcount(basis) <= 2:
+    probe = object()
+    if _writable_alone(basis, probe):
         flat = basis.reshape(-1)
         for start in range(0, n, _BAND_ROWS):
             stop = min(start + _BAND_ROWS, n)  # take's block is C-order, so ravel copies nothing
             flat[start * k : stop * k] = np.take(basis[start:stop], factor.retained, axis=1).ravel()
         del flat
-        basis.resize((n, k))
+        try:
+            basis.resize((n, k))
+        except ValueError:  # refused while another reference is alive
+            basis = basis.reshape(-1)[: n * k].reshape(n, k).copy()
     else:
         basis = np.take(basis, factor.retained, axis=1)  # C-order too: the products round alike
     factor.basis, factor.retained = basis, np.arange(k)

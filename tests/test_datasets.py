@@ -1,5 +1,7 @@
 """Synthetic generators: planted structure and determinism."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -61,6 +63,15 @@ class TestFaceLike:
         # ValueError from the scaling's min()
         with pytest.raises(DataError, match="need n >= 2 samples"):
             make_face_like(n_per_class, n_classes=n_classes, side=8)
+
+    def test_constant_images_are_named_before_the_scaling(self):
+        # no modes and no noise leave every pixel 0: the scaling's range is
+        # zero, and the error says so, with no divide warning and without
+        # SampleSet's nonfinite-entry error blaming the data
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match="every pixel of every image is 0.0"):
+                make_face_like(2, n_classes=2, modes=0, pixel_noise=0.0, side=4)
 
     def test_deterministic(self):
         a = make_face_like(2, n_classes=2, side=10, seed=7)

@@ -1,11 +1,13 @@
 """Class centers, weighted center PCA, and the indicator matrix."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from men.alignment import SampleSet
-from men.datasets import make_informative_classes
+from men.datasets import make_face_like, make_informative_classes
 from men.errors import DataError
 from men.indicator import build_indicator, class_centers, orient_columns, weighted_center_pca
 
@@ -80,6 +82,30 @@ class TestWeightedCenterPca:
                            r"for centers of shape \(3, 4\)"):
             weighted_center_pca(np.ones((3, 4)), weights, 1)
 
+    @pytest.mark.parametrize("d", [1.5, "a", True], ids=["fraction", "text", "bool"])
+    def test_d_must_be_an_int(self, d):
+        # a DataError naming d, not a TypeError from the slice or the comparison
+        with pytest.raises(DataError, match="d must be int") as info:
+            weighted_center_pca(np.eye(3), np.full(3, 1 / 3), d)
+        assert info.value.stage == "config"
+
+    def test_negative_weight_is_named(self):
+        with pytest.raises(DataError, match="weights must be nonnegative"):
+            weighted_center_pca(np.eye(3), np.array([0.5, 0.75, -0.25]), 1)
+
+    def test_more_centers_than_features(self):
+        # c = 8 centers in p = 3 dimensions: the c x c Gram has rank 3, so
+        # d = 3 is solved, with V's eigenpairs, and d = 4 is a rank error
+        rng = np.random.default_rng(8)
+        centers = rng.normal(size=(8, 3))
+        weights = rng.dirichlet(np.ones(8))
+        eta, eigvals = weighted_center_pca(centers, weights, 3)
+        ref_vals, ref_vecs = np.linalg.eigh((centers.T * weights) @ centers)
+        assert_allclose(eigvals, ref_vals[::-1], rtol=1e-12)
+        assert_allclose(np.abs(eta.T @ ref_vecs[:, ::-1]), np.eye(3), atol=1e-12)
+        with pytest.raises(DataError, match="d=4 exceeds the numerical rank 3"):
+            weighted_center_pca(centers, weights, 4)
+
     def test_sign_convention(self):
         centers = np.array([[-3.0, 0.0]])
         eta, _ = weighted_center_pca(centers, np.array([1.0]), 1)
@@ -138,6 +164,20 @@ class TestBuildIndicator:
                 w * float(np.sum((c @ q) ** 2)) for w, c in zip(weights, centers)
             )
             assert achieved >= other - 1e-10
+
+    def test_peak_memory_is_the_centers_not_p_by_p(self):
+        # 60 class centers of 1600 pixels: the moment is solved on its 60 x 60
+        # Gram, not as a 1600 x 1600 matrix with 1600 x 1600 eigenvectors
+        # (41.9 MB); the centers, their weighted rows and the targets remain
+        samples = make_face_like(4, n_classes=60, within_scale=0.6, pixel_noise=0.05, seed=1)
+        for center in (False, True):
+            tracemalloc.start()
+            try:
+                build_indicator(samples, 20, center=center)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 3e6
 
     def test_d_beyond_class_count_minus_one(self):
         # the uncentered second moment of c class centers can have rank c,
