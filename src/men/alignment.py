@@ -244,18 +244,31 @@ def accumulate_alignment(samples: SampleSet, edges) -> np.ndarray:
 
     `edges` is any iterable of Edges, each scattered as it is yielded. L is
     the sum of S_i^T L_i S_i over the part matrices of the edges' patches.
+    Anything else (not three arrays of one shape, non-integer indices,
+    non-real weights, an index outside [0, n)) raises DataError (stage
+    alignment).
     """
     n = samples.n
     out = np.zeros((n, n))
-    for block in edges:
-        rows, neighbours, weights = map(np.asarray, block)
+    for block in edges if np.iterable(edges) else [edges]:
+        try:
+            rows, neighbours, weights = map(np.asarray, block)
+        except (TypeError, ValueError) as exc:  # not three arrays
+            raise DataError(f"an Edges block must be three arrays, got {block!r:.60}",
+                            stage="alignment") from exc
         if not rows.shape == neighbours.shape == weights.shape:  # np.add.at would broadcast
             raise DataError(f"an Edges block's arrays differ in shape: {rows.shape}, "
-                            f"{neighbours.shape}, {weights.shape}")
+                            f"{neighbours.shape}, {weights.shape}", stage="alignment")
+        if not (rows.dtype.kind in "iu" and neighbours.dtype.kind in "iu"
+                and weights.dtype.kind in "iuf"):  # np.add.at rejects float indices
+            raise DataError("an Edges block needs integer centers and neighbours and real "
+                            f"weights, got {rows.dtype}, {neighbours.dtype}, {weights.dtype}",
+                            stage="alignment")
         bad = (rows < 0) | (rows >= n) | (neighbours < 0) | (neighbours >= n)
         if bad.any():
             center = rows[np.argmax(bad)]
-            raise DataError(f"patch at center {center} references sample outside [0, {n})")
+            raise DataError(f"patch at center {center} references sample outside [0, {n})",
+                            stage="alignment")
         np.add.at(out, (rows, neighbours), -weights)
         np.add.at(out, (neighbours, rows), -weights)
     # subtracting from the untouched +0.0 diagonal keeps a zero degree +0.0

@@ -4,8 +4,8 @@ A key=value config file ('#' comments) carries the hyperparameters; a
 few override flags support sweeps: --d and --K on the subcommands that
 fit (fit, evaluate, export-paths), --seed on evaluate. Fits and
 evaluation repeats run serially; BLAS is the only parallelism.
-Exit codes: 0 success, 1 user/data/usage or file-system error, 2 internal
-numerical failure. Errors are a single machine-parsable line on stderr:
+Exit codes: 0 success, 1 user/data/usage, file-system or out-of-memory error, 2
+internal numerical failure. Errors are a single machine-parsable line on stderr:
 ``error: stage=... reason=...``.
 """
 
@@ -255,6 +255,10 @@ def main(argv=None) -> int:
         return 1
     except Warning as exc:  # raised, not printed, under -W error / PYTHONWARNINGS=error
         print(f"error: stage=warning reason={exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # outside fit's stages, which name their own
+        print(f"error: stage=memory reason=out of memory ({str(exc) or 'MemoryError'})",
+              file=sys.stderr)
         return 1
     except NumericalError as exc:
         print(f"error: stage={exc.stage or 'numerical'} reason={exc}", file=sys.stderr)

@@ -18,7 +18,7 @@ from .alignment import BLOCK_ENTRIES, SampleSet
 from .config import MenConfig, check_fields, checked_value
 from .datasets import write_pgm
 from .errors import DataError
-from .lars import CoefficientPath
+from .lars import EVENTS, CoefficientPath
 from .pipeline import FitReport, ProjectionMatrix, fit, project
 
 __all__ = [
@@ -221,13 +221,13 @@ def path_csv_lines(path: CoefficientPath) -> list[str]:
     )
     lines = [header]
     fields = ["0.0"] * p
-    for bp in path.breakpoints:
-        active = bp.active.tolist()
-        for j, value in zip(active, bp.values.tolist()):
-            fields[j] = repr(value)
+    values = iter(path.values.tolist())
+    rows = path.rows[["loop", "event", "variable", "l1_norm", "c_hat"]].tolist()
+    for (loop, event, variable, l1_norm, c_hat), active in zip(rows, path.active_sets()):
+        for j in active:
+            fields[j] = repr(next(values))
         lines.append(
-            f"{bp.loop},{bp.event},{bp.variable},{repr(bp.l1_norm)},"
-            f"{repr(bp.c_hat)},{','.join(fields)}"
+            f"{loop},{EVENTS[event]},{variable},{repr(l1_norm)},{repr(c_hat)},{','.join(fields)}"
         )
         for j in active:
             fields[j] = "0.0"

@@ -26,15 +26,16 @@ c_hat is computed once per segment.
 Per segment, `direction` returns the equiangular move, `step_length` and
 `drop_length` take it, and `lars_step` advances the state by the shorter
 distance. The path is piecewise linear; `solve_column` alone records a
-breakpoint at the end of every segment. Event kinds: "init" (all-zero
-start), "enter" (a variable joined at the segment start), "drop" (an
-active coefficient hit zero), "cont" (post-drop segment in which nothing
-entered).
+breakpoint at the end of every segment, column-wise (CoefficientPath).
+Event kinds: "init" (all-zero start), "enter" (a variable joined at the
+segment start), "drop" (an active coefficient hit zero), "cont"
+(post-drop segment in which nothing entered).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Iterator
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,6 +46,7 @@ from .transform import AugmentedProblem
 __all__ = [
     "LarsState",
     "Direction",
+    "EVENTS",
     "Breakpoint",
     "CoefficientPath",
     "correlations",
@@ -69,6 +71,12 @@ PIVOT_MIN = 1e-12
 # (guards zero-length re-entry of a variable dropped at this breakpoint)
 STEP_FLOOR_REL = 1e-12
 _PLUS_MINUS = np.array([[1.0], [-1.0]])
+# a path row's event code indexes EVENTS
+EVENTS = ("init", "enter", "drop", "cont")
+_INIT, _ENTER, _DROP, _CONT = range(len(EVENTS))
+_ROW = np.dtype([("loop", np.int64), ("event", np.int8), ("variable", np.int64),
+                 ("entered", np.int64), ("c_hat", np.float64), ("l1_norm", np.float64),
+                 ("objective", np.float64)])
 
 
 @dataclass
@@ -119,16 +127,18 @@ class LarsState:
 
 @dataclass(slots=True)
 class Breakpoint:
-    """The path state at the end of one segment, stored sparsely.
+    """The path state at the end of one segment, built from its CoefficientPath.
 
     `active` holds the active variables' int64 indices in entry order and
     `values` their coefficients; every other coefficient of the length-`p`
     vector is +0.0, so `coefficients` rebuilds the dense vector exactly.
+    `entered` is the variable that entered in the segment, or -1.
     """
 
     loop: int
     event: str
     variable: int
+    entered: int
     active: np.ndarray
     values: np.ndarray
     p: int
@@ -145,13 +155,53 @@ class Breakpoint:
 
 @dataclass
 class CoefficientPath:
-    """Breakpoints of one solve, in path order (first row is the init row)."""
+    """Breakpoints of one solve, in path order (first row is the init row),
+    stored column-wise.
+
+    rows:   one record per breakpoint: loop, event (an index into EVENTS),
+            variable, entered (the variable that entered in the segment, a
+            drop row's included, or -1), c_hat, l1_norm and objective
+    values: every breakpoint's active coefficients, back to back
+
+    Active sets are replayed from the rows: an entry appends its variable,
+    then a drop removes its own and keeps the order, as lars_step shifts
+    its blocks. `breakpoints` builds Breakpoint objects on every read.
+    """
 
     n_variables: int
-    breakpoints: list[Breakpoint] = field(default_factory=list)
+    rows: np.ndarray
+    values: np.ndarray
+
+    def active_sets(self) -> Iterator[list[int]]:
+        """Each breakpoint's active variables in entry order: one list,
+        updated in place between yields."""
+        active: list[int] = []
+        for event, variable, entered in self.rows[["event", "variable", "entered"]].tolist():
+            if entered >= 0:
+                active.append(entered)
+            if event == _DROP:
+                active.remove(variable)
+            yield active
+
+    @property
+    def breakpoints(self) -> list[Breakpoint]:
+        """Every breakpoint as a new Breakpoint, holding copies of its arrays."""
+        out, start = [], 0
+        for row, active in zip(self.rows.tolist(), self.active_sets()):
+            loop, event, variable, entered, c_hat, l1_norm, objective = row
+            stop = start + len(active)
+            out.append(Breakpoint(loop, EVENTS[event], variable, entered,
+                                  np.array(active, dtype=np.int64), self.values[start:stop].copy(),
+                                  self.n_variables, c_hat, l1_norm, objective))
+            start = stop
+        return out
 
     def final_coefficients(self) -> np.ndarray:
-        return self.breakpoints[-1].coefficients
+        for active in self.active_sets():  # to the last breakpoint's
+            pass
+        dense = np.zeros(self.n_variables)
+        dense[active] = self.values[self.values.size - len(active) :]
+        return dense
 
 
 def correlations(problem: AugmentedProblem, coeffs: np.ndarray) -> np.ndarray:
@@ -354,27 +404,15 @@ def _objective(problem: AugmentedProblem, state: LarsState) -> float:
 
 
 def _record(
-    path: CoefficientPath,
-    state: LarsState,
-    problem: AugmentedProblem,
-    event: str,
-    variable: int,
+    rows: list[tuple], values: list[np.ndarray], state: LarsState, problem: AugmentedProblem,
+    event: int, variable: int = -1, entered: int | None = None,
 ) -> None:
-    index = state.index[: state.m]
-    path.breakpoints.append(
-        Breakpoint(
-            loop=state.loop,
-            event=event,
-            variable=variable,
-            active=index.astype(np.int64),
-            values=state.coeffs[index],
-            p=state.coeffs.size,
-            c_hat=state.c_hat,
-            # over the dense vector: a sum over the values alone may round differently
-            l1_norm=float(np.abs(state.coeffs).sum()),
-            objective=_objective(problem, state),
-        )
-    )
+    values.append(state.coeffs[state.index[: state.m]])
+    rows.append((
+        state.loop, event, variable, -1 if entered is None else entered, state.c_hat,
+        # over the dense vector: a sum over the values alone may round differently
+        float(np.abs(state.coeffs).sum()), _objective(problem, state),
+    ))
 
 
 def lars_step(state: LarsState, problem: AugmentedProblem) -> int | None:
@@ -422,7 +460,8 @@ def solve_column(
     `problem` holds one target column. Its Gram matrix is formed on first
     use, or shared when the problem came from AugmentedProblem.column.
     Each lars_step segment is recorded here as a drop, else an enter,
-    else a continuation.
+    else a continuation; a drop row also names the variable that entered
+    in its segment, if any.
 
     The result has at most K nonzeros (drop events reduce the count but
     never refund the entry budget). A K that is not an int is a config DataError.
@@ -431,11 +470,10 @@ def solve_column(
     if K < 1:
         raise NumericalError(f"K must be >= 1, got {K}")
     state = initial_state(problem, K)
-    path = CoefficientPath(n_variables=problem.n_variables)
-    _record(path, state, problem, "init", -1)
-    c0 = state.c_hat
-    if c0 <= 0.0:
-        return state.coeffs, path
+    rows: list[tuple] = []
+    values: list[np.ndarray] = []
+    _record(rows, values, state, problem, _INIT)
+    c0 = state.c_hat  # where it is 0, extend_active finds nothing to add
     enters = 0
     dropped = None
     max_segments = 8 * problem.n_variables + 64
@@ -448,17 +486,19 @@ def solve_column(
             enters += 1
         dropped = lars_step(state, problem)
         if dropped is not None:
-            _record(path, state, problem, "drop", dropped)
+            _record(rows, values, state, problem, _DROP, dropped, entered)
         elif entered is not None:
-            _record(path, state, problem, "enter", entered)
+            _record(rows, values, state, problem, _ENTER, entered, entered)
         else:
-            _record(path, state, problem, "cont", -1)
+            _record(rows, values, state, problem, _CONT)
         if state.c_hat <= EARLY_STOP_REL * c0:
             break
         if enters >= K:
             break
     else:
         raise NumericalError("path did not terminate within the segment budget")
+    # packed once, into the path's two arrays
+    path = CoefficientPath(problem.n_variables, np.array(rows, dtype=_ROW), np.concatenate(values))
     return state.coeffs, path
 
 

@@ -125,8 +125,11 @@ class _Reader:
 
 def load_model(path) -> ProjectionMatrix:
     """Read a MEN2 model; a MEN1 file or any malformed content raises
-    DataError (stage model)."""
-    path = Path(path)
+    DataError (stage model), as does a path that is not str or os.PathLike."""
+    try:
+        path = Path(path)
+    except TypeError as exc:
+        raise DataError(f"model path is a {type(path).__name__}", stage="model") from exc
     reader = _Reader(path.read_bytes(), str(path))
     magic = reader.take(4)
     if magic == b"MEN1":

@@ -77,7 +77,7 @@ class FitReport:
     @property
     def objective_traces(self) -> list[list[float]]:
         """Per column, the transformed objective at every breakpoint."""
-        return [[bp.objective for bp in path.breakpoints] for path in self.paths]
+        return [path.rows["objective"].tolist() for path in self.paths]
 
     def check_monotone(self) -> None:
         """Every column's transformed objective must decrease each loop."""
@@ -113,14 +113,16 @@ def pca_preprocess(
     does) and the array is _writable_alone once the set is gone, they are
     centred in their own buffer, which the SVD's factor then fills (the
     basis, when p >= n), with the same bits. A `retain` that is not an
-    int raises DataError (stage config) naming it, and NumericalError is
+    int raises DataError (stage config) naming it, one outside
+    [1, min(n - 1, p)] DataError (stage preprocess), and NumericalError is
     raised when the SVD does not converge.
     """
     n, p = samples.n, samples.p
     limit = min(n - 1, p)
     retain = checked_value("retain", retain, "int")
     if not 1 <= retain <= limit:
-        raise DataError(f"pca_retain={retain} outside [1, {limit}] for {n} x {p} data")
+        raise DataError(f"pca_retain={retain} outside [1, {limit}] for {n} x {p} data",
+                        stage="preprocess")
     data, labels = samples.data, samples.labels
     del samples  # a set that nothing else holds goes, leaving data this one reference
     probe = object()
@@ -161,8 +163,9 @@ def _column_cosines(values: np.ndarray) -> np.ndarray:
 
 
 @contextmanager
-def _stage(name: str, timings: dict[str, float]):
-    """Tag an untagged MenError from the body with stage `name`; on success time it."""
+def _stage(name: str, timings: dict[str, float], n: int):
+    """Tag an untagged MenError from the body with stage `name`, and turn a
+    MemoryError into a DataError naming it and the n samples; on success time it."""
     start = time.perf_counter()
     try:
         yield
@@ -170,6 +173,9 @@ def _stage(name: str, timings: dict[str, float]):
         if exc.stage is None:
             exc.stage = name
         raise
+    except MemoryError as exc:
+        raise DataError(f"out of memory with n={n} samples ({str(exc) or 'MemoryError'})",
+                        stage=name) from exc
     timings[name] = time.perf_counter() - start
 
 
@@ -184,24 +190,26 @@ def fit(
     n x p copy (CPython 3.11+; 3.10 keeps call arguments
     alive). Other callers' data are centred in a copy, with the same model
     bits. The reduced data are dropped once the shared design is built.
-    Raises DataError/NumericalError tagged with the failing stage.
+    Raises DataError/NumericalError tagged with the failing stage, and a
+    DataError naming the stage and n where memory runs out.
     `threads` is accepted and unused: the benchmark harness still passes
     it, and ROADMAP item 1's benchmark commit deletes it.
     """
     timings: dict[str, float] = {}
-    with _stage("preprocess", timings):
-        retain = min(samples.n - 1, samples.p) if cfg.pca_retain is None else cfg.pca_retain
+    n = samples.n
+    with _stage("preprocess", timings, n):
+        retain = min(n - 1, samples.p) if cfg.pca_retain is None else cfg.pca_retain
         held = [samples]
         del samples  # the PCA gets the set popped from `held`: no name here keeps it alive
         if retain:
             work, basis, mean = pca_preprocess(held.pop(), retain)
         else:
             work, basis, mean = held.pop(), None, None
-    with _stage("alignment", timings):
+    with _stage("alignment", timings, n):
         align = accumulate_alignment(work, build_patches(work, cfg.k1, cfg.k2, cfg.kappa))
-    with _stage("indicator", timings):
+    with _stage("indicator", timings, n):
         indicator = build_indicator(work, cfg.d, center=cfg.center_class_means)
-    with _stage("transform", timings):
+    with _stage("transform", timings, n):
         eig = build_a(align, cfg, overwrite_l=True)
         del align  # L's storage now holds U: the eigh made no second n x n array
         factor = spectral_factor(eig, cfg.eig_floor)
@@ -215,7 +223,7 @@ def fit(
             "set lambda2 >= 1e-6 to keep active-set Gram matrices well conditioned",
             stacklevel=2,
         )
-    with _stage("solve", timings):
+    with _stage("solve", timings, n):
         solved = [solve_column(shared.column(t), cfg.K) for t in range(cfg.d)]
         values = np.column_stack([
             report_column(w, shared, double_shrinkage_correction=cfg.double_shrinkage_correction)

@@ -71,7 +71,7 @@ class SpectralFactor:
 class AugmentedProblem:
     """Elastic-net least-squares problem for one or more projection columns.
 
-    xstar: n' x p design (F order), the top block of the augmented data
+    xstar: n' x p design, the top block of the augmented data
     ystar: its length-n' response, or n' x d with one column per target
     scale: sqrt(1+lambda2) relating the reported column W to the solved
            coefficients (W* = scale * W)
@@ -296,12 +296,13 @@ def build_augmented(
     if factor is None:
         factor = spectral_factor(build_a(L, cfg), cfg.eig_floor)
     _shrink(factor)
-    rotated_x, rotated_t = (factor.basis.T @ a for a in (X, targets))
     scale = float(np.sqrt(1.0 + cfg.lambda2))
-    # column-major, so reading the columns of an active set is contiguous
-    xstar = np.multiply(factor.root[:, None], rotated_x, out=np.empty(rotated_x.shape, order="F"))
+    # scaled in the product's own buffer (C order): the solver copies an
+    # active column out once, on entry
+    xstar = factor.basis.T @ X
+    xstar *= factor.root[:, None]
     xstar /= scale
-    ystar = (rotated_t.T / factor.root).T
+    ystar = ((factor.basis.T @ targets).T / factor.root).T
     return AugmentedProblem(
         xstar=xstar, ystar=ystar, scale=scale, ridge=cfg.lambda2 / (1.0 + cfg.lambda2)
     )

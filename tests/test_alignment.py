@@ -517,6 +517,22 @@ class TestAccumulateAlignment:
         with pytest.raises(DataError, match="an Edges block's arrays differ in shape"):
             accumulate_alignment(s, [edges])
 
+    @pytest.mark.parametrize("edges, reason", [
+        ([Edges(np.array([0.5]), np.array([1]), np.array([1.0]))], "integer centers"),
+        ([Edges(np.array([0]), np.array([1.0]), np.array([1.0]))], "integer centers"),
+        ([Edges(np.array([0]), np.array([1]), np.array(["a"]))], "real weights"),
+        ([1, 2], "must be three arrays, got 1"),
+        ([(np.array([0]), np.array([1]))], "must be three arrays"),
+        (5, "must be three arrays, got 5"),
+    ])
+    def test_other_blocks_are_alignment_errors(self, edges, reason):
+        # a float index raised np.add.at's IndexError, an int block and a
+        # non-iterable edges a TypeError
+        s = SampleSet(np.arange(3.0)[:, None], np.array([0, 0, 1]))
+        with pytest.raises(DataError, match=reason) as info:
+            accumulate_alignment(s, edges)
+        assert info.value.stage == "alignment"
+
     def test_no_edges_give_zeros(self):
         s = SampleSet(np.arange(3.0)[:, None], np.array([0, 0, 1]))
         assert accumulate_alignment(s, []).tobytes() == np.zeros((3, 3)).tobytes()

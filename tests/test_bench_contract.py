@@ -117,20 +117,24 @@ def test_rebuilt_problems_match_the_fit(monkeypatch, pca_retain):
     "cannot free the training copy evaluate and men fit hand it",
 )
 @pytest.mark.parametrize(
-    "name, bound_mb", [("evaluate-face", 6.0), ("cli-face", 10.0), ("fit-large-n", 12.5)]
+    "name, bound_mb",
+    [("fit-face", 9.7), ("evaluate-face", 5.3), ("cli-face", 10.0), ("fit-large-n", 12.5)],
 )
 def test_round_peak_memory(tmp_path, name, bound_mb):
     # the benchmark's untimed round under tracemalloc, as perfbench/run.py
-    # makes it for peak_mem_mb: 5.29 and 9.22 MB there (9.38 for cli-face
-    # in this test's process) with the handed-over data centred in their
-    # own buffer, where the solve, build_patches and build_augmented now
-    # peak within 0.1 MB of each other; 8.09 and 12.46 MB with one centred
-    # copy beside the data, 13.35 and 17.01 MB with two. fit-large-n's
-    # 12.20 MB is L's n x n storage (L, then U written over it) beside the
-    # design's arrays in build_augmented; build_indicator, which solves the
-    # class-center PCA on its c x c Gram, peaks at 11.74 MB. U shrinks to
-    # its retained columns before the design's products, and L is
-    # scattered one Edges block at a time (12.29 MB with every edge copied)
+    # makes it for peak_mem_mb. fit-face reads 9.38 MB: its solve beside the
+    # 5.11 MB PCA basis, with each path stored column-wise (10.95 MB as one
+    # Breakpoint object per breakpoint) and build_augmented scaling the
+    # design in the product's own buffer (an n' x p copy beside it before).
+    # evaluate-face and cli-face read 4.92 and 9.28 MB (9.22 for cli-face
+    # there) with the handed-over data centred in their own buffer; 8.09
+    # and 12.46 MB with one centred copy beside the data, 13.35 and 17.01 MB
+    # with two. fit-large-n's 12.10 MB is L's n x n storage (L, then U
+    # written over it) beside the design in build_augmented;
+    # build_indicator, which solves the class-center PCA on its c x c Gram,
+    # peaks at 11.74 MB. U shrinks to its retained columns before the
+    # design's products, and L is scattered one Edges block at a time
+    # (12.29 MB with every edge copied)
     workload, seed = perfbench_module("workloads").WORKLOADS[name]
     inputs = workload.setup(men, seed, tmp_path / name)
     tracemalloc.start()

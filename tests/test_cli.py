@@ -3,6 +3,7 @@
 import contextlib
 import io
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -638,6 +639,38 @@ class TestProcess:
             "error: stage=warning reason=k1/k2 clamped for 7 of 7 samples (small classes)"
         ]
         assert not (tmp / "report").exists() and not (tmp / "s.men").exists()
+
+    @pytest.mark.skipif(not Path("/proc/self/status").is_file(),
+                        reason="the child reads its address space from /proc")
+    def test_out_of_memory_is_one_error_line(self, tmp_path):
+        # the child caps its address space at 120 MiB past its imports, less
+        # than L (72 MB at n = 3,000) and the eigh's copy and workspace need;
+        # the MemoryError printed a traceback
+        rng = np.random.default_rng(0)
+        data = tmp_path / "data.csv"
+        data.write_text("".join(",".join(map(repr, row)) + f",{i % 10}\n"
+                                for i, row in enumerate(rng.normal(size=(3000, 6)).tolist())))
+        config = tmp_path / "men.cfg"
+        config.write_text("pca_retain=0\nd=3\nK=3\n")
+        child = "\n".join([
+            "import resource, sys",
+            "import men.cli",
+            "with open('/proc/self/status') as status:",
+            "    size = next(int(f.split()[1]) for f in status if f.startswith('VmSize:'))",
+            "limit = size * 1024 + 120 * 2**20",
+            "resource.setrlimit(resource.RLIMIT_AS, (limit, limit))",
+            "sys.exit(men.cli.main(sys.argv[1:]))",
+        ])
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"),
+                   PYTHONWARNINGS="error")
+        out = subprocess.run(
+            [sys.executable, "-c", child, "fit", "--data", str(data), "--config", str(config),
+             "--model", str(tmp_path / "m.men")],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert out.returncode == 1, out.stderr
+        assert re.fullmatch(r"error: stage=\S+ reason=out of memory .*\n", out.stderr), out.stderr
+        assert not (tmp_path / "m.men").exists()
 
     def test_crlf_csv_with_blank_lines_fits_like_its_lf_twin(self, workspace):
         tmp, data, config = workspace

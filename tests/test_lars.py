@@ -788,8 +788,42 @@ class TestBreakpointRecords:
                 assert not dense[off].any() and not np.signbit(dense[off]).any()
                 assert bp.l1_norm == float(np.abs(dense).sum())
 
+    def test_replay_gives_the_state_at_each_record(self, monkeypatch):
+        # the active sets are replayed from the entries and drops: each
+        # breakpoint's indices and values are those state.index and
+        # state.coeffs held when it was recorded, and every variable that
+        # extend_active admitted is named as entered, a drop row's included
+        import men.lars as lars_module
+
+        recorded, admitted = [], []
+        record, extend = lars_module._record, lars_module.extend_active
+
+        def recording(rows, values, state, *args):
+            index = state.index[: state.m]
+            recorded.append((index.tolist(), state.coeffs[index].copy()))
+            return record(rows, values, state, *args)
+
+        def admitting(state, problem):
+            admitted.append(extend(state, problem))
+            return admitted[-1]
+
+        monkeypatch.setattr(lars_module, "_record", recording)
+        monkeypatch.setattr(lars_module, "extend_active", admitting)
+        w, path = solve_column(lasso_drop_problem(), 13)
+        breakpoints = path.breakpoints
+        assert len(breakpoints) == len(recorded) and len(path.rows) == len(recorded)
+        hidden = [bp for bp in breakpoints if bp.event == "drop" and bp.entered >= 0]
+        assert hidden, "the fixture's drop segment admits a variable"
+        for bp, (index, values) in zip(breakpoints, recorded):
+            assert bp.active.tolist() == index
+            assert bp.values.tobytes() == values.tobytes()
+        assert [bp.entered for bp in breakpoints if bp.entered >= 0] == admitted
+        assert path.final_coefficients().tobytes() == w.tobytes()
+        assert path.values.size == sum(len(index) for index, _ in recorded)
+
     def test_path_memory_is_independent_of_p(self):
-        # a dense record of every breakpoint would hold 16 kB each here
+        # a dense record of every breakpoint would hold 16 kB each here; a
+        # column-wise one holds a 49-byte row and at most K values each
         rng = np.random.default_rng(3)
         p, K = 2000, 10
         prob = random_problem(rng, 40, p)
@@ -802,5 +836,5 @@ class TestBreakpointRecords:
         finally:
             tracemalloc.stop()
         assert len(path.breakpoints) == K + 1
-        assert held <= len(path.breakpoints) * (16 * K + 512) + 4096
+        assert held <= len(path.breakpoints) * (8 * K + 64) + 4096
 

@@ -497,8 +497,8 @@ class TestBuildAugmented:
 
     @pytest.mark.parametrize("d", [None, 3], ids=["one-target", "three-targets"])
     def test_design_holds_retained_rows_only(self, d):
-        # n' x p in column-major order and n' response rows, on a spectrum
-        # that the floor clamps
+        # n' x p in row-major order, the product's own buffer, and n'
+        # response rows, on a spectrum that the floor clamps
         samples = make_informative_classes(
             12, 6, [0, 2, 4], n_classes=4, separation=1.0, seed=12
         )
@@ -511,10 +511,29 @@ class TestBuildAugmented:
             samples.data, targets if d else targets[:, 0], None, cfg, factor=factor
         )
         assert prob.xstar.shape == (n_kept, samples.p)
-        assert prob.xstar.flags.f_contiguous
+        assert prob.xstar.flags.c_contiguous and prob.xstar.flags.owndata
         assert prob.ystar.shape == ((n_kept, d) if d else (n_kept,))
         if d:
             assert all(prob.column(t).ystar.shape == (n_kept,) for t in range(d))
+
+    def test_peak_memory_is_the_design(self):
+        # the design is scaled in the product's own buffer, so the arrays
+        # returned and a ufunc's fixed 64 kB buffer are all the call holds:
+        # no second n' x p array beside them (an F-order copy of the product
+        # made the rise two designs)
+        rng = np.random.default_rng(15)
+        X, targets = rng.normal(size=(240, 400)), rng.normal(size=(240, 5))
+        cfg = MenConfig()
+        factor = spectral_factor(build_a(random_symmetric(rng, 240), cfg), cfg.eig_floor)
+        build_augmented(X, targets, None, cfg, factor=factor)  # shrinks U, which stays so
+        tracemalloc.start()
+        try:
+            prob = build_augmented(X, targets, None, cfg, factor=factor)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert prob.xstar.shape == (240, 400)
+        assert peak <= prob.xstar.nbytes + 3 * prob.ystar.nbytes + 131072
 
     def test_all_penalties_off_gives_least_squares(self):
         rng = np.random.default_rng(6)
